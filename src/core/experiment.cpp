@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <thread>
 
 #include "common/assert.hpp"
@@ -190,6 +191,44 @@ parseCheckedU64(const std::string& flag, const std::string& value)
                           "' (out of range)");
     }
     return static_cast<std::uint64_t>(v);
+}
+
+std::vector<int>
+parseMeshRadices(const std::string& flag, const std::string& spec)
+{
+    const auto bad = [&](const std::string& why) {
+        return ConfigError("bad " + flag + " value '" + spec + "' (" +
+                           why + "; want KxK[xK], each K an integer " +
+                           ">= 2)");
+    };
+    std::vector<int> radices;
+    std::size_t pos = 0;
+    for (;;) {
+        std::size_t next = spec.find('x', pos);
+        if (next == std::string::npos)
+            next = spec.size();
+        const std::string part = spec.substr(pos, next - pos);
+        if (part.empty())
+            throw bad("empty radix");
+        // Digits only: atoi/strtol would accept a sign, leading
+        // whitespace and trailing garbage ("16abc" -> 16).
+        if (part.find_first_not_of("0123456789") != std::string::npos)
+            throw bad("radix '" + part + "' is not an integer");
+        errno = 0;
+        const unsigned long long k =
+            std::strtoull(part.c_str(), nullptr, 10);
+        if (errno == ERANGE ||
+            k > static_cast<unsigned long long>(
+                    std::numeric_limits<int>::max())) {
+            throw bad("radix '" + part + "' is out of range");
+        }
+        if (k < 2)
+            throw bad("radix '" + part + "' is below 2");
+        radices.push_back(static_cast<int>(k));
+        if (next == spec.size())
+            return radices;
+        pos = next + 1;
+    }
 }
 
 std::string

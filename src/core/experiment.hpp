@@ -68,6 +68,16 @@ std::uint64_t parseCheckedU64(const std::string& flag,
                               const std::string& value);
 
 /**
+ * Checked parser for mesh radices ("16x16", "4x4x4"): every
+ * 'x'-separated part must be a plain decimal integer in [2, INT_MAX]
+ * — no sign, no whitespace, no empty part, no trailing text —
+ * otherwise ConfigError names the flag and the whole spec. Shared by
+ * the lapses-sim and lapses-campaign --mesh flags.
+ */
+std::vector<int> parseMeshRadices(const std::string& flag,
+                                  const std::string& spec);
+
+/**
  * Worker-thread count for campaign-driven benches: LAPSES_JOBS if set
  * (0 = hardware concurrency), otherwise all hardware threads. Results
  * are byte-identical for any value; this only sets the pace.

@@ -1,6 +1,5 @@
 #include "exp/campaign_cli.hpp"
 
-#include <cstdlib>
 #include <limits>
 
 #include "common/assert.hpp"
@@ -10,32 +9,6 @@
 
 namespace lapses
 {
-
-namespace
-{
-
-/** Parse "16x16" or "4x4x4" into radices. */
-std::vector<int>
-parseMesh(const std::string& spec)
-{
-    std::vector<int> radices;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t next = spec.find('x', pos);
-        if (next == std::string::npos)
-            next = spec.size();
-        const int k = std::atoi(spec.substr(pos, next - pos).c_str());
-        if (k < 2)
-            throw ConfigError("bad mesh spec '" + spec + "'");
-        radices.push_back(k);
-        pos = next + 1;
-    }
-    if (radices.empty())
-        throw ConfigError("bad mesh spec '" + spec + "'");
-    return radices;
-}
-
-} // namespace
 
 bool
 CampaignCli::consume(int argc, char** argv, int& i)
@@ -52,7 +25,7 @@ CampaignCli::consume(int argc, char** argv, int& i)
     } else if (arg == "--seed") {
         campaignSeed = parseCheckedU64(arg, value());
     } else if (arg == "--mesh") {
-        base.radices = parseMesh(value());
+        base.radices = parseMeshRadices(arg, value());
     } else if (arg == "--torus") {
         base.torus = true;
     } else if (arg == "--topology") {
@@ -188,8 +161,9 @@ campaignCliHelp()
            "  --hotspot-frac X --warmup N --measure N\n"
            "  --telemetry-window N cycles per telemetry window (0 =\n"
            "                       off; never changes results)     [0]\n"
-           "  --intra-jobs N       parallel-kernel shard threads per\n"
-           "                       run (LAPSES_KERNEL=parallel; the\n"
+           "  --intra-jobs N       shard threads per run under\n"
+           "                       LAPSES_KERNEL=parallel (the default\n"
+           "                       active kernel is one shard; the\n"
            "                       effective thread count is --jobs\n"
            "                       times this). Never changes\n"
            "                       results                         [0]\n"

@@ -120,8 +120,6 @@ resolveMaxBatchCycles(Cycle requested, Cycle linkDelay)
     return std::min(cap, linkDelay + 1);
 }
 
-thread_local Network::Shard* Network::tls_shard_ = nullptr;
-
 void
 Network::RouterEnv::flitOut(PortId out_port, VcId out_vc,
                             const Flit& flit)
@@ -291,6 +289,9 @@ void
 Network::buildShards()
 {
     const NodeId n = topo_.numNodes();
+    // Shard-count resolution: Active is the event kernel at exactly
+    // one shard, whatever intraJobs or LAPSES_INTRA_JOBS say; Scan
+    // keeps one inert shard so observers and merges stay uniform.
     std::vector<NodeId> bounds;
     if (kernel_ == KernelKind::Parallel) {
         if (!params_.shardBoundaries.empty()) {
@@ -342,12 +343,10 @@ Network::buildShards()
         nics_[static_cast<std::size_t>(id)].setPoolBank(
             shard_of_[static_cast<std::size_t>(id)]);
     }
-    if (kernel_ != KernelKind::Scan) {
-        // Every NIC starts active: its injection process may have an
-        // arrival due at cycle 0. Routers start empty and asleep.
-        for (NodeId id = 0; id < n; ++id)
-            activateNic(id);
-    }
+    // Every NIC starts active: its injection process may have an
+    // arrival due at cycle 0. Routers start empty and asleep.
+    for (NodeId id = 0; id < n; ++id)
+        activateNic(id);
     // Classify every wire once: flit and credit wires at (node, port)
     // both connect to neighbor(node, port), so one table serves both
     // kinds. Port 0 (ejection / NIC credit) and injection wires stay
@@ -375,10 +374,10 @@ Network::buildShards()
         router_envs_[static_cast<std::size_t>(id)].setShard(sh);
         nic_envs_[static_cast<std::size_t>(id)].setShard(sh);
     }
-    batch_cap_ = kernel_ == KernelKind::Parallel
-                     ? resolveMaxBatchCycles(params_.maxBatch,
-                                             params_.linkDelay)
-                     : 1;
+    batch_cap_ = kernel_ == KernelKind::Scan
+                     ? 1
+                     : resolveMaxBatchCycles(params_.maxBatch,
+                                             params_.linkDelay);
     // Workers for shards 1..S-1; the caller thread steps shard 0.
     // The pool is per-network, so campaign workers that each own a
     // parallel network can never deadlock on a shared pool.
@@ -507,11 +506,12 @@ Network::deliverFlitWire(Shard& sh, NodeId id, PortId p,
 {
     if (p == kLocalPort) {
         if (tracer_ != nullptr) {
-            tracer_->record({at, TraceEvent::Kind::Eject, id,
-                             kInvalidPort, pool_[wf.flit.msg].id,
-                             wf.flit.seq, wf.flit.type,
-                             pool_[wf.flit.msg].role,
-                             pool_[wf.flit.msg].attempt});
+            const MessageDescriptor& desc = pool_[wf.flit.msg];
+            sh.trace.push_back(
+                {flitWireKey(id, p),
+                 {at, TraceEvent::Kind::Eject, id, kInvalidPort,
+                  desc.id, wf.flit.seq, wf.flit.type, desc.role,
+                  desc.attempt}});
         }
         // The flit leaves the tracked domain at its destination NIC.
         // Ejections happen only on the owning shard's delivery path;
@@ -524,60 +524,53 @@ Network::deliverFlitWire(Shard& sh, NodeId id, PortId p,
         // cannot know about — re-activate so it is stepped this very
         // cycle, exactly when the scan kernel would step it. Ejection
         // is intra-shard, so this touches only the owning shard.
-        if (kernel_ != KernelKind::Scan && nic.closedLoop())
+        if (nic.closedLoop())
             activateNic(id);
         return;
     }
     const NodeId peer = topo_.neighbor(id, p);
     LAPSES_ASSERT(peer != kInvalidNode);
     if (tracer_ != nullptr) {
-        tracer_->record({at, TraceEvent::Kind::HopArrive, peer,
-                         topo_.peerPort(id, p),
-                         pool_[wf.flit.msg].id, wf.flit.seq,
-                         wf.flit.type});
+        sh.trace.push_back({flitWireKey(id, p),
+                            {at, TraceEvent::Kind::HopArrive, peer,
+                             topo_.peerPort(id, p),
+                             pool_[wf.flit.msg].id, wf.flit.seq,
+                             wf.flit.type}});
     }
     routers_[static_cast<std::size_t>(peer)].acceptFlit(
         topo_.peerPort(id, p), wf.vc, wf.flit, at);
-    if (kernel_ != KernelKind::Scan)
-        activateRouter(peer);
+    activateRouter(peer);
 }
 
 void
-Network::deliverCreditWire(Shard& sh, NodeId id, PortId p,
-                           const WireCredit& wc, Cycle at)
+Network::deliverCreditWire(NodeId id, PortId p, const WireCredit& wc)
 {
-    (void)sh;
-    (void)at;
     if (p == kLocalPort) {
         nics_[static_cast<std::size_t>(id)].acceptCredit(wc.vc);
-        if (kernel_ != KernelKind::Scan)
-            activateNic(id);
+        activateNic(id);
         return;
     }
     const NodeId peer = topo_.neighbor(id, p);
     LAPSES_ASSERT(peer != kInvalidNode);
     routers_[static_cast<std::size_t>(peer)].acceptCredit(
         topo_.peerPort(id, p), wc.vc);
-    if (kernel_ != KernelKind::Scan)
-        activateRouter(peer);
+    activateRouter(peer);
 }
 
 void
 Network::deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf,
                            Cycle at)
 {
-    (void)sh;
     if (tracer_ != nullptr) {
-        tracer_->record({at, TraceEvent::Kind::Inject, id,
-                         kLocalPort, pool_[wf.flit.msg].id,
-                         wf.flit.seq, wf.flit.type,
-                         pool_[wf.flit.msg].role,
-                         pool_[wf.flit.msg].attempt});
+        const MessageDescriptor& desc = pool_[wf.flit.msg];
+        sh.trace.push_back({injectWireKey(id),
+                            {at, TraceEvent::Kind::Inject, id,
+                             kLocalPort, desc.id, wf.flit.seq,
+                             wf.flit.type, desc.role, desc.attempt}});
     }
     routers_[static_cast<std::size_t>(id)].acceptFlit(
         kLocalPort, wf.vc, wf.flit, at);
-    if (kernel_ != KernelKind::Scan)
-        activateRouter(id);
+    activateRouter(id);
 }
 
 void
@@ -602,7 +595,7 @@ Network::deliverWiresRange(Shard& sh, NodeId begin, NodeId end,
             auto& cw = credit_wires_[wireIndex(id, p)];
             while (!cw.empty() && cw.front().due <= at) {
                 ++sh.counters.wireEventsDelivered;
-                deliverCreditWire(sh, id, p, cw.pop(), at);
+                deliverCreditWire(id, p, cw.pop());
             }
         }
         // NIC injection wires -> router local input port.
@@ -638,7 +631,7 @@ Network::deliverKey(Shard& sh, std::int32_t key, Cycle at)
         auto& cw = credit_wires_[wireIndex(id, p)];
         while (!cw.empty() && cw.front().due <= at) {
             ++sh.counters.wireEventsDelivered;
-            deliverCreditWire(sh, id, p, cw.pop(), at);
+            deliverCreditWire(id, p, cw.pop());
         }
     }
 }
@@ -702,33 +695,6 @@ Network::drainShardBoundary(Shard& sh)
         deliverKey(sh, key, now_);
     }
     bucket.boundary_keys.clear();
-}
-
-void
-Network::drainShardSerial(Shard& sh)
-{
-    // Tracer runs only: a shared trace stream cannot take concurrent
-    // writers, so the whole bucket — intra and boundary merged back
-    // together — drains on the coordinator in global canonical order,
-    // exactly like the pre-batching parallel kernel. batchCycles
-    // forces 1-cycle batches while a tracer is attached.
-    CalendarBucket& bucket = sh.calendar[now_slot_];
-    if (bucket.keys.empty() && bucket.boundary_keys.empty())
-        return;
-    LAPSES_ASSERT(bucket.due == now_);
-    bucket.keys.insert(bucket.keys.end(),
-                       bucket.boundary_keys.begin(),
-                       bucket.boundary_keys.end());
-    bucket.boundary_keys.clear();
-    std::sort(bucket.keys.begin(), bucket.keys.end());
-    std::int32_t prev_key = -1;
-    for (const std::int32_t key : bucket.keys) {
-        if (key == prev_key)
-            continue;
-        prev_key = key;
-        deliverKey(sh, key, now_);
-    }
-    bucket.keys.clear();
 }
 
 void
@@ -858,25 +824,41 @@ Network::mergeShardCycleState()
             pool_.release(msg);
         sh.pending_release.clear();
     }
+    if (tracer_ != nullptr)
+        flushTrace();
+}
+
+void
+Network::flushTrace()
+{
+    // Wire keys of different shards never collide, and ascending
+    // (cycle, wire key) is the scan sweep's delivery order, so one
+    // stable sort of the shards' buffers replays the exact global
+    // event stream into the single-writer tracer — whatever the shard
+    // count or batch size.
+    trace_merge_.clear();
+    for (Shard& sh : shards_) {
+        trace_merge_.insert(trace_merge_.end(), sh.trace.begin(),
+                            sh.trace.end());
+        sh.trace.clear();
+    }
+    std::stable_sort(trace_merge_.begin(), trace_merge_.end(),
+                     [](const TraceRecord& a, const TraceRecord& b) {
+                         return a.ev.cycle != b.ev.cycle
+                                    ? a.ev.cycle < b.ev.cycle
+                                    : a.key < b.key;
+                     });
+    for (const TraceRecord& r : trace_merge_)
+        tracer_->record(r.ev);
 }
 
 void
 Network::stepShardCycles(Shard& sh, Cycle cycles)
 {
-    // Route this thread's delivery side effects (delivered counters,
-    // the stats hook, descriptor releases) into the shard's own
-    // deltas for the duration of the batch.
-    struct TlsGuard
-    {
-        ~TlsGuard() { tls_shard_ = nullptr; }
-    } guard;
-    (void)guard;
-    tls_shard_ = &sh;
     for (Cycle c = 0; c < cycles; ++c) {
         // Intra-shard deliveries first (receivers join the active
-        // set), then the component slice — the same phase order every
-        // kernel uses. Under the tracer fallback the coordinator
-        // already drained the whole bucket, so this is a no-op.
+        // set), then the component slice — the same phase order the
+        // scan kernel uses.
         drainShardIntra(sh);
         stepShardComponents(sh);
         ++sh.now;
@@ -886,54 +868,18 @@ Network::stepShardCycles(Shard& sh, Cycle cycles)
 }
 
 void
-Network::stepActive()
-{
-    Shard& sh = shards_[0];
-
-    // Deliver due wire traffic; receivers join the active set. (Wake
-    // processing runs inside stepShardComponents, after delivery —
-    // activation is idempotent and stepping order is unobservable, so
-    // the phase order matches the parallel kernel exactly.) With a
-    // single shard every event is intra-shard, and the coordinator is
-    // the owning thread; deliveries run with no shard bound, so the
-    // delivered counters update directly as before.
-    {
-        ScopedPhaseTimer timer(profiling_, profile_.wireDrainSeconds);
-        drainShardIntra(sh);
-    }
-
-    stepShardComponents(sh);
-
-    mergeShardCycleState();
-    processPendingUnroutable();
-    ++now_;
-    if (++now_slot_ == sh.calendar.size())
-        now_slot_ = 0;
-    sh.now = now_;
-    sh.slot = now_slot_;
-}
-
-void
-Network::stepParallel(Cycle cycles)
+Network::stepSharded(Cycle cycles)
 {
     // Coordinator boundary drain: shard calendars visited in shard
     // order reproduce the global canonical order restricted to
     // boundary-crossing events. Everything else — intra-shard
-    // deliveries, stats hooks, descriptor releases — happens on the
-    // owning shard's thread inside stepShardCycles. With a tracer
-    // attached the whole bucket drains here instead (serial
-    // fallback), preserving the single-writer trace stream.
-    const bool serial = tracer_ != nullptr;
+    // deliveries, stats hooks, descriptor releases, trace records —
+    // happens on the owning shard's thread inside stepShardCycles.
     {
         ScopedPhaseTimer timer(profiling_,
-                               serial ? profile_.wireDrainSeconds
-                                      : profile_.boundaryDrainSeconds);
-        for (Shard& sh : shards_) {
-            if (serial)
-                drainShardSerial(sh);
-            else
-                drainShardBoundary(sh);
-        }
+                               profile_.boundaryDrainSeconds);
+        for (Shard& sh : shards_)
+            drainShardBoundary(sh);
     }
 
     // Parallel stepping: one shard per thread, shard 0 on the
@@ -1001,9 +947,8 @@ Network::batchCycles(Cycle horizon) const
     Cycle k = std::min<Cycle>(horizon - now_, batch_cap_);
     if (k <= 1)
         return 1;
-    // Serial-delivery fallback (tracer) needs the coordinator between
-    // every cycle; fault epochs need per-cycle purge processing.
-    if (tracer_ != nullptr || !failures_.empty())
+    // Fault epochs need per-cycle purge processing.
+    if (!failures_.empty())
         return 1;
     // Fault events, reconfigurations and telemetry windows run at the
     // fixed top of a cycle on the coordinator — the batch must end
@@ -1178,16 +1123,14 @@ Network::purgeMessage(MsgRef msg, bool allow_reinject)
                 if (in_port == kLocalPort) {
                     nics_[static_cast<std::size_t>(id)].acceptCredit(
                         vc);
-                    if (kernel_ != KernelKind::Scan)
-                        activateNic(id);
+                    activateNic(id);
                     return;
                 }
                 const NodeId up = topo_.neighbor(id, in_port);
                 LAPSES_ASSERT(up != kInvalidNode);
                 routers_[static_cast<std::size_t>(up)].acceptCredit(
                     topo_.peerPort(id, in_port), vc);
-                if (kernel_ != KernelKind::Scan)
-                    activateRouter(up);
+                activateRouter(up);
             });
     }
 
@@ -1248,8 +1191,7 @@ Network::purgeMessage(MsgRef msg, bool allow_reinject)
         if (measured)
             ++dropped_measured_;
     }
-    if (kernel_ != KernelKind::Scan)
-        activateNic(src);
+    activateNic(src);
     pool_.release(msg);
 }
 
@@ -1311,17 +1253,19 @@ Network::step()
     topOfCycle();
     if (kernel_ == KernelKind::Scan)
         stepScan();
-    else if (kernel_ == KernelKind::Parallel)
-        stepParallel(1);
     else
-        stepActive();
+        stepSharded(1);
 }
 
 Cycle
 Network::stepUntil(Cycle horizon)
 {
     LAPSES_ASSERT(horizon > now_);
-    if (kernel_ != KernelKind::Scan && !anyComponentActive()) {
+    if (kernel_ == KernelKind::Scan) {
+        step();
+        return 1;
+    }
+    if (!anyComponentActive()) {
         const Cycle next = nextEventCycle();
         if (next > now_) {
             // Nothing can happen before `next`: no component is
@@ -1342,18 +1286,14 @@ Network::stepUntil(Cycle horizon)
             return advanced;
         }
     }
-    if (kernel_ == KernelKind::Parallel && batch_cap_ > 1) {
-        // Multi-cycle batching: run the fixed top-of-cycle work, then
-        // let the shards step as many cycles as the lookahead allows
-        // before the next barrier. Callers see the same contract —
-        // at least one cycle, never past the horizon.
-        topOfCycle();
-        const Cycle batch = batchCycles(horizon);
-        stepParallel(batch);
-        return batch;
-    }
-    step();
-    return 1;
+    // Run the fixed top-of-cycle work, then let the shards step as
+    // many cycles as the lookahead allows before the next barrier.
+    // Callers see the same contract — at least one cycle, never past
+    // the horizon.
+    topOfCycle();
+    const Cycle batch = batchCycles(horizon);
+    stepSharded(batch);
+    return batch;
 }
 
 void
@@ -1498,29 +1438,18 @@ Network::kernelProfile() const
 void
 Network::messageDelivered(MsgRef msg, Cycle now)
 {
+    // Every ejection happens on the destination's owning shard (the
+    // scan kernel's single shard included), so the counters, the
+    // hook's per-destination stats lanes, and the deferred release
+    // are all shard-local. The barrier merge folds them in.
     const MessageDescriptor& desc = pool_[msg];
-    Shard* sh = tls_shard_;
-    if (sh != nullptr) {
-        // Stepping-thread path: every ejection happens on the
-        // destination's owning shard, so the counters, the hook's
-        // per-destination stats lanes, and the deferred release are
-        // all shard-local. The barrier merge folds them in.
-        ++sh->delivered_total;
-        if (desc.measured)
-            ++sh->delivered_measured;
-        if (hook_ != nullptr)
-            hook_(hook_ctx_, desc, now);
-        sh->pending_release.push_back(msg);
-        return;
-    }
-    ++delivered_total_;
+    Shard& sh = shards_[shard_of_[static_cast<std::size_t>(desc.dest)]];
+    ++sh.delivered_total;
     if (desc.measured)
-        ++delivered_measured_;
+        ++sh.delivered_measured;
     if (hook_ != nullptr)
         hook_(hook_ctx_, desc, now);
-    // The tail was the message's last flit anywhere in the network:
-    // recycle its descriptor.
-    pool_.release(msg);
+    sh.pending_release.push_back(msg);
 }
 
 } // namespace lapses

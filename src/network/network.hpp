@@ -7,31 +7,32 @@
  * emits at cycle t arrives at its peer at t + linkDelay, so the order in
  * which routers step within a cycle cannot matter.
  *
- * Three simulation kernels share this interface (see DESIGN.md):
+ * Two simulation kernels share this interface (see DESIGN.md):
  *
- *  - KernelKind::Active (default): per-cycle work is O(active
- *    components + due wire events). Wire traffic sits in a calendar
- *    queue bucketed by due cycle, only routers/NICs with pending work
- *    are stepped, and when nothing is active the clock fast-forwards to
- *    the next wire event or injection-process wake.
- *  - KernelKind::Scan: the original path that steps every component and
- *    scans every wire each cycle, kept for differential testing
- *    (LAPSES_KERNEL=scan).
- *  - KernelKind::Parallel: the active kernel's bookkeeping partitioned
- *    into spatial shards (contiguous node ranges). Wire events are
- *    classified at schedule time: intra-shard events are delivered by
- *    the owning shard's worker at the top of its stepping slice, while
- *    only boundary-crossing events go through the coordinator's
- *    canonical merge. When lookahead allows (no fault, telemetry or
- *    pending boundary event inside the window) shards run up to
+ *  - The sharded event kernel ("active", the default, and "parallel"):
+ *    per-cycle work is O(active components + due wire events). Wire
+ *    traffic sits in a calendar queue bucketed by due cycle, only
+ *    routers/NICs with pending work are stepped, and when nothing is
+ *    active the clock fast-forwards to the next wire event or
+ *    injection-process wake. The nodes are cut into spatial shards
+ *    (contiguous node ranges) — exactly one under "active",
+ *    --intra-jobs under "parallel". Wire events are classified at
+ *    schedule time: intra-shard events are delivered by the owning
+ *    shard's worker at the top of its stepping slice, while only
+ *    boundary-crossing events go through the coordinator's canonical
+ *    merge. When lookahead allows (no fault, telemetry or pending
+ *    boundary event inside the window) shards run up to
  *    linkDelay + 1 cycles between barriers (DESIGN.md "Parallel
  *    kernel" spells out both contracts).
+ *  - KernelKind::Scan: the original path that steps every component
+ *    and scans every wire each cycle, kept as the differential oracle
+ *    (LAPSES_KERNEL=scan).
  *
- * All kernels produce byte-identical statistics: wire events are
- * delivered in the same (node, port, wire-kind) order the scan uses
- * within each owning domain, and components are only put to sleep when
- * stepping them is provably a no-op (no buffered flits, no
- * injection-process event due).
+ * Both kernels produce byte-identical statistics and trace streams:
+ * wire events are delivered in the same (node, port, wire-kind) order
+ * the scan uses within each owning domain, and components are only
+ * put to sleep when stepping them is provably a no-op (no buffered
+ * flits, no injection-process event due).
  */
 
 #ifndef LAPSES_NETWORK_NETWORK_HPP
@@ -65,13 +66,14 @@ class ThreadPool;
  *  else throws ConfigError. */
 KernelKind resolveKernelKind(KernelKind requested);
 
-/** Resolve the parallel kernel's shard/worker count: an explicit
- *  request (> 0) wins, else LAPSES_INTRA_JOBS, else the hardware
- *  concurrency. Always >= 1; a bad environment value throws
- *  ConfigError. Capped at MessagePool::kMaxBanks. */
+/** Resolve the parallel kernel's shard/worker count (Active is
+ *  always one shard and never asks): an explicit request (> 0) wins,
+ *  else LAPSES_INTRA_JOBS, else the hardware concurrency. Always
+ *  >= 1; a bad environment value throws ConfigError. Capped at
+ *  MessagePool::kMaxBanks. */
 unsigned resolveIntraJobs(unsigned requested);
 
-/** Resolve the parallel kernel's barrier batch cap: an explicit
+/** Resolve the event kernel's barrier batch cap: an explicit
  *  request (> 0) wins, else LAPSES_MAX_BATCH, else the conservative
  *  lookahead linkDelay + 1. The result is always clamped to
  *  [1, linkDelay + 1] — events emitted inside a batch are due at
@@ -91,9 +93,9 @@ struct NetworkParams
     KernelKind kernel = KernelKind::Auto;
 
     /** Parallel-kernel shard/worker count; 0 = auto (LAPSES_INTRA_JOBS,
-     *  else hardware concurrency). Ignored by the other kernels. The
-     *  value never affects results — only how a cycle's component
-     *  stepping is spread over threads. */
+     *  else hardware concurrency). Ignored by Active (one shard) and
+     *  Scan. The value never affects results — only how a cycle's
+     *  component stepping is spread over threads. */
     unsigned intraJobs = 0;
 
     /**
@@ -104,11 +106,11 @@ struct NetworkParams
      */
     std::vector<NodeId> shardBoundaries;
 
-    /** Parallel-kernel barrier batch cap in cycles; 0 = auto
-     *  (LAPSES_MAX_BATCH, else linkDelay + 1). Clamped to
-     *  [1, linkDelay + 1]; 1 restores a barrier every cycle. Like
-     *  intraJobs the value never affects results — batching only
-     *  changes how often the shards rejoin. */
+    /** Event-kernel (Active and Parallel) barrier batch cap in
+     *  cycles; 0 = auto (LAPSES_MAX_BATCH, else linkDelay + 1).
+     *  Clamped to [1, linkDelay + 1]; 1 restores a barrier every
+     *  cycle. Like intraJobs the value never affects results —
+     *  batching only changes how often the shards rejoin. */
     Cycle maxBatch = 0;
 
     // --- Dynamic link faults (DESIGN.md "Fault events") -----------
@@ -232,10 +234,11 @@ class Network : public DeliverySink
 
     /**
      * Advance at least one cycle, but never past `horizon` (> now()).
-     * With the active kernel, an idle network (empty active set) jumps
+     * Under the event kernel an idle network (empty active sets) jumps
      * straight to the next wire event / NIC wake instead of stepping
-     * through dead cycles; the scan kernel always advances one cycle.
-     * Returns the number of cycles advanced.
+     * through dead cycles, and a busy one steps one barrier batch; the
+     * scan kernel always advances one cycle. Returns the number of
+     * cycles advanced.
      */
     Cycle stepUntil(Cycle horizon);
 
@@ -255,7 +258,7 @@ class Network : public DeliverySink
         return shard_of_[static_cast<std::size_t>(id)];
     }
 
-    /** The resolved barrier batch cap (1 unless Parallel batching). */
+    /** The resolved barrier batch cap (1 under Scan). */
     Cycle batchCap() const { return batch_cap_; }
 
     /** Work counters for perf tests and benches: the coordinator's
@@ -407,7 +410,10 @@ class Network : public DeliverySink
                           completedAt, attempt, measured);
     }
 
-    /** Attach (or detach with nullptr) a flit-event tracer. */
+    /** Attach (or detach with nullptr) a flit-event tracer. Shards
+     *  buffer their own deliveries' events; every barrier merge
+     *  replays them into the tracer in the scan kernel's global
+     *  order, so tracing never limits the batch size. */
     void setTracer(FlitTracer* tracer) { tracer_ = tracer; }
 
     // --- Telemetry / profiling (pure observers) -----------------------
@@ -444,9 +450,10 @@ class Network : public DeliverySink
     void setProfiling(bool on) { profiling_ = on; }
 
     /** Accumulated per-phase wall-clock seconds (--profile): the
-     *  coordinator's phases merged with per-shard step timers. Under
-     *  the parallel kernel the step phases sum CPU seconds across
-     *  shards, so they can exceed wall time. */
+     *  coordinator's phases merged with per-shard step timers. The
+     *  phases never nest, so on one shard they sum to at most the
+     *  wall time; across several shards the step phases sum CPU
+     *  seconds and can exceed it. */
     KernelProfile kernelProfile() const;
 
     // DeliverySink; recycles the message's descriptor after the hook.
@@ -538,7 +545,7 @@ class Network : public DeliverySink
                static_cast<std::size_t>(port);
     }
 
-    // --- Wire-event calendar (active kernel) --------------------------
+    // --- Wire-event calendar (event kernel) ---------------------------
     //
     // Every wire event is pushed with due = push cycle + linkDelay + 1,
     // so dues in flight always lie in (now, now + linkDelay + 1]. With
@@ -564,10 +571,19 @@ class Network : public DeliverySink
         std::vector<std::int32_t> boundary_keys;
     };
 
+    /** A traced delivery awaiting the barrier merge; the wire key
+     *  orders same-cycle events the way the scan sweep delivers
+     *  them. */
+    struct TraceRecord
+    {
+        std::int32_t key;
+        TraceEvent ev;
+    };
+
     /**
-     * Everything one stepping thread owns: the active/scan kernels run
-     * a single shard spanning all nodes; the parallel kernel runs one
-     * shard per worker over [begin, end). During the (parallel)
+     * Everything one stepping thread owns: Active and Scan run a
+     * single shard spanning all nodes; Parallel runs one shard per
+     * worker over [begin, end). During the (parallel)
      * component-stepping phase a shard's thread touches only this
      * struct, its own nodes' components, and the wires/calendar slots
      * those nodes send on — all disjoint across shards — while the
@@ -636,6 +652,10 @@ class Network : public DeliverySink
          *  the coordinator at the barrier (MessagePool frees are
          *  sequential-phase only). */
         std::vector<MsgRef> pending_release;
+
+        /** Trace records of this batch's deliveries (tracer attached
+         *  only), merged into the tracer at the barrier. */
+        std::vector<TraceRecord> trace;
     };
 
     std::int32_t
@@ -682,15 +702,14 @@ class Network : public DeliverySink
      *  and pool banks) at construction. */
     void buildShards();
 
-    // Shared per-event delivery (tracer + hand-off + activation).
-    // `at` is the delivering domain's current cycle: the sender
-    // shard's local clock for intra-shard events, the global now_ for
-    // boundary events and scan sweeps. Side effects are charged to
-    // `sh` (the sender's shard), never to shared state.
+    // Shared per-event delivery (trace record + hand-off +
+    // activation). `at` is the delivering domain's current cycle: the
+    // sender shard's local clock for intra-shard events, the global
+    // now_ for boundary events and scan sweeps. Side effects are
+    // charged to `sh` (the sender's shard), never to shared state.
     void deliverFlitWire(Shard& sh, NodeId id, PortId p,
                          const WireFlit& wf, Cycle at);
-    void deliverCreditWire(Shard& sh, NodeId id, PortId p,
-                           const WireCredit& wc, Cycle at);
+    void deliverCreditWire(NodeId id, PortId p, const WireCredit& wc);
     void deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf,
                            Cycle at);
 
@@ -706,7 +725,7 @@ class Network : public DeliverySink
     /** Deliver a shard's due intra-shard events, in canonical order
      *  within the shard: the sorted-bucket walk when sparse, the range
      *  sweep when the bucket saturates its shard. Runs on the shard's
-     *  own stepping thread (or inline under the active kernel). */
+     *  own stepping thread. */
     void drainShardIntra(Shard& sh);
 
     /** Deliver a shard's due boundary-crossing events. Coordinator
@@ -714,25 +733,18 @@ class Network : public DeliverySink
      *  order restricted to boundary events. */
     void drainShardBoundary(Shard& sh);
 
-    /** Tracer fallback: deliver a shard's full due bucket (intra and
-     *  boundary merged back into global canonical order) on the
-     *  coordinator, exactly like the pre-batching kernel — a shared
-     *  tracer stream cannot be written from worker threads. */
-    void drainShardSerial(Shard& sh);
-
     void stepScan();
-    void stepActive();
 
-    /** Advance the parallel kernel by `cycles` (>= 1) barrier-to-
+    /** Advance the event kernel by `cycles` (>= 1) barrier-to-
      *  barrier: coordinator boundary drain, worker fan-out of
-     *  stepShardCycles, barrier, merge. */
-    void stepParallel(Cycle cycles);
+     *  stepShardCycles (inline on one shard), barrier, merge. */
+    void stepSharded(Cycle cycles);
 
-    /** Largest safe batch for the parallel kernel ending at or before
+    /** Largest safe batch for the event kernel ending at or before
      *  `horizon`: capped by the conservative lookahead (batchCap), the
      *  next fault/reconfiguration/telemetry boundary, any pending
      *  boundary event's due cycle, and forced to 1 while links are
-     *  down or a tracer is attached. */
+     *  down. */
     Cycle batchCycles(Cycle horizon) const;
 
     /** A worker's whole batch: per cycle, drain own intra-shard
@@ -742,13 +754,17 @@ class Network : public DeliverySink
 
     /** The per-shard slice of a cycle: process due NIC wakes, step
      *  active NICs, step active routers. Runs on the shard's stepping
-     *  thread under the parallel kernel, inline otherwise. */
+     *  thread (the caller's for shard 0). */
     void stepShardComponents(Shard& sh);
 
     /** Fold per-batch shard deltas (injected/ejected/progressed flits,
-     *  deliveries, deferred descriptor frees) into the global counters
-     *  after the barrier. */
+     *  deliveries, deferred descriptor frees, trace records) into the
+     *  global state after the barrier. */
     void mergeShardCycleState();
+
+    /** Replay the shards' trace records into the tracer in global
+     *  (cycle, wire key) order. */
+    void flushTrace();
 
     /** The fixed top-of-cycle sequential work (fault events, telemetry
      *  windows) shared by every kernel and the batch path. */
@@ -813,9 +829,9 @@ class Network : public DeliverySink
     /** NIC -> router injection wires, one per node. */
     std::vector<RingBuffer<WireFlit>> inject_wires_;
 
-    // Event-driven kernel state (Active = one shard, Parallel = one
-    // shard per worker; Scan keeps a single inert shard so observers
-    // and merge paths are uniform).
+    // Event kernel state (Active = one shard, Parallel = one shard
+    // per worker; Scan keeps a single inert shard so observers and
+    // merge paths are uniform).
     std::int32_t key_stride_ = 0; //!< wire keys per node (2*ports + 1)
     std::size_t now_slot_ = 0; //!< calendar[now_ % width], div-free
     std::vector<Shard> shards_;
@@ -841,10 +857,9 @@ class Network : public DeliverySink
     /** First exception each shard's batch raised (rethrown in shard
      *  order after the barrier; slots reset on throw). */
     std::vector<std::exception_ptr> shard_errors_;
-    /** The stepping thread's own shard while inside stepShardCycles;
-     *  routes messageDelivered side effects to shard-local deltas.
-     *  Null on the coordinator's sequential phases (scan, purges). */
-    static thread_local Shard* tls_shard_;
+    /** Activation marks. Activation is idempotent, so the delivery
+     *  paths set them under every kernel; only the event kernel reads
+     *  them. */
     std::vector<std::uint8_t> router_active_;
     std::vector<std::uint8_t> nic_active_;
     /** Pending wake cycle per NIC (kNeverCycle = none); entries in a
@@ -886,6 +901,8 @@ class Network : public DeliverySink
     RequestHook request_hook_ = nullptr;
     void* request_hook_ctx_ = nullptr;
     FlitTracer* tracer_ = nullptr;
+    /** Merge scratch for the shards' trace records. */
+    std::vector<TraceRecord> trace_merge_;
 
     /** Seed-stamped workload options every NIC engine reads. */
     WorkloadOptions workload_opts_;

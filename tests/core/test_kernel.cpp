@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/simulation.hpp"
 
 namespace lapses
@@ -99,6 +101,40 @@ TEST(Kernel, ParallelSelectionAndIntraJobResolution)
     cfg.intraJobs = 4096;
     Simulation clamped(cfg);
     EXPECT_EQ(clamped.network().shardCount(), 16u);
+}
+
+TEST(Kernel, ActiveIsOneShardAndBatchesLikeParallel)
+{
+    // Active is the sharded event kernel at exactly one shard: intra
+    // job requests never split it. Its barrier batch cap resolves like
+    // the parallel kernel's: --max-batch, else LAPSES_MAX_BATCH, else
+    // linkDelay + 1.
+    SimConfig cfg = kernelBase();
+    cfg.kernel = KernelKind::Active;
+    cfg.linkDelay = 3;
+    cfg.intraJobs = 4;
+    ::setenv("LAPSES_INTRA_JOBS", "3", 1);
+    Simulation requested(cfg);
+    EXPECT_EQ(requested.network().shardCount(), 1u);
+    EXPECT_EQ(requested.network().batchCap(), 4u);
+    cfg.intraJobs = 0;
+    Simulation from_env(cfg);
+    EXPECT_EQ(from_env.network().shardCount(), 1u);
+    ::unsetenv("LAPSES_INTRA_JOBS");
+
+    ::setenv("LAPSES_MAX_BATCH", "2", 1);
+    Simulation env_batch(cfg);
+    EXPECT_EQ(env_batch.network().batchCap(), 2u);
+    cfg.maxBatchCycles = 1;
+    Simulation explicit_batch(cfg);
+    EXPECT_EQ(explicit_batch.network().batchCap(), 1u);
+    ::unsetenv("LAPSES_MAX_BATCH");
+
+    // The scan oracle never batches.
+    cfg.kernel = KernelKind::Scan;
+    cfg.maxBatchCycles = 0;
+    Simulation scan(cfg);
+    EXPECT_EQ(scan.network().batchCap(), 1u);
 }
 
 TEST(Kernel, KernelKindNamesRoundTrip)
@@ -235,6 +271,36 @@ TEST(Kernel, WatchdogStillFiresOnRealDeadlock)
     const auto active = outcome(KernelKind::Active);
     EXPECT_EQ(scan.first, active.first);
     EXPECT_EQ(scan.second, active.second);
+}
+
+TEST(Kernel, OneShardProfileNeverExceedsWallTime)
+{
+    // On one shard every profiled phase runs on the calling thread and
+    // no phase timer may wrap another, so the phases must sum to at
+    // most the wall time around run() — a nested timer would count its
+    // inner phase twice.
+    for (const KernelKind kernel :
+         {KernelKind::Active, KernelKind::Parallel, KernelKind::Scan}) {
+        SimConfig cfg = kernelBase();
+        cfg.radices = {8, 8};
+        cfg.normalizedLoad = 0.3;
+        cfg.warmupMessages = 200;
+        cfg.measureMessages = 3000;
+        cfg.kernel = kernel;
+        cfg.intraJobs = 1;
+        Simulation sim(cfg);
+        ASSERT_EQ(sim.network().shardCount(), 1u);
+        sim.network().setProfiling(true);
+        const auto t0 = std::chrono::steady_clock::now();
+        sim.run();
+        const double wall = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+        const KernelProfile prof = sim.network().kernelProfile();
+        EXPECT_GT(prof.routerStepSeconds, 0.0)
+            << kernelKindName(kernel);
+        EXPECT_LE(prof.totalSeconds(), wall) << kernelKindName(kernel);
+    }
 }
 
 TEST(Kernel, StepUntilNeverPassesHorizon)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -226,6 +227,52 @@ TEST(CampaignCliFlags, LoadRejectsGarbage)
     EXPECT_THROW(consumeFlags(cli, {"--load", "0"}), ConfigError);
     EXPECT_TRUE(consumeFlags(cli, {"--load", "0.4"}));
     EXPECT_DOUBLE_EQ(cli.base.normalizedLoad, 0.4);
+}
+
+TEST(CampaignCliFlags, MeshRejectsGarbageNamingFlagAndSpec)
+{
+    // Trailing text, empty parts, signs, whitespace, radix < 2 and
+    // overflow are all refused (never read as a nearby valid mesh),
+    // and the error names both the flag and the whole spec.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"16x16abc",
+         "bad --mesh value '16x16abc' (radix '16abc' is not an "
+         "integer; want KxK[xK], each K an integer >= 2)"},
+        {"4x4x",
+         "bad --mesh value '4x4x' (empty radix; want KxK[xK], each K "
+         "an integer >= 2)"},
+        {"4x+4",
+         "bad --mesh value '4x+4' (radix '+4' is not an integer; want "
+         "KxK[xK], each K an integer >= 2)"},
+        {"4x 4",
+         "bad --mesh value '4x 4' (radix ' 4' is not an integer; want "
+         "KxK[xK], each K an integer >= 2)"},
+        {"1x4",
+         "bad --mesh value '1x4' (radix '1' is below 2; want KxK[xK], "
+         "each K an integer >= 2)"},
+        {"4x99999999999",
+         "bad --mesh value '4x99999999999' (radix '99999999999' is out "
+         "of range; want KxK[xK], each K an integer >= 2)"},
+        {"", "bad --mesh value '' (empty radix; want KxK[xK], each K "
+             "an integer >= 2)"},
+    };
+    for (const auto& [spec, wording] : cases) {
+        CampaignCli cli;
+        try {
+            consumeFlags(cli, {"--mesh", spec});
+            FAIL() << "accepted --mesh '" << spec << "'";
+        } catch (const ConfigError& e) {
+            EXPECT_EQ(std::string(e.what()), wording);
+        }
+    }
+    for (const char* spec : {"-4x4", "x4", "4xx4", "4X4", "0x4"}) {
+        CampaignCli cli;
+        EXPECT_THROW(consumeFlags(cli, {"--mesh", spec}), ConfigError)
+            << spec;
+    }
+    CampaignCli cli;
+    EXPECT_TRUE(consumeFlags(cli, {"--mesh", "8x6x2"}));
+    EXPECT_EQ(cli.base.radices, (std::vector<int>{8, 6, 2}));
 }
 
 TEST(CampaignCliFlags, FaultFlagsReachTheBaseConfig)

@@ -16,12 +16,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/names.hpp"
 #include "core/simulation.hpp"
+#include "network/tracer.hpp"
+#include "topology/spec.hpp"
 
 namespace lapses
 {
@@ -522,6 +525,74 @@ TEST(KernelDifferential, SaturatedRunsAgree)
                                  batched[i].label);
         EXPECT_EQ(sims[0]->network().now(), sims[i]->network().now())
             << "saturated-batched " << batched[i].label;
+    }
+}
+
+/** Every field of every retained tracer event, one line each. */
+std::string
+ringBytes(const FlitTracer& tracer)
+{
+    std::ostringstream os;
+    for (const TraceEvent& ev : tracer.events()) {
+        os << ev.cycle << ' ' << static_cast<int>(ev.kind) << ' '
+           << ev.node << ' ' << static_cast<int>(ev.port) << ' '
+           << ev.msg << ' ' << ev.seq << ' '
+           << static_cast<int>(ev.type) << ' '
+           << static_cast<int>(ev.role) << ' ' << ev.attempt << '\n';
+    }
+    return os.str();
+}
+
+TEST(KernelDifferential, TracedStreamsIdentical)
+{
+    // Deliveries run on every shard's thread, but the tracer is a
+    // single-writer stream: each shard buffers its own records and the
+    // barrier merge replays them in (cycle, wire key) order. The event
+    // ring and the span JSONL must come out byte-identical under every
+    // kernel, shard count and batch size. Link delay 3 makes batches
+    // of up to 4 cycles possible while the tracer is attached.
+    const std::vector<KernelVariant> variants = {
+        {"scan", KernelKind::Scan, 0},
+        {"active", KernelKind::Active, 0},
+        {"parallel/2@batch1", KernelKind::Parallel, 2, 1},
+        {"parallel/2@batch4", KernelKind::Parallel, 2, 4},
+        {"parallel/4@batch1", KernelKind::Parallel, 4, 1},
+        {"parallel/4@batch4", KernelKind::Parallel, 4, 4}};
+    SimConfig mesh = diffBase();
+    mesh.linkDelay = 3;
+    SimConfig fattree = mesh;
+    fattree.topology = parseTopologySpec("--topology", "fattree4x3");
+    fattree.normalizedLoad = 0.05;
+    for (const auto& [name, base] :
+         {std::pair<std::string, SimConfig>{"mesh4x4", mesh},
+          {"fattree4x3", fattree}}) {
+        auto sims = buildVariants(base, variants, name);
+        std::vector<std::string> rings;
+        std::vector<std::string> spans;
+        for (auto& sim : sims) {
+            FlitTracer tracer(1 << 17);
+            std::ostringstream os;
+            tracer.enableSpanExport(
+                os, 1,
+                static_cast<Cycle>(contentionFreeHopCycles(base.model)));
+            sim->network().setTracer(&tracer);
+            const SimStats stats = sim->run();
+            sim->network().setTracer(nullptr);
+            EXPECT_FALSE(stats.saturated) << name;
+            // The ring holds the whole stream, not just its tail.
+            EXPECT_EQ(tracer.recorded(), tracer.size()) << name;
+            EXPECT_GT(tracer.spansExported(), 0u) << name;
+            rings.push_back(ringBytes(tracer));
+            spans.push_back(os.str());
+        }
+        for (std::size_t i = 1; i < sims.size(); ++i) {
+            EXPECT_TRUE(rings[i] == rings[0])
+                << name << ' ' << variants[i].label
+                << ": event ring differs from scan";
+            EXPECT_TRUE(spans[i] == spans[0])
+                << name << ' ' << variants[i].label
+                << ": span JSONL differs from scan";
+        }
     }
 }
 

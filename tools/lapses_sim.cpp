@@ -102,16 +102,17 @@ printHelp()
         "  --warmup N           warm-up messages    [1000]\n"
         "  --measure N          measured messages   [10000]\n"
         "  --seed N             RNG seed            [1]\n"
-        "  --intra-jobs N       parallel-kernel shard threads (with\n"
-        "                       LAPSES_KERNEL=parallel; 0 = auto via\n"
-        "                       LAPSES_INTRA_JOBS / hardware). Never\n"
-        "                       changes results               [0]\n"
-        "  --link-delay N       link traversal cycles; widens the\n"
-        "                       parallel kernel's batch lookahead [1]\n"
-        "  --max-batch N        parallel-kernel cycles per barrier\n"
-        "                       (0 = auto via LAPSES_MAX_BATCH, else\n"
-        "                       link-delay + 1). Never changes\n"
+        "  --intra-jobs N       shard threads with LAPSES_KERNEL=parallel\n"
+        "                       (0 = auto via LAPSES_INTRA_JOBS /\n"
+        "                       hardware); the default active kernel\n"
+        "                       is one shard. Never changes\n"
         "                       results                       [0]\n"
+        "  --link-delay N       link traversal cycles; widens the\n"
+        "                       event kernel's batch lookahead [1]\n"
+        "  --max-batch N        cycles per barrier for the active and\n"
+        "                       parallel kernels (0 = auto via\n"
+        "                       LAPSES_MAX_BATCH, else link-delay +\n"
+        "                       1). Never changes results     [0]\n"
         "\n"
         "Telemetry / tracing (README \"Telemetry & tracing\"; single\n"
         "point only, not --sweep):\n"
@@ -132,28 +133,6 @@ printHelp()
         "  --json               print the point as JSON\n"
         "  --quiet              suppress the human-readable line\n"
         "  --help               this text\n");
-}
-
-/** Parse "16x16" or "4x4x4" into radices. */
-std::vector<int>
-parseMesh(const std::string& spec)
-{
-    std::vector<int> radices;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t next = spec.find('x', pos);
-        if (next == std::string::npos)
-            next = spec.size();
-        const std::string part = spec.substr(pos, next - pos);
-        const int k = std::atoi(part.c_str());
-        if (k < 2)
-            throw ConfigError("bad mesh spec '" + spec + "'");
-        radices.push_back(k);
-        pos = next + 1;
-    }
-    if (radices.empty())
-        throw ConfigError("bad mesh spec '" + spec + "'");
-    return radices;
 }
 
 /** Parse "0.1:0.9:0.1" into a load list. */
@@ -211,7 +190,7 @@ main(int argc, char** argv)
                 printHelp();
                 return 0;
             } else if (arg == "--mesh") {
-                cfg.radices = parseMesh(value());
+                cfg.radices = parseMeshRadices(arg, value());
             } else if (arg == "--torus") {
                 cfg.torus = true;
             } else if (arg == "--topology") {
