@@ -456,7 +456,7 @@ class Network : public DeliverySink
      *  seconds and can exceed it. */
     KernelProfile kernelProfile() const;
 
-    // DeliverySink; recycles the message's descriptor after the hook.
+    // DeliverySink; descriptor released at the next mergeShardCycleState().
     void messageDelivered(MsgRef msg, Cycle now) override;
 
     const Topology& topology() const { return topo_; }
