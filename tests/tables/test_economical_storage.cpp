@@ -6,14 +6,67 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "routing/algorithm_factory.hpp"
 #include "routing/turn_model.hpp"
+#include "routing/up_down.hpp"
 #include "tables/economical_storage.hpp"
+#include "topology/dragonfly.hpp"
 
 namespace lapses
 {
 namespace
 {
+
+/** Test-only algorithm: equals `base` at every (router, dest) pair
+ *  except one, where it ejects before reaching the destination. */
+class OnePairDeviant : public RoutingAlgorithm
+{
+  public:
+    OnePairDeviant(const RoutingAlgorithm& base, NodeId router,
+                   NodeId dest)
+        : RoutingAlgorithm(base.topology()), base_(base),
+          router_(router), dest_(dest)
+    {}
+
+    std::string name() const override { return "deviant"; }
+
+    RouteCandidates
+    route(NodeId current, NodeId dest) const override
+    {
+        if (current == router_ && dest == dest_)
+            return ejectionEntry();
+        return base_.route(current, dest);
+    }
+
+    bool
+    usesEscapeChannels() const override
+    {
+        return base_.usesEscapeChannels();
+    }
+    bool isAdaptive() const override { return base_.isAdaptive(); }
+
+  private:
+    const RoutingAlgorithm& base_;
+    NodeId router_;
+    NodeId dest_;
+};
+
+/** Building the table must throw a ConfigError containing `what`. */
+void
+expectRejected(const Topology& topo, const RoutingAlgorithm& algo,
+               const std::string& what)
+{
+    try {
+        const EconomicalStorageTable table(topo, algo);
+        FAIL() << "table accepted an algorithm it cannot hold";
+    } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
 
 TEST(EconomicalStorage, NineEntriesFor2D)
 {
@@ -150,6 +203,42 @@ TEST(EconomicalStorage, InfeasibleEdgeSignsStayEmpty)
     SignVector sv;
     sv = SignVector(Coordinates(0, 0), Coordinates(1, 0)); // (+, 0)
     EXPECT_TRUE(table.entry(edge_router, sv).empty());
+}
+
+TEST(EconomicalStorage, RejectsAlgorithmDeviatingAtOnePair)
+{
+    // Entries are programmed from representatives one hop away along
+    // each sign, so a deviation anywhere else is caught only by the
+    // exhaustive (router, dest) check. (5,5)->(3,5) sits in the last
+    // router row, where a check that stops early would miss it;
+    // (2,2)->(4,4) is an interior case.
+    const Topology m = makeSquareMesh(6);
+    const RoutingAlgorithmPtr duato =
+        makeRoutingAlgorithm(RoutingAlgo::DuatoFullyAdaptive, m);
+    const NodeId n = m.numNodes();
+    for (const auto& [r, d] :
+         {std::pair<NodeId, NodeId>{n - 1, n - 3}, {14, 28}}) {
+        SCOPED_TRACE("r=" + std::to_string(r) + " d=" + std::to_string(d));
+        expectRejected(m, OnePairDeviant(*duato, r, d),
+                       "is not sign-representable");
+    }
+}
+
+TEST(EconomicalStorage, TreeModeRejectsAlgorithmDeviatingAtOnePair)
+{
+    const Topology df = makeDragonflyTopology(6, 2, 12);
+    const NodeId n = df.numNodes();
+    for (const bool adaptive : {false, true}) {
+        const UpDownRouting updown(df, adaptive);
+        for (const auto& [r, d] :
+             {std::pair<NodeId, NodeId>{n - 1, n - 3}, {20, 50}}) {
+            SCOPED_TRACE("adaptive=" + std::to_string(adaptive) +
+                         " r=" + std::to_string(r) +
+                         " d=" + std::to_string(d));
+            expectRejected(df, OnePairDeviant(updown, r, d),
+                           "is not tree-representable");
+        }
+    }
 }
 
 TEST(EconomicalStorage, RejectsTorus)
