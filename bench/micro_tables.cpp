@@ -118,12 +118,19 @@ BENCHMARK(BM_TableProgrammingFull)->Unit(benchmark::kMillisecond);
 void
 BM_TableProgrammingEconomical(benchmark::State& state)
 {
+    // k x k mesh: 16 is the paper's network; at 64 the exhaustive
+    // validation (N^2 route() calls) is what setup waits on.
+    const Topology mesh = makeSquareMesh(static_cast<int>(state.range(0)));
+    const RoutingAlgorithmPtr algo =
+        makeRoutingAlgorithm(RoutingAlgo::DuatoFullyAdaptive, mesh);
     for (auto _ : state) {
-        const EconomicalStorageTable table(mesh16(), duato());
+        const EconomicalStorageTable table(mesh, *algo);
         benchmark::DoNotOptimize(&table);
     }
 }
 BENCHMARK(BM_TableProgrammingEconomical)
+    ->Arg(16)
+    ->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -54,8 +54,10 @@ DimensionOrderRouting::name() const
 PortId
 DimensionOrderRouting::nextPort(NodeId current, NodeId dest) const
 {
+    const Coordinates cc = mesh_.nodeToCoords(current);
+    const Coordinates cd = mesh_.nodeToCoords(dest);
     for (int d : order_) {
-        const PortId p = mesh_.productivePortInDim(current, dest, d);
+        const PortId p = mesh_.productivePortInDim(cc, cd, d);
         if (p != kInvalidPort)
             return p;
     }

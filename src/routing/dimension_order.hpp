@@ -43,8 +43,8 @@ class DimensionOrderRouting : public RoutingAlgorithm
 
     /**
      * The single dimension-order port for current -> dest (kLocalPort at
-     * the destination). Exposed so Duato routing and economical-storage
-     * programming can reuse it as the escape function.
+     * the destination). In XY order it is the escape port Duato routing
+     * assigns, which tests check against it.
      */
     PortId nextPort(NodeId current, NodeId dest) const;
 

@@ -15,7 +15,6 @@
 #ifndef LAPSES_ROUTING_DUATO_HPP
 #define LAPSES_ROUTING_DUATO_HPP
 
-#include "routing/dimension_order.hpp"
 #include "routing/routing_algorithm.hpp"
 
 namespace lapses
@@ -34,7 +33,6 @@ class DuatoAdaptiveRouting : public RoutingAlgorithm
 
   private:
     const MeshShape& mesh_;
-    DimensionOrderRouting escape_;
 };
 
 } // namespace lapses

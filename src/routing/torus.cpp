@@ -12,20 +12,33 @@ TorusAdaptiveRouting::TorusAdaptiveRouting(const Topology& topo)
             "TorusAdaptiveRouting requires wrap links (a torus)");
 }
 
-bool
-TorusAdaptiveRouting::crossesDateline(NodeId current, NodeId dest,
-                                      int d) const
+namespace
 {
-    const PortId p = mesh_.productivePortInDim(current, dest, d);
-    if (p == kInvalidPort)
-        return false; // dimension resolved
-    const int cur = mesh_.nodeToCoords(current).at(d);
-    const int dst = mesh_.nodeToCoords(dest).at(d);
+
+/** True when leaving coordinate cur through productive port p toward
+ *  dst still crosses the wrap edge between radix-1 and 0. */
+bool
+wrapsAhead(PortId p, int cur, int dst)
+{
     // Travelling +d wraps through radix-1 -> 0 iff the destination
     // coordinate is numerically behind us; -d wraps through 0 ->
     // radix-1 iff it is ahead.
     return MeshShape::portDir(p) == Direction::Plus ? dst < cur
                                                        : dst > cur;
+}
+
+} // namespace
+
+bool
+TorusAdaptiveRouting::crossesDateline(NodeId current, NodeId dest,
+                                      int d) const
+{
+    const Coordinates cc = mesh_.nodeToCoords(current);
+    const Coordinates cd = mesh_.nodeToCoords(dest);
+    const PortId p = mesh_.productivePortInDim(cc, cd, d);
+    if (p == kInvalidPort)
+        return false; // dimension resolved
+    return wrapsAhead(p, cc.at(d), cd.at(d));
 }
 
 RouteCandidates
@@ -34,21 +47,20 @@ TorusAdaptiveRouting::route(NodeId current, NodeId dest) const
     if (current == dest)
         return ejectionEntry();
 
+    const Coordinates cc = mesh_.nodeToCoords(current);
+    const Coordinates cd = mesh_.nodeToCoords(dest);
     RouteCandidates rc;
-    int escape_dim = -1;
     for (int d = 0; d < mesh_.dims(); ++d) {
-        const PortId p = mesh_.productivePortInDim(current, dest, d);
-        if (p == kInvalidPort)
-            continue;
-        rc.add(p);
-        if (escape_dim < 0)
-            escape_dim = d; // dimension order: lowest unresolved dim
+        const PortId p = mesh_.productivePortInDim(cc, cd, d);
+        if (p != kInvalidPort)
+            rc.add(p);
     }
-    LAPSES_ASSERT(escape_dim >= 0);
-    rc.setEscapePort(
-        mesh_.productivePortInDim(current, dest, escape_dim));
-    rc.setEscapeClass(crossesDateline(current, dest, escape_dim) ? 0
-                                                                 : 1);
+    // Dimension-order escape: candidates are in dimension order, so the
+    // first one resolves the lowest unresolved dimension.
+    const PortId escape = rc.at(0);
+    const int d = MeshShape::portDim(escape);
+    rc.setEscapePort(escape);
+    rc.setEscapeClass(wrapsAhead(escape, cc.at(d), cd.at(d)) ? 0 : 1);
     return rc;
 }
 

@@ -118,9 +118,9 @@ EconomicalStorageTable::lookup(NodeId router, NodeId dest) const
                                       router, dest, tree_adaptive_);
     }
     const MeshShape& mesh = *topo_.mesh();
-    const SignVector sv(mesh.nodeToCoords(router),
-                        mesh.nodeToCoords(dest));
-    return entries_[index(router, sv.tableIndex())];
+    const int sign = SignVector::tableIndexOf(mesh.nodeToCoords(router),
+                                              mesh.nodeToCoords(dest));
+    return entries_[index(router, sign)];
 }
 
 void

@@ -152,6 +152,17 @@ struct KernelProfile
                faultSeconds + telemetrySeconds + boundaryDrainSeconds +
                intraDeliverySeconds + barrierWaitSeconds;
     }
+
+    /** The event kernel's coordinator-only phases: boundary drain +
+     *  barrier wait + fault + telemetry, exactly the terms the
+     *  --profile serial fraction names. The scan kernel's wire drain
+     *  is not one: scan has no coordinator/worker split. */
+    double
+    serialSeconds() const
+    {
+        return boundaryDrainSeconds + barrierWaitSeconds + faultSeconds +
+               telemetrySeconds;
+    }
 };
 
 } // namespace lapses

@@ -155,6 +155,22 @@ class SignVector
     /** Inverse of tableIndex(). */
     static SignVector fromTableIndex(int index, int dims);
 
+    /** SignVector(from, to).tableIndex() without building the vector:
+     *  the index economical storage computes for every lookup. */
+    static int
+    tableIndexOf(const Coordinates& from, const Coordinates& to)
+    {
+        LAPSES_ASSERT(from.dims() == to.dims());
+        int index = 0;
+        int weight = 1;
+        for (int d = 0; d < from.dims(); ++d) {
+            index += (static_cast<int>(signOf(from.at(d), to.at(d))) + 1) *
+                     weight;
+            weight *= 3;
+        }
+        return index;
+    }
+
     /** "(+,-)" rendering for diagnostics. */
     std::string toString() const;
 

@@ -23,25 +23,33 @@ MeshShape::MeshShape(std::vector<int> radices, bool wrap)
     for (std::size_t d = 0; d < radices_.size(); ++d) {
         if (radices_[d] < 2)
             throw ConfigError("mesh radix must be >= 2 in every dimension");
+        if (radices_[d] > kMaxRadix) {
+            throw ConfigError("mesh radix " + std::to_string(radices_[d]) +
+                              " exceeds the limit of " +
+                              std::to_string(kMaxRadix) +
+                              " (16-bit coordinates)");
+        }
         strides_[d] = static_cast<int>(total);
         total *= radices_[d];
         if (total > (1L << 30))
             throw ConfigError("mesh too large");
     }
     num_nodes_ = static_cast<NodeId>(total);
-}
 
-Coordinates
-MeshShape::nodeToCoords(NodeId node) const
-{
-    LAPSES_ASSERT(contains(node));
+    // Node ids are row-major with dimension 0 fastest: count through
+    // the coordinates like an odometer.
+    coords_.reserve(static_cast<std::size_t>(num_nodes_));
     Coordinates c(dims());
-    int rem = node;
-    for (int d = 0; d < dims(); ++d) {
-        c.set(d, rem % radix(d));
-        rem /= radix(d);
+    for (NodeId n = 0; n < num_nodes_; ++n) {
+        coords_.push_back(c);
+        for (int d = 0; d < dims(); ++d) {
+            if (c.at(d) + 1 < radix(d)) {
+                c.set(d, c.at(d) + 1);
+                break;
+            }
+            c.set(d, 0);
+        }
     }
-    return c;
 }
 
 NodeId
@@ -54,14 +62,6 @@ MeshShape::coordsToNode(const Coordinates& c) const
         node += c.at(d) * strides_[static_cast<std::size_t>(d)];
     }
     return node;
-}
-
-PortId
-MeshShape::port(int d, Direction dir)
-{
-    LAPSES_ASSERT(d >= 0 && d < kMaxDims);
-    return static_cast<PortId>(1 + 2 * d +
-                               (dir == Direction::Minus ? 1 : 0));
 }
 
 int
@@ -139,30 +139,15 @@ MeshShape::distance(NodeId a, NodeId b) const
 std::vector<PortId>
 MeshShape::productivePorts(NodeId from, NodeId to) const
 {
+    const Coordinates cf = nodeToCoords(from);
+    const Coordinates ct = nodeToCoords(to);
     std::vector<PortId> ports;
     for (int d = 0; d < dims(); ++d) {
-        const PortId p = productivePortInDim(from, to, d);
+        const PortId p = productivePortInDim(cf, ct, d);
         if (p != kInvalidPort)
             ports.push_back(p);
     }
     return ports;
-}
-
-PortId
-MeshShape::productivePortInDim(NodeId from, NodeId to, int d) const
-{
-    const Coordinates cf = nodeToCoords(from);
-    const Coordinates ct = nodeToCoords(to);
-    const int delta = ct.at(d) - cf.at(d);
-    if (delta == 0)
-        return kInvalidPort;
-    if (!wrap_)
-        return port(d, delta > 0 ? Direction::Plus : Direction::Minus);
-    // Torus: go the shorter way around; ties prefer Plus.
-    const int k = radix(d);
-    const int fwd = (delta % k + k) % k;          // hops going Plus
-    const int bwd = k - fwd;                      // hops going Minus
-    return port(d, fwd <= bwd ? Direction::Plus : Direction::Minus);
 }
 
 int

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "topology/coordinates.hpp"
 
@@ -56,8 +57,12 @@ struct RouterPortPair
 
 /**
  * Analytic k-ary n-mesh / torus shape: the coordinate math of the
- * historic MeshTopology class, kept verbatim as an optional capability of
- * the port graph.
+ * historic MeshTopology class, kept as an optional capability of the
+ * port graph.
+ *
+ * The constructor tabulates every node's coordinates once (N x 12 B),
+ * so nodeToCoords() is a load and nothing on a routing or table-lookup
+ * path divides.
  *
  * Port convention (paper Section 2.2): port 0 local, port 1 + 2d the
  * +direction along dimension d, port 2 + 2d the -direction.
@@ -65,7 +70,11 @@ struct RouterPortPair
 class MeshShape
 {
   public:
-    /** @param radices nodes per dimension (every radix >= 2);
+    /** Largest radix per dimension: Coordinates hold 16-bit positions. */
+    static constexpr int kMaxRadix = 32767;
+
+    /** @param radices nodes per dimension (every radix in
+     *  [2, kMaxRadix]; ConfigError otherwise);
      *  @param wrap true for a torus. */
     explicit MeshShape(std::vector<int> radices, bool wrap = false);
 
@@ -79,8 +88,13 @@ class MeshShape
     /** Router ports including the local port: 1 + 2*dims. */
     int numPorts() const { return 1 + 2 * dims(); }
 
-    /** Map a node id to its coordinates. */
-    Coordinates nodeToCoords(NodeId node) const;
+    /** Map a node id to its coordinates (a table load). */
+    Coordinates
+    nodeToCoords(NodeId node) const
+    {
+        LAPSES_ASSERT(contains(node));
+        return coords_[static_cast<std::size_t>(node)];
+    }
 
     /** Map coordinates to the node id. */
     NodeId coordsToNode(const Coordinates& c) const;
@@ -93,7 +107,13 @@ class MeshShape
     }
 
     /** The port leaving along dimension d in direction dir. */
-    static PortId port(int d, Direction dir);
+    static PortId
+    port(int d, Direction dir)
+    {
+        LAPSES_ASSERT(d >= 0 && d < kMaxDims);
+        return static_cast<PortId>(1 + 2 * d +
+                                   (dir == Direction::Minus ? 1 : 0));
+    }
 
     /** Dimension a (non-local) port travels along. */
     static int portDim(PortId p);
@@ -122,10 +142,25 @@ class MeshShape
     std::vector<PortId> productivePorts(NodeId from, NodeId to) const;
 
     /**
-     * The single productive port in dimension d, or kInvalidPort when
-     * that dimension is already resolved.
+     * The single productive port in dimension d from coordinates
+     * 'from' toward 'to', or kInvalidPort when that dimension is
+     * already resolved. On a torus it goes the shorter way around,
+     * ties toward Plus. Every mesh routing function goes through this
+     * one rule; callers read each endpoint's coordinates once.
      */
-    PortId productivePortInDim(NodeId from, NodeId to, int d) const;
+    PortId
+    productivePortInDim(const Coordinates& from, const Coordinates& to,
+                        int d) const
+    {
+        const int delta = to.at(d) - from.at(d);
+        if (delta == 0)
+            return kInvalidPort;
+        if (!wrap_)
+            return port(d, delta > 0 ? Direction::Plus : Direction::Minus);
+        const int fwd = delta > 0 ? delta : delta + radix(d); // hops Plus
+        const int bwd = radix(d) - fwd;                       // hops Minus
+        return port(d, fwd <= bwd ? Direction::Plus : Direction::Minus);
+    }
 
     /**
      * Unidirectional channels crossing the network bisection, used to
@@ -139,6 +174,7 @@ class MeshShape
     std::vector<int> strides_;
     bool wrap_;
     NodeId num_nodes_;
+    std::vector<Coordinates> coords_; //!< per node, built once
 };
 
 /**

@@ -104,6 +104,9 @@ TEST(SignVector, TableIndexIsUniquePerSign)
             const int idx = sv.tableIndex();
             ASSERT_GE(idx, 0);
             ASSERT_LT(idx, 9);
+            EXPECT_EQ(SignVector::tableIndexOf(Coordinates(0, 0),
+                                               Coordinates(sx, sy)),
+                      idx);
             EXPECT_FALSE(seen[idx]);
             seen[idx] = true;
         }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hpp"
 #include "topology/mesh.hpp"
 
@@ -165,8 +167,8 @@ TEST(Mesh, ProductivePortCountMatchesOffsets)
 TEST(Mesh, ProductivePortInDimExact)
 {
     const Topology m = makeSquareMesh(8);
-    const NodeId a = m.mesh()->coordsToNode(Coordinates(4, 4));
-    const NodeId b = m.mesh()->coordsToNode(Coordinates(2, 6));
+    const Coordinates a(4, 4);
+    const Coordinates b(2, 6);
     EXPECT_EQ(m.mesh()->productivePortInDim(a, b, 0),
               MeshShape::port(0, Direction::Minus));
     EXPECT_EQ(m.mesh()->productivePortInDim(a, b, 1),
@@ -217,6 +219,22 @@ TEST(Mesh, RejectsBadConfigs)
     EXPECT_THROW(makeMeshTopology({1, 4}, false), ConfigError);
     EXPECT_THROW(makeMeshTopology({2, 2, 2, 2, 2}, false),
                  ConfigError);
+}
+
+TEST(Mesh, RejectsRadixBeyondSixteenBitCoordinates)
+{
+    // Coordinates hold int16_t positions, so a radix above 32767 must
+    // fail as a ConfigError naming the limit, not abort on an assert.
+    try {
+        makeMeshTopology({40000, 2});
+        FAIL() << "radix 40000 accepted";
+    } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("exceeds the limit of 32767"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(makeMeshTopology({MeshShape::kMaxRadix, 2}).numNodes(),
+              2 * MeshShape::kMaxRadix);
 }
 
 } // namespace

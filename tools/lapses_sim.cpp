@@ -422,18 +422,15 @@ main(int argc, char** argv)
                 // Amdahl view: phases the coordinator runs alone vs
                 // the timed total. NIC/router stepping and intra
                 // delivery are the parallel portion (their seconds sum
-                // worker CPU time across shards).
-                const double serial = prof.wireDrainSeconds +
-                                      prof.boundaryDrainSeconds +
-                                      prof.barrierWaitSeconds +
-                                      prof.faultSeconds +
-                                      prof.telemetrySeconds;
+                // worker CPU time across shards). Scan steps everything
+                // on one thread, so it has no serial fraction.
                 const double total = prof.totalSeconds();
-                if (total > 0.0) {
+                if (sim.network().kernel() != KernelKind::Scan &&
+                    total > 0.0) {
                     std::printf(
                         "  serial fraction %.1f%% (boundary drain + "
                         "barrier wait + fault + telemetry)\n",
-                        100.0 * serial / total);
+                        100.0 * prof.serialSeconds() / total);
                 }
                 const std::size_t shards =
                     sim.network().shardCount();
