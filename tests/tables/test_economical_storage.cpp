@@ -226,6 +226,9 @@ TEST(EconomicalStorage, RejectsAlgorithmDeviatingAtOnePair)
 
 TEST(EconomicalStorage, TreeModeRejectsAlgorithmDeviatingAtOnePair)
 {
+    // Tree mode recomputes entries from the subtree intervals, so only
+    // the exhaustive check sees a deviation: in the last router row
+    // and in the interior.
     const Topology df = makeDragonflyTopology(6, 2, 12);
     const NodeId n = df.numNodes();
     for (const bool adaptive : {false, true}) {
