@@ -1,5 +1,6 @@
 #include "core/config.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/assert.hpp"
@@ -47,8 +48,8 @@ SimConfig::validate() const
         throw ConfigError("bufferDepth must be >= 1");
     if (msgLen < 1)
         throw ConfigError("msgLen must be >= 1");
-    if (normalizedLoad <= 0.0)
-        throw ConfigError("normalizedLoad must be > 0");
+    if (!std::isfinite(normalizedLoad) || normalizedLoad <= 0.0)
+        throw ConfigError("normalizedLoad must be finite and > 0");
     if (measureMessages < 1)
         throw ConfigError("measureMessages must be >= 1");
     if (latencySatCutoff <= 0.0)

@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,8 +70,10 @@ benchJobsFromEnv()
 {
     const char* env = std::getenv("LAPSES_JOBS");
     unsigned jobs = 0;
-    if (env != nullptr)
-        jobs = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+    if (env != nullptr && *env != '\0') {
+        jobs = static_cast<unsigned>(parseCheckedInt(
+            "LAPSES_JOBS", env, 0, std::numeric_limits<int>::max()));
+    }
     if (jobs == 0) {
         jobs = std::thread::hardware_concurrency();
         if (jobs == 0)
@@ -146,10 +149,10 @@ parseCheckedDouble(const std::string& flag, const std::string& value,
     // Negated form so NaN (which compares false to both bounds) is
     // rejected too.
     if (!(v >= lo && v <= hi)) {
+        char range[64];
+        std::snprintf(range, sizeof(range), "[%g, %g]", lo, hi);
         throw ConfigError("bad " + flag + " value '" + value +
-                          "' (want a number in [" +
-                          std::to_string(lo) + ", " +
-                          std::to_string(hi) + "])");
+                          "' (want a number in " + range + ")");
     }
     return v;
 }
@@ -191,6 +194,28 @@ parseCheckedU64(const std::string& flag, const std::string& value)
                           "' (out of range)");
     }
     return static_cast<std::uint64_t>(v);
+}
+
+std::vector<double>
+parseLoadRange(const std::string& flag, const std::string& spec)
+{
+    double lo = 0.0;
+    double hi = 0.0;
+    double step = 0.0;
+    int used = -1; // %n: the whole token must parse
+    if (std::sscanf(spec.c_str(), "%lf:%lf:%lf%n", &lo, &hi, &step,
+                    &used) != 3 ||
+        used != static_cast<int>(spec.size()) || !std::isfinite(lo) ||
+        !std::isfinite(hi) || !std::isfinite(step) || lo <= 0.0 ||
+        step <= 0.0 || hi < lo) {
+        throw ConfigError("bad " + flag + " value '" + spec +
+                          "' (want LO:HI:STEP, three finite numbers "
+                          "with LO > 0, STEP > 0 and HI >= LO)");
+    }
+    std::vector<double> loads;
+    for (double x = lo; x <= hi + 1e-9; x += step)
+        loads.push_back(x);
+    return loads;
 }
 
 std::vector<int>

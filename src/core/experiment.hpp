@@ -67,6 +67,13 @@ int parseCheckedInt(const std::string& flag, const std::string& value,
 std::uint64_t parseCheckedU64(const std::string& flag,
                               const std::string& value);
 
+/** Loads LO, LO+STEP, ... <= HI (+1e-9) of a LO:HI:STEP range (the
+ *  --sweep flag, the load grid axis). The whole token must parse into
+ *  three finite numbers with LO > 0, STEP > 0 and HI >= LO; otherwise
+ *  ConfigError names the flag or axis and the spec. */
+std::vector<double> parseLoadRange(const std::string& flag,
+                                   const std::string& spec);
+
 /**
  * Checked parser for mesh radices ("16x16", "4x4x4"): every
  * 'x'-separated part must be a plain decimal integer in [2, INT_MAX]
@@ -80,7 +87,8 @@ std::vector<int> parseMeshRadices(const std::string& flag,
 /**
  * Worker-thread count for campaign-driven benches: LAPSES_JOBS if set
  * (0 = hardware concurrency), otherwise all hardware threads. Results
- * are byte-identical for any value; this only sets the pace.
+ * are byte-identical for any value; this only sets the pace. A value
+ * that is not an integer in [0, INT_MAX] is a ConfigError.
  */
 unsigned benchJobsFromEnv();
 

@@ -11,37 +11,20 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "core/simulation.hpp"
+#include "exp/config_fields.hpp"
 #include "exp/result_sink.hpp"
 #include "exp/thread_pool.hpp"
 
 namespace lapses
 {
 
-namespace
-{
-
-/** The axis values, or the base value when the axis is empty. */
-template <typename T>
-std::vector<T>
-axisOr(const std::vector<T>& axis, T fallback)
-{
-    if (axis.empty())
-        return {fallback};
-    return axis;
-}
-
-} // namespace
-
 std::size_t
 CampaignAxes::runCount() const
 {
-    auto n = [](const auto& v) { return v.empty() ? 1 : v.size(); };
-    return n(topologies) * n(models) * n(routings) * n(tables) *
-           n(selectors) * n(traffics) * n(msgLens) * n(injections) *
-           n(vcCounts) *
-           n(bufferDepths) * n(escapeVcs) * n(faultCounts) *
-           n(faultSeeds) * n(telemetryWindows) * n(workloads) *
-           n(loads);
+    std::size_t runs = 1;
+    for (const ConfigField* f : gridAxes())
+        runs *= std::max<std::size_t>(f->ops.size(*this), 1);
+    return runs;
 }
 
 std::size_t
@@ -54,61 +37,29 @@ std::vector<CampaignRun>
 CampaignGrid::expand(std::size_t index_offset,
                      std::size_t series_offset) const
 {
-    std::vector<CampaignRun> runs;
-    runs.reserve(axes.runCount());
-    std::size_t index = index_offset;
-    std::size_t series = series_offset;
-    // Load is the innermost loop: one series = one load sweep.
-    for (const TopologySpec& topo :
-         axisOr(axes.topologies, base.resolvedTopology()))
-    for (RouterModel model : axisOr(axes.models, base.model))
-    for (RoutingAlgo routing : axisOr(axes.routings, base.routing))
-    for (TableKind table : axisOr(axes.tables, base.table))
-    for (SelectorKind selector : axisOr(axes.selectors, base.selector))
-    for (TrafficKind traffic : axisOr(axes.traffics, base.traffic))
-    for (int msg_len : axisOr(axes.msgLens, base.msgLen))
-    for (InjectionKind injection :
-         axisOr(axes.injections, base.injection))
-    for (int vcs : axisOr(axes.vcCounts, base.vcsPerPort))
-    for (int buffers : axisOr(axes.bufferDepths, base.bufferDepth))
-    for (int escape : axisOr(axes.escapeVcs, base.escapeVcs))
-    for (int faults : axisOr(axes.faultCounts, base.faultCount))
-    for (std::uint64_t fault_seed :
-         axisOr(axes.faultSeeds, base.faultSeed))
-    for (Cycle telemetry_window :
-         axisOr(axes.telemetryWindows, base.telemetryWindow))
-    for (WorkloadKind workload :
-         axisOr(axes.workloads, base.workload)) {
-        for (double load : axisOr(axes.loads, base.normalizedLoad)) {
-            CampaignRun run;
-            run.index = index;
-            run.series = series;
-            run.config = base;
-            run.config.topology = topo;
-            if (topo.isMeshKind())
-                run.config.torus = topo.kind == TopologyKind::Torus;
-            run.config.model = model;
-            run.config.routing = routing;
-            run.config.table = table;
-            run.config.selector = selector;
-            run.config.traffic = traffic;
-            run.config.msgLen = msg_len;
-            run.config.injection = injection;
-            run.config.vcsPerPort = vcs;
-            run.config.bufferDepth = buffers;
-            run.config.escapeVcs = escape;
-            run.config.faultCount = faults;
-            run.config.faultSeed = fault_seed;
-            run.config.telemetryWindow = telemetry_window;
-            run.config.workload = workload;
-            run.config.normalizedLoad = load;
-            if (deriveSeeds)
-                run.config.seed = deriveSeed(campaignSeed, index);
-            run.config.validate();
-            runs.push_back(std::move(run));
-            ++index;
+    // A run's topology spec is always resolved (mesh kinds say mesh or
+    // torus), swept or not.
+    SimConfig resolved = base;
+    resolved.topology = base.resolvedTopology();
+    std::vector<CampaignRun> runs(axes.runCount());
+    for (std::size_t local = 0; local < runs.size(); ++local) {
+        CampaignRun& run = runs[local];
+        run.index = index_offset + local;
+        // Load nests innermost, so one series is one load sweep.
+        run.series = series_offset + local / axes.loadsPerSeries();
+        run.config = resolved;
+        // `local` in mixed radix over the swept axes, the innermost
+        // digit varying fastest.
+        std::size_t rest = local;
+        for (auto f = gridAxes().rbegin(); f != gridAxes().rend(); ++f) {
+            if (const std::size_t n = (*f)->ops.size(axes)) {
+                (*f)->ops.apply(axes, rest % n, run.config);
+                rest /= n;
+            }
         }
-        ++series;
+        if (deriveSeeds)
+            run.config.seed = deriveSeed(campaignSeed, run.index);
+        run.config.validate();
     }
     return runs;
 }
@@ -402,18 +353,20 @@ runCampaign(const std::vector<CampaignRun>& runs,
         }
     };
 
-    unsigned jobs = opts.jobs;
+    std::size_t jobs = opts.jobs;
     if (jobs == 0) {
         jobs = std::thread::hardware_concurrency();
         if (jobs == 0)
             jobs = 1;
     }
+    // A series runs on one thread, so more workers would only idle.
+    jobs = std::min(jobs, series_runs.size());
 
     if (jobs == 1 || series_runs.size() <= 1) {
         for (const auto& [series, members] : series_runs)
             run_series(members);
     } else {
-        ThreadPool pool(jobs);
+        ThreadPool pool(static_cast<unsigned>(jobs));
         std::vector<std::future<void>> futures;
         futures.reserve(series_runs.size());
         for (const auto& [series, members] : series_runs) {

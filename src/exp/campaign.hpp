@@ -42,11 +42,10 @@ class ResultSink;
 
 /**
  * Value lists for the swept axes. An empty axis means "use the grid's
- * base value" (an axis of one). Expansion order is fixed: topology,
- * model, routing, table, selector, traffic, msglen, injection, vcs,
- * buffers, escape, faults, fault-seed, telemetry-window, workload,
- * load — load varies fastest, so consecutive indices of one series
- * walk its load axis.
+ * base value" (an axis of one). Each vector is one grid-axis row of
+ * the config-field table (exp/config_fields.hpp), whose nesting rank
+ * fixes the expansion order; load varies fastest, so consecutive
+ * indices of one series walk its load axis.
  */
 struct CampaignAxes
 {
@@ -194,7 +193,8 @@ struct ResumeState
 /** Execution knobs for runCampaign(). */
 struct CampaignOptions
 {
-    /** Worker threads; 0 means hardware concurrency. */
+    /** Worker threads; 0 means hardware concurrency. Never more than
+     *  the campaign's series count are started. */
     unsigned jobs = 1;
 
     /** Mark heavier loads of a saturated series without simulating. */

@@ -43,7 +43,7 @@ struct CampaignCli
 };
 
 /** Help text for the shared campaign-definition flags. */
-const char* campaignCliHelp();
+std::string campaignCliHelp();
 
 } // namespace lapses
 

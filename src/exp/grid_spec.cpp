@@ -1,12 +1,10 @@
 #include "exp/grid_spec.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
+#include <algorithm>
 #include <vector>
 
-#include "core/experiment.hpp"
-#include "core/names.hpp"
+#include "common/assert.hpp"
+#include "exp/config_fields.hpp"
 
 namespace lapses
 {
@@ -23,6 +21,8 @@ trim(const std::string& s)
     std::size_t end = s.find_last_not_of(" \t");
     return s.substr(begin, end - begin + 1);
 }
+
+} // namespace
 
 std::vector<std::string>
 splitList(const std::string& s, char sep)
@@ -41,52 +41,9 @@ splitList(const std::string& s, char sep)
     return parts;
 }
 
-// Axis value parsers: the shared checked parsers (core/experiment),
-// specialized with the axis name in the error message. Overflow and
-// sign-wrap garbage ("fault-seed=-1") are rejected, not clamped.
-int
-parseInt(const std::string& axis, const std::string& value)
-{
-    return parseCheckedInt(axis, value,
-                           std::numeric_limits<int>::min(),
-                           std::numeric_limits<int>::max());
-}
-
-std::uint64_t
-parseU64(const std::string& axis, const std::string& value)
-{
-    return parseCheckedU64(axis, value);
-}
-
-/** One load token: a plain number or a LO:HI:STEP range. */
-void
-appendLoads(const std::string& value, std::vector<double>& loads)
-{
-    double lo = 0.0;
-    double hi = 0.0;
-    double step = 0.0;
-    if (std::sscanf(value.c_str(), "%lf:%lf:%lf", &lo, &hi, &step) ==
-        3) {
-        if (step <= 0.0 || lo <= 0.0 || hi < lo)
-            throw ConfigError("bad load range '" + value +
-                              "' (want LO:HI:STEP)");
-        for (double x = lo; x <= hi + 1e-9; x += step)
-            loads.push_back(x);
-        return;
-    }
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || v <= 0.0)
-        throw ConfigError("bad load value '" + value + "'");
-    loads.push_back(v);
-}
-
-} // namespace
-
 void
 applyGridSpec(const std::string& spec, CampaignGrid& grid)
 {
-    CampaignAxes& axes = grid.axes;
     for (const std::string& clause : splitList(spec, ';')) {
         const std::size_t eq = clause.find('=');
         if (eq == std::string::npos)
@@ -97,53 +54,15 @@ applyGridSpec(const std::string& spec, CampaignGrid& grid)
             splitList(clause.substr(eq + 1), ',');
         if (values.empty())
             throw ConfigError("grid axis '" + axis + "' has no values");
-        for (const std::string& v : values) {
-            if (axis == "topology") {
-                axes.topologies.push_back(parseTopologySpec(axis, v));
-            } else if (axis == "model") {
-                axes.models.push_back(parseRouterModel(v));
-            } else if (axis == "routing") {
-                axes.routings.push_back(parseRoutingAlgo(v));
-            } else if (axis == "table") {
-                axes.tables.push_back(parseTableKind(v));
-            } else if (axis == "selector") {
-                axes.selectors.push_back(parseSelectorKind(v));
-            } else if (axis == "traffic") {
-                axes.traffics.push_back(parseTrafficKind(v));
-            } else if (axis == "injection") {
-                axes.injections.push_back(parseInjectionKind(v));
-            } else if (axis == "msglen") {
-                axes.msgLens.push_back(parseInt(axis, v));
-            } else if (axis == "vcs") {
-                axes.vcCounts.push_back(parseInt(axis, v));
-            } else if (axis == "buffers") {
-                axes.bufferDepths.push_back(parseInt(axis, v));
-            } else if (axis == "escape") {
-                axes.escapeVcs.push_back(parseInt(axis, v));
-            } else if (axis == "faults") {
-                const int count = parseInt(axis, v);
-                if (count < 0) {
-                    throw ConfigError("bad faults value '" + v +
-                                      "' (want >= 0)");
-                }
-                axes.faultCounts.push_back(count);
-            } else if (axis == "fault-seed") {
-                axes.faultSeeds.push_back(parseU64(axis, v));
-            } else if (axis == "telemetry-window") {
-                axes.telemetryWindows.push_back(parseU64(axis, v));
-            } else if (axis == "workload") {
-                axes.workloads.push_back(parseWorkloadKind(v));
-            } else if (axis == "load") {
-                appendLoads(v, axes.loads);
-            } else {
-                throw ConfigError(
-                    "unknown grid axis '" + axis +
-                    "' (want topology|model|routing|table|selector|"
-                    "traffic|injection|msglen|vcs|buffers|escape|"
-                    "faults|fault-seed|telemetry-window|workload|"
-                    "load)");
-            }
+        const auto field = std::find_if(
+            gridAxes().begin(), gridAxes().end(),
+            [&](const ConfigField* f) { return axis == f->axis; });
+        if (field == gridAxes().end()) {
+            throw ConfigError("unknown grid axis '" + axis + "' (want " +
+                              gridAxisNames() + ")");
         }
+        for (const std::string& v : values)
+            (*field)->ops.append(grid.axes, axis, v);
     }
 }
 

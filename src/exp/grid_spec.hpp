@@ -7,14 +7,15 @@
  *
  * Semicolon-separated `axis=value[,value...]` clauses; values use the
  * identifiers core/names.hpp parses. The load axis additionally
- * accepts LO:HI:STEP ranges (mixable with plain values). Whitespace
- * around clauses, keys and values is ignored.
+ * accepts LO:HI:STEP ranges (parseLoadRange; mixable with plain
+ * values). Whitespace around clauses, keys and values is ignored.
  */
 
 #ifndef LAPSES_EXP_GRID_SPEC_HPP
 #define LAPSES_EXP_GRID_SPEC_HPP
 
 #include <string>
+#include <vector>
 
 #include "exp/campaign.hpp"
 
@@ -23,12 +24,15 @@ namespace lapses
 
 /**
  * Parse a grid spec into grid.axes (appending to any values already
- * there). Accepted axes: topology, model, routing, table, selector,
- * traffic, injection, msglen, vcs, buffers, escape, faults,
- * fault-seed, telemetry-window, workload, load. Throws ConfigError on
- * an unknown axis or a malformed value.
+ * there). The axes are the grid-axis rows of exp/config_fields.hpp
+ * (gridAxisNames()); each reads its values with its flag's parser.
+ * Throws ConfigError on an unknown axis or a malformed value.
  */
 void applyGridSpec(const std::string& spec, CampaignGrid& grid);
+
+/** The non-empty, whitespace-trimmed items of a `sep`-separated list
+ *  (also lapses-merge --group-by's comma list). */
+std::vector<std::string> splitList(const std::string& s, char sep);
 
 } // namespace lapses
 

@@ -9,7 +9,7 @@
 #include <unordered_map>
 
 #include "common/assert.hpp"
-#include "core/names.hpp"
+#include "exp/config_fields.hpp"
 #include "stats/aggregate.hpp"
 #include "stats/report.hpp"
 
@@ -138,88 +138,34 @@ namespace
 {
 
 /**
- * Reject shard sets whose JSONL records straddle the telemetry schema
- * boundary: files written before the telemetry_window coordinate
- * existed have records without that field, and merging them with
- * current shards would assemble a file whose rows follow two schemas.
- * Checked before the per-record prefix validation so the error names
- * the actual problem (a stale shard) instead of a generic coordinate
- * mismatch. CSV shards cannot reach here mixed — parseCsvShard
- * already rejects any header that is not the current schema.
+ * Reject JSONL records that lack a coordinate column (a shard written
+ * before the coordinate existed), naming the file and the column,
+ * before the prefix check can report a generic mismatch. CSV shards
+ * are held to the current header by parseCsvShard.
  */
 void
-checkTelemetrySchema(const std::vector<ShardFile>& shards)
+checkCoordinateColumns(const std::vector<ShardFile>& shards)
 {
-    const ShardFile* bearing = nullptr;
-    const ShardFile* bare = nullptr;
+    std::vector<std::string> keys;
+    for (const ConfigField& f : configFields()) {
+        if (f.column != nullptr)
+            keys.push_back('"' + std::string(f.column) + "\":");
+    }
     for (const ShardFile& shard : shards) {
-        if (shard.format != SinkFormat::Jsonl ||
-            shard.records.empty())
+        if (shard.format != SinkFormat::Jsonl)
             continue;
-        std::size_t with = 0;
         for (const auto& [index, line] : shard.records) {
-            if (line.find("\"telemetry_window\":") !=
-                std::string::npos)
-                ++with;
+            for (const std::string& key : keys) {
+                if (line.find(key) != std::string::npos)
+                    continue;
+                throw ConfigError(
+                    "stale shard: the record for run " +
+                    std::to_string(index) + " in " + shard.label +
+                    " has no " + key.substr(0, key.size() - 1) +
+                    " coordinate (written by an older lapses-campaign? "
+                    "re-run it with the current one)");
+            }
         }
-        if (with != 0 && with != shard.records.size()) {
-            throw ConfigError(
-                "mixed telemetry schema inside " + shard.label +
-                ": some records carry the telemetry_window field "
-                "and some do not (file assembled from different "
-                "campaign versions?)");
-        }
-        if (with != 0)
-            bearing = &shard;
-        else
-            bare = &shard;
-    }
-    if (bearing != nullptr && bare != nullptr) {
-        throw ConfigError(
-            "mixed telemetry schema across shards: " + bare->label +
-            " has no telemetry_window field while " +
-            bearing->label + " does (stale pre-telemetry shard? "
-            "re-run it with the current lapses-campaign)");
-    }
-}
-
-/**
- * Same straddle check for the workload coordinate: shards written
- * before the closed-loop workload axis existed have records without
- * the "workload" field and cannot be merged with current shards.
- */
-void
-checkWorkloadSchema(const std::vector<ShardFile>& shards)
-{
-    const ShardFile* bearing = nullptr;
-    const ShardFile* bare = nullptr;
-    for (const ShardFile& shard : shards) {
-        if (shard.format != SinkFormat::Jsonl ||
-            shard.records.empty())
-            continue;
-        std::size_t with = 0;
-        for (const auto& [index, line] : shard.records) {
-            if (line.find("\"workload\":") != std::string::npos)
-                ++with;
-        }
-        if (with != 0 && with != shard.records.size()) {
-            throw ConfigError(
-                "mixed workload schema inside " + shard.label +
-                ": some records carry the workload field and some "
-                "do not (file assembled from different campaign "
-                "versions?)");
-        }
-        if (with != 0)
-            bearing = &shard;
-        else
-            bare = &shard;
-    }
-    if (bearing != nullptr && bare != nullptr) {
-        throw ConfigError(
-            "mixed workload schema across shards: " + bare->label +
-            " has no workload field while " + bearing->label +
-            " does (stale pre-workload shard? re-run it with the "
-            "current lapses-campaign)");
     }
 }
 
@@ -229,8 +175,7 @@ void
 validateShardFiles(const std::vector<ShardFile>& shards,
                    const std::vector<CampaignRun>& runs)
 {
-    checkTelemetrySchema(shards);
-    checkWorkloadSchema(shards);
+    checkCoordinateColumns(shards);
 
     std::unordered_map<std::size_t, const CampaignRun*> by_index;
     by_index.reserve(runs.size());
@@ -467,48 +412,12 @@ extractMetrics(const std::string& line, SinkFormat format)
 std::string
 runAxisValue(const CampaignRun& run, const std::string& axis)
 {
-    const SimConfig& cfg = run.config;
-    if (axis == "model")
-        return routerModelName(cfg.model);
-    if (axis == "routing")
-        return routingAlgoName(cfg.routing);
-    if (axis == "table")
-        return tableKindName(cfg.table);
-    if (axis == "selector")
-        return selectorKindName(cfg.selector);
-    if (axis == "traffic")
-        return trafficKindName(cfg.traffic);
-    if (axis == "injection")
-        return injectionKindName(cfg.injection);
-    if (axis == "msglen")
-        return std::to_string(cfg.msgLen);
-    if (axis == "vcs")
-        return std::to_string(cfg.vcsPerPort);
-    if (axis == "buffers")
-        return std::to_string(cfg.bufferDepth);
-    if (axis == "escape" || axis == "escape_vcs")
-        return std::to_string(cfg.escapeVcs);
-    if (axis == "faults")
-        return std::to_string(cfg.faultCount);
-    if (axis == "fault-seed" || axis == "fault_seed")
-        return std::to_string(cfg.faultSeed);
-    if (axis == "telemetry-window" || axis == "telemetry_window")
-        return std::to_string(cfg.telemetryWindow);
-    if (axis == "workload")
-        return workloadKindName(cfg.workload);
-    if (axis == "load")
-        return number(cfg.normalizedLoad);
-    if (axis == "mesh")
-        return meshName(cfg);
-    if (axis == "topology")
-        return topologyName(cfg);
-    if (axis == "series")
-        return std::to_string(run.series);
-    throw ConfigError(
-        "unknown --group-by axis '" + axis +
-        "' (want model|routing|table|selector|traffic|injection|"
-        "msglen|vcs|buffers|escape|faults|fault-seed|"
-        "telemetry-window|workload|load|mesh|topology|series)");
+    const ConfigField* field = findCoordinate(axis);
+    if (field == nullptr) {
+        throw ConfigError("unknown --group-by axis '" + axis +
+                          "' (want " + coordinateNames() + ")");
+    }
+    return field->format(run);
 }
 
 void

@@ -55,10 +55,10 @@ ShardFile readShardFile(const std::string& path, SinkFormat format);
 
 /**
  * Validate a set of shard files against the expanded campaign:
- *  - JSONL records agree on the telemetry schema — a shard written
- *    before the telemetry_window coordinate existed is rejected by
- *    name instead of producing a mixed-schema merge (CSV shards are
- *    covered by the exact-header check at parse time);
+ *  - every JSONL record carries every coordinate column — a shard
+ *    written before a coordinate existed is rejected naming the file
+ *    and the column instead of producing a mixed-schema merge (CSV
+ *    shards are covered by the exact-header check at parse time);
  *  - no run index appears in two files (overlapping shards);
  *  - every record's index is a run of this campaign (foreign grid);
  *  - every record starts with the exact coordinate prefix the campaign
@@ -105,10 +105,9 @@ MergeReport mergeShardFiles(const std::vector<ShardFile>& shards,
 
 /**
  * The value a --group-by axis takes for one run, rendered exactly as
- * the sinks render it (e.g. "uniform", "0.2", "la-proud"). Axes:
- * model, routing, table, selector, traffic, injection, msglen, vcs,
- * buffers, escape, faults, fault-seed, telemetry-window, load, mesh,
- * topology, series. Throws ConfigError on an unknown axis name.
+ * the sinks render it (e.g. "uniform", "0.2", "la-proud"). Any record
+ * coordinate column or grid-axis name is accepted (coordinateNames()
+ * in exp/config_fields.hpp). Throws ConfigError on an unknown name.
  */
 std::string runAxisValue(const CampaignRun& run,
                          const std::string& axis);

@@ -4,10 +4,9 @@
 #include <cstdlib>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <unordered_set>
 
-#include "core/names.hpp"
+#include "exp/config_fields.hpp"
 #include "stats/report.hpp"
 
 namespace lapses
@@ -40,56 +39,24 @@ topologyName(const SimConfig& cfg)
 namespace
 {
 
+/** The coordinate columns as JSON members or CSV cells. */
 std::string
-jsonCoordinates(const CampaignRun& run)
+coordinates(const CampaignRun& run, SinkFormat format)
 {
-    const SimConfig& cfg = run.config;
-    std::ostringstream os;
-    os << "\"run\":" << run.index << ",\"series\":" << run.series
-       << ",\"mesh\":\"" << meshName(cfg)
-       << "\",\"topology\":\"" << topologyName(cfg)
-       << "\",\"model\":\"" << routerModelName(cfg.model)
-       << "\",\"routing\":\"" << routingAlgoName(cfg.routing)
-       << "\",\"table\":\"" << tableKindName(cfg.table)
-       << "\",\"selector\":\"" << selectorKindName(cfg.selector)
-       << "\",\"traffic\":\"" << trafficKindName(cfg.traffic)
-       << "\",\"injection\":\"" << injectionKindName(cfg.injection)
-       << "\",\"msglen\":" << cfg.msgLen << ",\"vcs\":" << cfg.vcsPerPort
-       << ",\"buffers\":" << cfg.bufferDepth
-       << ",\"escape_vcs\":" << cfg.escapeVcs
-       << ",\"faults\":" << cfg.faultCount
-       << ",\"fault_seed\":" << cfg.faultSeed
-       << ",\"telemetry_window\":" << cfg.telemetryWindow
-       << ",\"workload\":\"" << workloadKindName(cfg.workload)
-       << "\",\"load\":" << cfg.normalizedLoad
-       << ",\"seed\":" << cfg.seed
-       << ",\"warmup\":" << cfg.warmupMessages
-       << ",\"measure\":" << cfg.measureMessages;
-    return os.str();
-}
-
-std::string
-csvCoordinates(const CampaignRun& run)
-{
-    const SimConfig& cfg = run.config;
-    std::ostringstream os;
-    os << run.index << ',' << run.series << ','
-       << csvEscape(meshName(cfg)) << ','
-       << csvEscape(topologyName(cfg)) << ','
-       << csvEscape(routerModelName(cfg.model)) << ','
-       << csvEscape(routingAlgoName(cfg.routing)) << ','
-       << csvEscape(tableKindName(cfg.table)) << ','
-       << csvEscape(selectorKindName(cfg.selector)) << ','
-       << csvEscape(trafficKindName(cfg.traffic)) << ','
-       << csvEscape(injectionKindName(cfg.injection)) << ','
-       << cfg.msgLen << ',' << cfg.vcsPerPort << ','
-       << cfg.bufferDepth << ',' << cfg.escapeVcs << ','
-       << cfg.faultCount << ',' << cfg.faultSeed << ','
-       << cfg.telemetryWindow << ','
-       << csvEscape(workloadKindName(cfg.workload)) << ','
-       << cfg.normalizedLoad << ',' << cfg.seed << ','
-       << cfg.warmupMessages << ',' << cfg.measureMessages;
-    return os.str();
+    std::string s;
+    for (const ConfigField& f : configFields()) {
+        if (f.column == nullptr)
+            continue;
+        if (!s.empty())
+            s += ',';
+        const std::string value = f.format(run);
+        const char* quote = f.quoted ? "\"" : "";
+        if (format == SinkFormat::Csv)
+            s += f.quoted ? csvEscape(value) : value;
+        else
+            s += std::string("\"") + f.column + "\":" + quote + value + quote;
+    }
+    return s;
 }
 
 } // namespace
@@ -97,33 +64,33 @@ csvCoordinates(const CampaignRun& run)
 std::string
 runResultJson(const RunResult& result)
 {
-    return '{' + jsonCoordinates(result.run) + ',' +
+    return '{' + coordinates(result.run, SinkFormat::Jsonl) + ',' +
            statsJsonFields(result.stats) + '}';
 }
 
 std::string
 campaignCsvHeader()
 {
-    return "run,series,mesh,topology,model,routing,table,selector,"
-           "traffic,"
-           "injection,msglen,vcs,buffers,escape_vcs,faults,fault_seed,"
-           "telemetry_window,workload,load,seed,warmup,measure," +
-           statsCsvHeader();
+    std::string header;
+    for (const ConfigField& f : configFields()) {
+        if (f.column != nullptr)
+            header += std::string(f.column) + ',';
+    }
+    return header + statsCsvHeader();
 }
 
 std::string
 runResultCsvRow(const RunResult& result)
 {
-    return csvCoordinates(result.run) + ',' +
+    return coordinates(result.run, SinkFormat::Csv) + ',' +
            statsToCsvRow(result.stats);
 }
 
 std::string
 runRecordPrefix(const CampaignRun& run, SinkFormat format)
 {
-    return format == SinkFormat::Jsonl
-               ? '{' + jsonCoordinates(run) + ','
-               : csvCoordinates(run) + ',';
+    const std::string cells = coordinates(run, format) + ',';
+    return format == SinkFormat::Jsonl ? '{' + cells : cells;
 }
 
 void

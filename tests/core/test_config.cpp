@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/config.hpp"
 
 namespace lapses
@@ -44,6 +46,15 @@ TEST(Config, ValidateRejectsBadValues)
     cfg = SimConfig{};
     cfg.normalizedLoad = 0.0;
     EXPECT_THROW(cfg.validate(), ConfigError);
+
+    // NaN compares false to every bound and used to slip through.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad :
+         {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+        SimConfig load_cfg;
+        load_cfg.normalizedLoad = bad;
+        EXPECT_THROW(load_cfg.validate(), ConfigError) << bad;
+    }
 
     cfg = SimConfig{};
     cfg.bufferDepth = 0;

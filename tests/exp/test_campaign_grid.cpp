@@ -12,9 +12,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/experiment.hpp"
 #include "exp/campaign.hpp"
 #include "exp/campaign_cli.hpp"
+#include "exp/config_fields.hpp"
 #include "exp/grid_spec.hpp"
+#include "exp/result_sink.hpp"
 
 namespace lapses
 {
@@ -110,6 +113,26 @@ TEST(CampaignGrid, InvalidCombinationThrowsAtExpansion)
     EXPECT_THROW(grid.expand(), ConfigError);
 }
 
+TEST(CampaignGrid, NestRanksOrderEachAxisOnceWithLoadInnermost)
+{
+    const std::vector<const ConfigField*>& axes = gridAxes();
+    ASSERT_EQ(axes.size(), 16u);
+    for (std::size_t k = 0; k < axes.size(); ++k)
+        EXPECT_EQ(axes[k]->nest, static_cast<int>(k)) << axes[k]->axis;
+    EXPECT_STREQ(axes.back()->axis, "load");
+    // Expansion nests msglen outside injection, while records print
+    // injection first.
+    CampaignGrid grid;
+    applyGridSpec("injection=exponential,bursty; msglen=4,20", grid);
+    const auto runs = grid.expand();
+    ASSERT_EQ(runs.size(), 4u);
+    EXPECT_EQ(runs[1].config.msgLen, 4);
+    EXPECT_EQ(runs[1].config.injection, InjectionKind::Bursty);
+    EXPECT_EQ(runs[2].config.msgLen, 20);
+    const std::string header = campaignCsvHeader();
+    EXPECT_LT(header.find(",injection,"), header.find(",msglen,"));
+}
+
 TEST(GridSpec, ParsesAxesAndRanges)
 {
     CampaignGrid grid;
@@ -133,6 +156,61 @@ TEST(GridSpec, RejectsUnknownAxisAndBadValues)
     EXPECT_THROW(applyGridSpec("load=0.5:0.1:0.1", grid), ConfigError);
     EXPECT_THROW(applyGridSpec("msglen=", grid), ConfigError);
     EXPECT_THROW(applyGridSpec("msglen", grid), ConfigError);
+    // Non-finite and malformed loads used to pass --dry-run and abort
+    // at run time, or to be read as a nearby valid range.
+    for (const char* spec :
+         {"load=nan", "load=inf", "load=-inf", "load=0", "load=0.1x",
+          "load=nan:1:0.1", "load=0.1:inf:0.1", "load=0.1:0.2:nan",
+          "load=0.1:0.2:0.1x", "load=0.1:0.2:0.1:7", "load=0.1:0.2",
+          "load=0.1::0.1", "load=0:0.2:0.1", "load=0.1:0.2:0"}) {
+        try {
+            applyGridSpec(spec, grid);
+            FAIL() << "accepted " << spec;
+        } catch (const ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find("load"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // An axis value is checked against its flag's range at parse
+    // time, naming the axis.
+    try {
+        applyGridSpec("msglen=0", grid);
+        FAIL() << "accepted msglen=0";
+    } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("msglen"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(grid.axes.loads.empty());
+    EXPECT_TRUE(grid.axes.msgLens.empty());
+}
+
+TEST(GridSpec, LoadRangesAccumulateAndRejectGarbage)
+{
+    // The range loop is unchanged, so swept loads stay bit-identical.
+    std::vector<double> expected;
+    for (double x = 0.05; x <= 0.65 + 1e-9; x += 0.05)
+        expected.push_back(x);
+    EXPECT_EQ(parseLoadRange("--sweep", "0.05:0.65:0.05"), expected);
+    EXPECT_EQ(parseLoadRange("--sweep", "0.2:0.2:1"),
+              (std::vector<double>{0.2}));
+    CampaignGrid grid;
+    applyGridSpec("load=0.05:0.65:0.05", grid);
+    EXPECT_EQ(grid.axes.loads, expected);
+
+    for (const char* spec :
+         {"nan:1:0.1", "0.1:0.2:0.1junk", "0.1:0.2:0.1:7", "0.1:0.2",
+          "", ":", "0.1:0.2:", "inf:inf:1", "0.2:0.1:0.1", "-0.1:1:0.1",
+          "0.1:1:-0.1"}) {
+        try {
+            parseLoadRange("--sweep", spec);
+            FAIL() << "accepted --sweep '" << spec << "'";
+        } catch (const ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find("--sweep"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(GridSpec, ParsesWorkloadAxis)

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 
+#include "core/experiment.hpp"
 #include "exp/campaign.hpp"
 #include "exp/result_sink.hpp"
 
@@ -137,6 +139,44 @@ TEST(CampaignRunner, ResumedRunsAreReturnedUnexecuted)
     EXPECT_FALSE(results[0].executed);
     EXPECT_FALSE(results[2].executed);
     EXPECT_TRUE(results[3].executed);
+}
+
+TEST(CampaignRunner, JobsAreCappedAtTheSeriesCount)
+{
+    // A worker per requested job used to be allocated up front: a
+    // wrapped --jobs -1 (4294967295) died in std::bad_alloc.
+    CampaignGrid grid;
+    grid.base.radices = {4, 4};
+    grid.base.msgLen = 4;
+    grid.base.warmupMessages = 10;
+    grid.base.measureMessages = 60;
+    grid.axes.models = {RouterModel::Proud, RouterModel::LaProud};
+    grid.axes.loads = {0.1, 0.2};
+    const auto runs = grid.expand();
+    ASSERT_EQ(runs.back().series, 1u);
+    EXPECT_EQ(runToJsonl(runs, 4294967295u), runToJsonl(runs, 1));
+}
+
+TEST(CampaignRunner, JobsFromTheEnvironmentAreChecked)
+{
+    ::setenv("LAPSES_JOBS", "3", 1);
+    EXPECT_EQ(benchJobsFromEnv(), 3u);
+    for (const char* bad : {"-1", "abc", "3x", "99999999999"}) {
+        ::setenv("LAPSES_JOBS", bad, 1);
+        try {
+            benchJobsFromEnv();
+            FAIL() << "accepted LAPSES_JOBS=" << bad;
+        } catch (const ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find("LAPSES_JOBS"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Empty or unset (and 0) mean every hardware thread.
+    ::setenv("LAPSES_JOBS", "", 1);
+    EXPECT_GE(benchJobsFromEnv(), 1u);
+    ::unsetenv("LAPSES_JOBS");
+    EXPECT_GE(benchJobsFromEnv(), 1u);
 }
 
 TEST(CampaignRunner, RunErrorsPropagateToTheCaller)

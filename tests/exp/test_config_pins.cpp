@@ -17,7 +17,9 @@
  *
  * SharedFlags drives each of the base-configuration flags that
  * lapses-sim, lapses-campaign and lapses-merge share with a
- * non-default value and checks the SimConfig field it sets.
+ * non-default value, through CampaignCli::consume and through the
+ * parser lapses-sim calls, and checks the SimConfig field it sets. It
+ * also fixes the set of flags each parser accepts.
  */
 
 #include <gtest/gtest.h>
@@ -26,11 +28,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "exp/campaign.hpp"
 #include "exp/campaign_cli.hpp"
+#include "exp/config_fields.hpp"
 #include "exp/grid_spec.hpp"
 #include "exp/merge.hpp"
 #include "exp/result_sink.hpp"
@@ -332,6 +336,65 @@ TEST(SharedFlags, EachSetsItsFieldThroughCampaignCli)
             return cli.consume(argc, argv, i);
         })) << fc.args.front();
         EXPECT_TRUE(fc.sets(cli.base)) << fc.args.front();
+    }
+}
+
+TEST(SharedFlags, EachSetsItsFieldThroughTheLapsesSimParser)
+{
+    for (const FlagCase& fc : sharedFlagCases()) {
+        SimConfig cfg;
+        ASSERT_TRUE(consumeAll(fc.args, [&](int argc, char** argv,
+                                            int& i) {
+            return consumeConfigFlag(argc, argv, i, cfg, FlagSet::Sim);
+        })) << fc.args.front();
+        EXPECT_TRUE(fc.sets(cfg)) << fc.args.front();
+    }
+}
+
+TEST(SharedFlags, ToolsAcceptExactlyTheSeedFlagSets)
+{
+    // The shared flags, plus each tool's own configuration flags:
+    // lapses-sim's run seed and kernel knobs, the campaign tools'
+    // --grid and campaign --seed.
+    std::set<std::string> shared;
+    for (const FlagCase& fc : sharedFlagCases())
+        shared.insert(fc.args.front());
+    const std::set<std::string> sim_only = {"--seed", "--link-delay",
+                                            "--max-batch"};
+    std::set<std::string> table_shared;
+    std::set<std::string> table_sim_only;
+    for (const ConfigField& f : configFields()) {
+        if (f.flag != nullptr)
+            (f.simOnly ? table_sim_only : table_shared).insert(f.flag);
+    }
+    EXPECT_EQ(table_shared, shared);
+    EXPECT_EQ(table_sim_only, sim_only);
+
+    const auto campaign_takes = [](std::vector<std::string> args) {
+        CampaignCli cli;
+        return consumeAll(args, [&](int argc, char** argv, int& i) {
+            return cli.consume(argc, argv, i);
+        });
+    };
+    const auto sim_takes = [](std::vector<std::string> args) {
+        SimConfig cfg;
+        return consumeAll(args, [&](int argc, char** argv, int& i) {
+            return consumeConfigFlag(argc, argv, i, cfg, FlagSet::Sim);
+        });
+    };
+    EXPECT_TRUE(campaign_takes({"--grid", "load=0.1"}));
+    EXPECT_TRUE(campaign_takes({"--seed", "7"}));
+    EXPECT_TRUE(sim_takes({"--seed", "7"}));
+    EXPECT_TRUE(sim_takes({"--link-delay", "2"}));
+    EXPECT_TRUE(sim_takes({"--max-batch", "2"}));
+    for (const char* flag : {"--link-delay", "--max-batch", "--jobs",
+                             "--sweep", "--csv", "--json", "--help",
+                             "--group-by", "--threads"}) {
+        EXPECT_FALSE(campaign_takes({flag, "1"})) << flag;
+    }
+    for (const char* flag : {"--grid", "--jobs", "--sweep", "--csv",
+                             "--json", "--help", "--threads"}) {
+        EXPECT_FALSE(sim_takes({flag, "1"})) << flag;
     }
 }
 

@@ -411,12 +411,12 @@ TEST(ShardMerge, WorkloadAxisClosedLoopShardsMergeByteIdentical)
     EXPECT_NE(rr_row.substr(rr_row.size() - 2), ",,") << rr_row;
 }
 
-/** Drop every "workload" field, imitating a shard file written
- *  before the closed-loop coordinate existed. */
+/** Drop every `column` field from JSONL text, imitating a shard file
+ *  written before that coordinate existed. */
 std::string
-stripWorkloadField(std::string text)
+stripField(std::string text, const std::string& column)
 {
-    const std::string key = "\"workload\":";
+    const std::string key = '"' + column + "\":";
     for (std::size_t pos = text.find(key); pos != std::string::npos;
          pos = text.find(key, pos)) {
         const std::size_t end = text.find(',', pos);
@@ -429,7 +429,7 @@ TEST(MergeValidator, RejectsStalePreWorkloadShards)
 {
     const ShardFixture& fx = fixture();
     const std::vector<ShardFile> mixed = {
-        parseString(stripWorkloadField(fx.shard[0].jsonl),
+        parseString(stripField(fx.shard[0].jsonl, "workload"),
                     "pre-workload.jsonl", SinkFormat::Jsonl),
         parseString(fx.shard[1].jsonl, "fresh.jsonl",
                     SinkFormat::Jsonl),
@@ -445,20 +445,6 @@ TEST(MergeValidator, RejectsStalePreWorkloadShards)
     }
 }
 
-/** Drop every "telemetry_window" field, imitating a shard file
- *  written before the coordinate existed. */
-std::string
-stripTelemetryField(std::string text)
-{
-    const std::string key = "\"telemetry_window\":";
-    for (std::size_t pos = text.find(key); pos != std::string::npos;
-         pos = text.find(key, pos)) {
-        const std::size_t end = text.find(',', pos);
-        text.erase(pos, end - pos + 1);
-    }
-    return text;
-}
-
 TEST(MergeValidator, RejectsStalePreTelemetryShards)
 {
     const ShardFixture& fx = fixture();
@@ -466,7 +452,7 @@ TEST(MergeValidator, RejectsStalePreTelemetryShards)
     // A bare (pre-telemetry) shard next to a current one: rejected
     // with the bare file named.
     const std::vector<ShardFile> mixed = {
-        parseString(stripTelemetryField(fx.shard[0].jsonl),
+        parseString(stripField(fx.shard[0].jsonl, "telemetry_window"),
                     "stale.jsonl", SinkFormat::Jsonl),
         parseString(fx.shard[1].jsonl, "fresh.jsonl",
                     SinkFormat::Jsonl),
@@ -484,8 +470,8 @@ TEST(MergeValidator, RejectsStalePreTelemetryShards)
     const std::size_t first_eol = fx.shard[0].jsonl.find('\n');
     ASSERT_NE(first_eol, std::string::npos);
     const std::string straddling =
-        stripTelemetryField(
-            fx.shard[0].jsonl.substr(0, first_eol + 1)) +
+        stripField(fx.shard[0].jsonl.substr(0, first_eol + 1),
+                   "telemetry_window") +
         fx.shard[0].jsonl.substr(first_eol + 1);
     const std::vector<ShardFile> inner = {
         parseString(straddling, "torn.jsonl", SinkFormat::Jsonl),
@@ -497,6 +483,36 @@ TEST(MergeValidator, RejectsStalePreTelemetryShards)
         const std::string what = e.what();
         EXPECT_NE(what.find("telemetry"), std::string::npos) << what;
         EXPECT_NE(what.find("torn.jsonl"), std::string::npos) << what;
+    }
+}
+
+TEST(MergeValidator, RejectsAShardMissingAnyCoordinate)
+{
+    // Every record coordinate, in column order: a shard without any one
+    // of them is stale, and the error names the column and the file
+    // rather than reporting a generic mismatch.
+    const ShardFixture& fx = fixture();
+    for (const char* column :
+         {"run", "series", "mesh", "topology", "model", "routing",
+          "table", "selector", "traffic", "injection", "msglen", "vcs",
+          "buffers", "escape_vcs", "faults", "fault_seed",
+          "telemetry_window", "workload", "load", "seed", "warmup",
+          "measure"}) {
+        try {
+            const std::vector<ShardFile> shards = {
+                parseString(stripField(fx.shard[0].jsonl, column),
+                            "stale.jsonl", SinkFormat::Jsonl),
+                parseString(fx.shard[1].jsonl, "fresh.jsonl",
+                            SinkFormat::Jsonl),
+            };
+            validateShardFiles(shards, fx.runs);
+            FAIL() << "shard without " << column << " not rejected";
+        } catch (const ConfigError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(column), std::string::npos) << what;
+            EXPECT_NE(what.find("stale.jsonl"), std::string::npos)
+                << what;
+        }
     }
 }
 

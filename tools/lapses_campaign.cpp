@@ -32,8 +32,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,6 +42,7 @@
 #include "core/lapses.hpp"
 #include "exp/campaign.hpp"
 #include "exp/campaign_cli.hpp"
+#include "exp/config_fields.hpp"
 #include "exp/result_sink.hpp"
 
 namespace
@@ -75,7 +76,7 @@ printHelp()
         "                       (scans them, then appends)\n"
         "  --quiet              suppress per-run progress on stderr\n"
         "  --help               this text\n",
-        campaignCliHelp());
+        campaignCliHelp().c_str());
 }
 
 } // namespace
@@ -96,19 +97,15 @@ main(int argc, char** argv)
     try {
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            auto value = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    throw ConfigError("missing value for " + arg);
-                return argv[++i];
-            };
+            auto value = [&] { return flagValue(argc, argv, i); };
             if (cli.consume(argc, argv, i)) {
                 continue;
             } else if (arg == "--help" || arg == "-h") {
                 printHelp();
                 return 0;
             } else if (arg == "--jobs") {
-                jobs = static_cast<unsigned>(
-                    std::strtoul(value().c_str(), nullptr, 10));
+                jobs = static_cast<unsigned>(parseCheckedInt(
+                    arg, value(), 0, std::numeric_limits<int>::max()));
             } else if (arg == "--shard") {
                 shard = parseShardSpec(value());
             } else if (arg == "--no-skip-saturated") {

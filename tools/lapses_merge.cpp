@@ -34,6 +34,8 @@
 
 #include "core/lapses.hpp"
 #include "exp/campaign_cli.hpp"
+#include "exp/config_fields.hpp"
+#include "exp/grid_spec.hpp"
 #include "exp/merge.hpp"
 
 namespace
@@ -61,37 +63,15 @@ printHelp()
         "                       (gaps are listed for --resume refill)\n"
         "  --check              validate the shards and report\n"
         "                       coverage without writing anything\n"
-        "  --group-by AXES      aggregate over comma-separated grid\n"
-        "                       axes (model|routing|table|selector|\n"
-        "                       traffic|injection|msglen|vcs|buffers|\n"
-        "                       escape|faults|fault-seed|\n"
-        "                       telemetry-window|load|mesh|topology|\n"
-        "                       series):\n"
-        "                       mean/p50/p99 of latency and accepted\n"
-        "                       throughput\n"
+        "  --group-by AXES      mean/p50/p99 of latency and accepted\n"
+        "                       throughput per combination of these\n"
+        "                       comma-separated record coordinates\n"
+        "                       or grid axes:\n"
+        "%s"
         "  --agg-out FILE       write the aggregate CSV here [stdout]\n"
         "  --help               this text\n",
-        campaignCliHelp());
-}
-
-std::vector<std::string>
-splitList(const std::string& list)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        std::size_t next = list.find(',', pos);
-        if (next == std::string::npos)
-            next = list.size();
-        std::string item = list.substr(pos, next - pos);
-        // Trim surrounding whitespace.
-        const std::size_t a = item.find_first_not_of(" \t");
-        const std::size_t b = item.find_last_not_of(" \t");
-        if (a != std::string::npos)
-            out.push_back(item.substr(a, b - a + 1));
-        pos = next + 1;
-    }
-    return out;
+        campaignCliHelp().c_str(),
+        wrapHelpList(coordinateNames()).c_str());
 }
 
 /** "5 runs: 3, 7, 11, ... (and 2 more)" for the gap report. */
@@ -126,11 +106,7 @@ main(int argc, char** argv)
     try {
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            auto value = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    throw ConfigError("missing value for " + arg);
-                return argv[++i];
-            };
+            auto value = [&] { return flagValue(argc, argv, i); };
             if (cli.consume(argc, argv, i)) {
                 continue;
             } else if (arg == "--help" || arg == "-h") {
@@ -152,7 +128,7 @@ main(int argc, char** argv)
             } else if (arg == "--check") {
                 check_only = true;
             } else if (arg == "--group-by") {
-                group_by = splitList(value());
+                group_by = splitList(value(), ',');
             } else if (arg == "--agg-out") {
                 agg_out_path = value();
             } else if (!arg.empty() && arg.front() == '-' &&

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -25,7 +24,7 @@
 
 #include "core/experiment.hpp"
 #include "core/lapses.hpp"
-#include "core/names.hpp"
+#include "exp/config_fields.hpp"
 #include "network/tracer.hpp"
 #include "stats/report.hpp"
 #include "telemetry/telemetry.hpp"
@@ -41,83 +40,10 @@ printHelp()
     std::printf(
         "lapses-sim -- LAPSES adaptive-router network simulator\n"
         "\n"
-        "Topology / router (defaults = paper Table 2):\n"
-        "  --topology T         mesh|torus|fattreeKxN|dragonflyAxHxG|\n"
-        "                       file:PATH (README \"Topologies\") "
-        "[mesh]\n"
-        "  --mesh KxK[xK]       mesh radices        [16x16]\n"
-        "  --torus              wrap links (use --routing "
-        "torus-adaptive)\n"
-        "  --model M            proud | la-proud    [la-proud]\n"
-        "  --vcs N              VCs per channel     [4]\n"
-        "  --buffers N          buffer depth flits  [20]\n"
-        "  --escape-vcs N       escape VCs (-1=auto)[-1]\n"
-        "\n"
-        "Routing:\n"
-        "  --routing A          xy|yx|duato|north-last|west-first|\n"
-        "                       negative-first      [duato]\n"
-        "  --table T            full-table|meta-row|meta-block|\n"
-        "                       economical-storage|interval\n"
-        "                                           [economical-storage]\n"
-        "  --selector S         static-xy|first-free|random|min-mux|\n"
-        "                       lfu|lru|max-credit  [static-xy]\n"
-        "\n"
-        "Workload:\n"
-        "  --traffic P          uniform|transpose|bit-reversal|\n"
-        "                       perfect-shuffle|bit-complement|\n"
-        "                       tornado|neighbor|hotspot [uniform]\n"
-        "  --load X             normalized load     [0.1]\n"
-        "  --msglen N           flits per message   [20]\n"
-        "  --injection I        exponential|bernoulli|bursty\n"
-        "  --hotspot-frac X     hotspot fraction    [0.1]\n"
-        "\n"
-        "Closed-loop service workload (README \"Service "
-        "workloads\"):\n"
-        "  --workload W         open|request-reply  [open]\n"
-        "  --servers N          server nodes (ids 0..N-1)   [8]\n"
-        "  --inflight-window N  requests a client keeps in\n"
-        "                       flight                      [2]\n"
-        "  --request-timeout N  cycles before a timeout     [4000]\n"
-        "  --max-retries N      retransmissions before a\n"
-        "                       request is counted failed   [3]\n"
-        "  --backoff-base N     first backoff delay; doubles\n"
-        "                       per retry + seeded jitter   [64]\n"
-        "  --service-time N     mean server service delay   [16]\n"
-        "\n"
-        "Dynamic link faults (README \"Fault injection\"):\n"
-        "  --fail-link n:p@c    fail node n's port-p link at cycle c\n"
-        "                       (repeatable)\n"
-        "  --repair-link n:p@c  bring a failed link back up\n"
-        "  --faults N           random mid-run link failures [0]\n"
-        "  --fault-seed N       fault-site seed (0 = derive) [0]\n"
-        "  --fault-start N      first random fault cycle [2000]\n"
-        "  --fault-spacing N    cycles between random faults [2000]\n"
-        "  --reconfig-latency N cycles before tables reprogram [200]\n"
-        "  --fault-policy P     drop|reinject cut messages [reinject]\n"
-        "\n"
-        "Measurement:\n"
-        "  --mode M             quick|default|paper preset (also\n"
-        "                       LAPSES_BENCH_MODE; paper = Section\n"
-        "                       2.2's 10k warm-up / 400k measured)\n"
-        "  --warmup N           warm-up messages    [1000]\n"
-        "  --measure N          measured messages   [10000]\n"
-        "  --seed N             RNG seed            [1]\n"
-        "  --intra-jobs N       shard threads with LAPSES_KERNEL=parallel\n"
-        "                       (0 = auto via LAPSES_INTRA_JOBS /\n"
-        "                       hardware); the default active kernel\n"
-        "                       is one shard. Never changes\n"
-        "                       results                       [0]\n"
-        "  --link-delay N       link traversal cycles; widens the\n"
-        "                       event kernel's batch lookahead [1]\n"
-        "  --max-batch N        cycles per barrier for the active and\n"
-        "                       parallel kernels (0 = auto via\n"
-        "                       LAPSES_MAX_BATCH, else link-delay +\n"
-        "                       1). Never changes results     [0]\n"
+        "%s"
         "\n"
         "Telemetry / tracing (README \"Telemetry & tracing\"; single\n"
         "point only, not --sweep):\n"
-        "  --telemetry-window N cycles per telemetry window (0 = off;\n"
-        "                       never changes results)           [0]\n"
         "  --telemetry-out FILE per-window per-node metrics, JSONL\n"
         "                       (CSV when FILE ends in .csv);\n"
         "                       needs --telemetry-window\n"
@@ -132,25 +58,8 @@ printHelp()
         "  --csv FILE           write results as CSV\n"
         "  --json               print the point as JSON\n"
         "  --quiet              suppress the human-readable line\n"
-        "  --help               this text\n");
-}
-
-/** Parse "0.1:0.9:0.1" into a load list. */
-std::vector<double>
-parseSweep(const std::string& spec)
-{
-    double lo = 0.0;
-    double hi = 0.0;
-    double step = 0.0;
-    if (std::sscanf(spec.c_str(), "%lf:%lf:%lf", &lo, &hi, &step) != 3 ||
-        step <= 0.0 || lo <= 0.0 || hi < lo) {
-        throw ConfigError("bad sweep spec '" + spec +
-                          "' (want LO:HI:STEP)");
-    }
-    std::vector<double> loads;
-    for (double x = lo; x <= hi + 1e-9; x += step)
-        loads.push_back(x);
-    return loads;
+        "  --help               this text\n",
+        configFlagHelp(FlagSet::Sim).c_str());
 }
 
 } // namespace
@@ -171,7 +80,6 @@ main(int argc, char** argv)
     std::uint64_t trace_sample = 1;
     bool profile = false;
 
-    const int int_max = std::numeric_limits<int>::max();
     try {
         // LAPSES_BENCH_MODE selects the measurement scale here
         // exactly like it does for the benches (paper = Section 2.2's
@@ -181,109 +89,12 @@ main(int argc, char** argv)
             applyBenchMode(cfg, benchModeFromEnv());
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
-            auto value = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    throw ConfigError("missing value for " + arg);
-                return argv[++i];
-            };
-            if (arg == "--help" || arg == "-h") {
+            auto value = [&] { return flagValue(argc, argv, i); };
+            if (consumeConfigFlag(argc, argv, i, cfg, FlagSet::Sim)) {
+                continue;
+            } else if (arg == "--help" || arg == "-h") {
                 printHelp();
                 return 0;
-            } else if (arg == "--mesh") {
-                cfg.radices = parseMeshRadices(arg, value());
-            } else if (arg == "--torus") {
-                cfg.torus = true;
-            } else if (arg == "--topology") {
-                cfg.topology = parseTopologySpec(arg, value());
-                if (cfg.topology.isMeshKind())
-                    cfg.torus =
-                        cfg.topology.kind == TopologyKind::Torus;
-            } else if (arg == "--model") {
-                cfg.model = parseRouterModel(value());
-            } else if (arg == "--vcs") {
-                cfg.vcsPerPort = parseCheckedInt(arg, value(), 1,
-                                                 int_max);
-            } else if (arg == "--buffers") {
-                cfg.bufferDepth = parseCheckedInt(arg, value(), 1,
-                                                  int_max);
-            } else if (arg == "--escape-vcs") {
-                cfg.escapeVcs = parseCheckedInt(arg, value(), -1,
-                                                int_max);
-            } else if (arg == "--routing") {
-                cfg.routing = parseRoutingAlgo(value());
-            } else if (arg == "--table") {
-                cfg.table = parseTableKind(value());
-            } else if (arg == "--selector") {
-                cfg.selector = parseSelectorKind(value());
-            } else if (arg == "--traffic") {
-                cfg.traffic = parseTrafficKind(value());
-            } else if (arg == "--load") {
-                cfg.normalizedLoad = parseCheckedDouble(
-                    arg, value(), 1e-9,
-                    std::numeric_limits<double>::max());
-            } else if (arg == "--msglen") {
-                cfg.msgLen = parseCheckedInt(arg, value(), 1,
-                                             int_max);
-            } else if (arg == "--injection") {
-                cfg.injection = parseInjectionKind(value());
-            } else if (arg == "--hotspot-frac") {
-                cfg.hotspot.fraction =
-                    parseCheckedDouble(arg, value(), 0.0, 1.0);
-            } else if (arg == "--workload") {
-                cfg.workload = parseWorkloadKind(value());
-            } else if (arg == "--servers") {
-                cfg.servers = parseCheckedInt(arg, value(), 1,
-                                              int_max);
-            } else if (arg == "--inflight-window") {
-                cfg.inflightWindow = parseCheckedInt(arg, value(), 1,
-                                                     int_max);
-            } else if (arg == "--request-timeout") {
-                cfg.requestTimeout = parseCheckedU64(arg, value());
-            } else if (arg == "--max-retries") {
-                cfg.maxRetries = parseCheckedInt(arg, value(), 0,
-                                                 int_max);
-            } else if (arg == "--backoff-base") {
-                cfg.backoffBase = parseCheckedU64(arg, value());
-            } else if (arg == "--service-time") {
-                cfg.serviceTime = parseCheckedU64(arg, value());
-            } else if (arg == "--fail-link") {
-                cfg.faultEvents.push_back(
-                    parseFaultEvent(value(), true));
-            } else if (arg == "--repair-link") {
-                cfg.faultEvents.push_back(
-                    parseFaultEvent(value(), false));
-            } else if (arg == "--faults") {
-                cfg.faultCount = parseCheckedInt(
-                    arg, value(), 0,
-                    std::numeric_limits<int>::max());
-            } else if (arg == "--fault-seed") {
-                cfg.faultSeed = parseCheckedU64(arg, value());
-            } else if (arg == "--fault-start") {
-                cfg.faultStart = parseCheckedU64(arg, value());
-            } else if (arg == "--fault-spacing") {
-                cfg.faultSpacing = parseCheckedU64(arg, value());
-            } else if (arg == "--reconfig-latency") {
-                cfg.reconfigLatency = parseCheckedU64(arg, value());
-            } else if (arg == "--fault-policy") {
-                cfg.faultPolicy = parseFaultPolicy(value());
-            } else if (arg == "--mode") {
-                applyBenchMode(cfg, parseBenchModeName(value()));
-            } else if (arg == "--warmup") {
-                cfg.warmupMessages = parseCheckedU64(arg, value());
-            } else if (arg == "--measure") {
-                cfg.measureMessages = parseCheckedU64(arg, value());
-            } else if (arg == "--seed") {
-                cfg.seed = parseCheckedU64(arg, value());
-            } else if (arg == "--intra-jobs") {
-                cfg.intraJobs = static_cast<unsigned>(
-                    parseCheckedInt(arg, value(), 0, int_max));
-            } else if (arg == "--link-delay") {
-                cfg.linkDelay = static_cast<Cycle>(
-                    parseCheckedInt(arg, value(), 1, 64));
-            } else if (arg == "--max-batch") {
-                cfg.maxBatchCycles = parseCheckedU64(arg, value());
-            } else if (arg == "--telemetry-window") {
-                cfg.telemetryWindow = parseCheckedU64(arg, value());
             } else if (arg == "--telemetry-out") {
                 telemetry_out = value();
             } else if (arg == "--trace-out") {
@@ -299,7 +110,7 @@ main(int argc, char** argv)
             } else if (arg == "--profile") {
                 profile = true;
             } else if (arg == "--sweep") {
-                sweep = parseSweep(value());
+                sweep = parseLoadRange(arg, value());
             } else if (arg == "--csv") {
                 csv_path = value();
             } else if (arg == "--json") {
