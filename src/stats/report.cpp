@@ -1,6 +1,7 @@
 #include "stats/report.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -85,17 +86,32 @@ namespace
 {
 
 void
-jsonNumber(std::ostringstream& os, const char* key, double v,
-           bool& first)
+jsonKey(std::ostringstream& os, const char* key, bool& first)
 {
     if (!first)
         os << ',';
     first = false;
     os << '"' << key << "\":";
+}
+
+void
+jsonNumber(std::ostringstream& os, const char* key, double v,
+           bool& first)
+{
+    jsonKey(os, key, first);
     if (std::isfinite(v))
         os << v;
     else
         os << "null";
+}
+
+/** Counters print exactly, as the CSV prints them. */
+void
+jsonNumber(std::ostringstream& os, const char* key, std::uint64_t v,
+           bool& first)
+{
+    jsonKey(os, key, first);
+    os << v;
 }
 
 } // namespace
@@ -119,22 +135,22 @@ statsJsonFields(const SimStats& stats)
                first);
     jsonNumber(os, "offered_flit_rate", stats.offeredFlitRate, first);
     jsonNumber(os, "delivered_messages",
-               static_cast<double>(stats.deliveredMessages), first);
+               stats.deliveredMessages, first);
     jsonNumber(os, "measured_cycles",
-               static_cast<double>(stats.measuredCycles), first);
+               stats.measuredCycles, first);
     // Resilience fields (all zero / null on healthy runs).
     jsonNumber(os, "link_down_events",
-               static_cast<double>(stats.linkDownEvents), first);
+               stats.linkDownEvents, first);
     jsonNumber(os, "reconfigurations",
-               static_cast<double>(stats.reconfigurations), first);
+               stats.reconfigurations, first);
     jsonNumber(os, "dropped_messages",
-               static_cast<double>(stats.droppedMessages), first);
+               stats.droppedMessages, first);
     jsonNumber(os, "dropped_flits",
-               static_cast<double>(stats.droppedFlits), first);
+               stats.droppedFlits, first);
     jsonNumber(os, "reinjected_messages",
-               static_cast<double>(stats.reinjectedMessages), first);
+               stats.reinjectedMessages, first);
     jsonNumber(os, "rerouted_heads",
-               static_cast<double>(stats.reroutedHeads), first);
+               stats.reroutedHeads, first);
     jsonNumber(os, "post_fault_latency_mean",
                stats.postFaultLatency.count() > 0
                    ? stats.postFaultLatency.mean()
@@ -158,21 +174,21 @@ statsJsonFields(const SimStats& stats)
                       : nan,
                first);
     jsonNumber(os, "requests_issued",
-               static_cast<double>(stats.requestsIssued), first);
+               stats.requestsIssued, first);
     jsonNumber(os, "requests_completed",
-               static_cast<double>(stats.requestsCompleted), first);
+               stats.requestsCompleted, first);
     jsonNumber(os, "requests_failed",
-               static_cast<double>(stats.requestsFailed), first);
+               stats.requestsFailed, first);
     jsonNumber(os, "request_timeouts",
-               static_cast<double>(stats.requestTimeouts), first);
+               stats.requestTimeouts, first);
     jsonNumber(os, "request_retries",
-               static_cast<double>(stats.requestRetries), first);
+               stats.requestRetries, first);
     jsonNumber(os, "duplicate_requests",
-               static_cast<double>(stats.duplicateRequests), first);
+               stats.duplicateRequests, first);
     jsonNumber(os, "duplicate_replies",
-               static_cast<double>(stats.duplicateReplies), first);
+               stats.duplicateReplies, first);
     jsonNumber(os, "suppressed_reinjects",
-               static_cast<double>(stats.suppressedReinjects), first);
+               stats.suppressedReinjects, first);
     jsonNumber(os, "request_goodput", stats.requestGoodput, first);
     jsonNumber(os, "request_offered", stats.requestOffered, first);
     jsonNumber(os, "post_fault_request_latency_mean",

@@ -101,6 +101,21 @@ TEST(Json, ContainsAllKeys)
     EXPECT_NE(j.find("\"saturated\":false"), std::string::npos);
 }
 
+TEST(Json, CountsPrintExactly)
+{
+    // A long run's cycle count must not round to six significant
+    // digits (it once printed as 1.5109e+06).
+    SimStats st = fakeStats(70.0);
+    st.measuredCycles = 1510904;
+    st.deliveredMessages = 12345678901ull;
+    const std::string j = statsToJson(st);
+    EXPECT_NE(j.find("\"measured_cycles\":1510904,"), std::string::npos)
+        << j;
+    EXPECT_NE(j.find("\"delivered_messages\":12345678901,"),
+              std::string::npos)
+        << j;
+}
+
 TEST(Json, SaturatedFlag)
 {
     const std::string j = statsToJson(fakeStats(1.0, true));
