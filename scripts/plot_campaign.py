@@ -2,14 +2,12 @@
 """Plot latency/throughput curves from lapses-merge --group-by output.
 
 Input is the aggregate CSV that ``lapses-merge --group-by AXES``
-writes (``--agg-out FILE`` or stdout): one row per grid cell with the
-grouped axis values followed by the fixed metric columns
+writes (``--agg-out FILE`` or stdout): the grouped axis values, then
+``runs`` and ``saturated``, then the metric columns, which are read
+from the header. A statistic summarized as ``<name>_mean``/``_p50``/
+``_p99`` gives ``<name>.png`` (``--stat`` picks the summary); any
+other metric gives ``<column>.png`` when it has values.
 
-    runs, saturated,
-    latency_mean, latency_p50, latency_p99,
-    throughput_mean, throughput_p50, throughput_p99
-
-One PNG is produced per metric family (latency.png, throughput.png).
 The x axis defaults to the last grouped axis (conventionally ``load``
 in a load sweep); every distinct combination of the remaining axes
 becomes one curve. Saturated cells have empty metric fields and simply
@@ -28,19 +26,9 @@ import csv
 import os
 import sys
 
-METRIC_COLUMNS = (
-    "runs",
-    "saturated",
-    "latency_mean",
-    "latency_p50",
-    "latency_p99",
-    "throughput_mean",
-    "throughput_p50",
-    "throughput_p99",
-    "request_latency_p99",
-    "request_latency_p999",
-)
+SUMMARY_STATS = ("mean", "p50", "p99")
 
+# y-axis labels; a metric without one is labelled by its column name.
 METRIC_LABELS = {
     "latency": "mean total latency (cycles)",
     "throughput": "accepted throughput (flits/node/cycle)",
@@ -48,18 +36,20 @@ METRIC_LABELS = {
 
 
 def parse_aggregate(path):
-    """Return (axes, rows) where rows map column name -> string."""
+    """Return (axes, metrics, rows); rows map column name -> string."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
         except StopIteration:
             raise SystemExit(f"{path}: empty aggregate file")
-        if header[-len(METRIC_COLUMNS):] != list(METRIC_COLUMNS):
+        # <axes...>,runs,saturated,<metrics...>
+        split = header.index("saturated") if "saturated" in header else 0
+        if split < 1 or header[split - 1] != "runs" or split == len(header) - 1:
             raise SystemExit(
                 f"{path}: not a lapses-merge --group-by aggregate "
-                f"(want trailing columns {', '.join(METRIC_COLUMNS)})")
-        axes = header[: len(header) - len(METRIC_COLUMNS)]
+                f"(want <axes>,runs,saturated,<metrics> columns)")
+        axes, metrics = header[:split - 1], header[split + 1:]
         if not axes:
             raise SystemExit(f"{path}: no grouped axes in header")
         rows = []
@@ -67,7 +57,23 @@ def parse_aggregate(path):
             if len(line) != len(header):
                 raise SystemExit(f"{path}: ragged row {line!r}")
             rows.append(dict(zip(header, line)))
-    return axes, rows
+    return axes, metrics, rows
+
+
+def metric_plots(metrics, stat):
+    """[(name, column, always)]: one plot per summarized statistic
+    (always drawn) and per other metric column (drawn when it has
+    values)."""
+    plots = []
+    for column in metrics:
+        name, _, suffix = column.rpartition("_")
+        if suffix in SUMMARY_STATS and all(
+                f"{name}_{s}" in metrics for s in SUMMARY_STATS):
+            if suffix == stat:
+                plots.append((name, column, True))
+        else:
+            plots.append((column, column, False))
+    return plots
 
 
 def axis_value(value):
@@ -126,7 +132,7 @@ def main(argv=None):
                         help="directory for the PNGs")
     args = parser.parse_args(argv)
 
-    axes, rows = parse_aggregate(args.aggregate)
+    axes, metrics, rows = parse_aggregate(args.aggregate)
     x_axis = args.x_axis or axes[-1]
     if x_axis not in axes:
         raise SystemExit(
@@ -144,23 +150,13 @@ def main(argv=None):
 
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
-    for family, label in METRIC_LABELS.items():
-        metric = f"{family}_{args.stat}"
+    for name, metric, always in metric_plots(metrics, args.stat):
         series = build_series(axes, rows, x_axis, metric)
-        out_path = os.path.join(args.out_dir, f"{family}.png")
-        plot_metric(plt, series, x_axis, metric, label, out_path)
-        written.append(out_path)
-    # Request-SLO tails exist only for closed-loop campaigns; the
-    # cells are empty otherwise and the plots are skipped.
-    for metric, label in (
-            ("request_latency_p99", "request latency p99 (cycles)"),
-            ("request_latency_p999", "request latency p999 (cycles)"),
-    ):
-        series = build_series(axes, rows, x_axis, metric)
-        if not series:
-            continue
-        out_path = os.path.join(args.out_dir, f"{metric}.png")
-        plot_metric(plt, series, x_axis, metric, label, out_path)
+        if not series and not always:
+            continue  # e.g. request tails of an open-loop campaign
+        out_path = os.path.join(args.out_dir, f"{name}.png")
+        plot_metric(plt, series, x_axis, metric,
+                    METRIC_LABELS.get(name, metric), out_path)
         written.append(out_path)
     print("wrote " + " ".join(written))
     return 0

@@ -217,7 +217,7 @@ struct CampaignOptions
      */
     ShardSpec shard;
 
-    /** Runs already present in the output files (see scanResumeState);
+    /** Runs already present in the output files (see scanResume);
      *  they are neither simulated nor re-emitted. */
     ResumeState resume;
 

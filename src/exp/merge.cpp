@@ -1,17 +1,19 @@
 #include "exp/merge.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
+#include <cmath>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/assert.hpp"
+#include "core/experiment.hpp"
 #include "exp/config_fields.hpp"
 #include "stats/aggregate.hpp"
 #include "stats/report.hpp"
+#include "stats/stat_fields.hpp"
 
 namespace lapses
 {
@@ -25,103 +27,42 @@ at(const std::string& label, std::size_t line_no)
     return label + ':' + std::to_string(line_no);
 }
 
-/** Parse the digits after `pos`; false when none are there. */
-bool
-parseIndexAt(const std::string& line, std::size_t pos,
-             std::size_t& out)
-{
-    if (pos >= line.size() ||
-        !std::isdigit(static_cast<unsigned char>(line[pos])))
-        return false;
-    out = std::strtoull(line.c_str() + pos, nullptr, 10);
-    return true;
-}
-
-void
-insertRecord(ShardFile& shard, std::size_t index,
-             const std::string& line, std::size_t line_no)
-{
-    if (!shard.records.emplace(index, line).second) {
-        throw ConfigError("duplicate record for run " +
-                          std::to_string(index) + " at " +
-                          at(shard.label, line_no) +
-                          " (was the shard run twice into one file?)");
-    }
-}
-
-void
-parseJsonlShard(std::istream& is, ShardFile& shard)
-{
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(is, line)) {
-        ++line_no;
-        if (line.empty() || line.front() != '{' ||
-            line.back() != '}') {
-            throw ConfigError(
-                "truncated or malformed record at " +
-                at(shard.label, line_no) +
-                " (shard killed mid-write? finish it with "
-                "lapses-campaign --shard ... --resume)");
-        }
-        const std::size_t run_key = line.find("\"run\":");
-        std::size_t index = 0;
-        if (run_key == std::string::npos ||
-            !parseIndexAt(line, run_key + 6, index)) {
-            throw ConfigError("record without a run index at " +
-                              at(shard.label, line_no));
-        }
-        insertRecord(shard, index, line, line_no);
-    }
-}
-
-void
-parseCsvShard(std::istream& is, ShardFile& shard)
-{
-    std::string line;
-    if (!std::getline(is, line))
-        return; // empty file: a shard that owns nothing yet
-    if (line != campaignCsvHeader()) {
-        throw ConfigError(
-            "bad CSV header at " + at(shard.label, 1) +
-            " (not a lapses-campaign output, or a stale schema)");
-    }
-    std::size_t line_no = 1;
-    while (std::getline(is, line)) {
-        ++line_no;
-        std::size_t index = 0;
-        if (!parseIndexAt(line, 0, index)) {
-            throw ConfigError("malformed record at " +
-                              at(shard.label, line_no));
-        }
-        // A complete row ends in the saturated cell; anything else was
-        // cut short by a kill.
-        const std::size_t comma = line.rfind(',');
-        const std::string tail =
-            comma == std::string::npos ? "" : line.substr(comma + 1);
-        if (tail != "true" && tail != "false") {
-            throw ConfigError(
-                "truncated record at " + at(shard.label, line_no) +
-                " (shard killed mid-write? finish it with "
-                "lapses-campaign --shard ... --resume)");
-        }
-        insertRecord(shard, index, line, line_no);
-    }
-}
-
 } // namespace
 
 ShardFile
 parseShardStream(std::istream& is, const std::string& label,
                  SinkFormat format)
 {
-    ShardFile shard;
-    shard.label = label;
-    shard.format = format;
-    if (format == SinkFormat::Jsonl)
-        parseJsonlShard(is, shard);
-    else
-        parseCsvShard(is, shard);
+    ShardFile shard{label, format, {}};
+    std::string line;
+    std::size_t line_no = 0;
+    if (format == SinkFormat::Csv) {
+        if (!std::getline(is, line))
+            return shard; // empty file: a shard that owns nothing yet
+        if (line != campaignCsvHeader()) {
+            throw ConfigError(
+                "bad CSV header at " + at(label, 1) +
+                " (not a lapses-campaign output, or a stale schema)");
+        }
+        line_no = 1;
+    }
+    while (std::getline(is, line)) {
+        ++line_no;
+        const std::optional<RecordLine> record =
+            parseRecordLine(line, format);
+        if (!record) {
+            throw ConfigError(
+                "truncated or malformed record at " + at(label, line_no) +
+                " (shard killed mid-write? finish it with "
+                "lapses-campaign --shard ... --resume)");
+        }
+        if (!shard.records.emplace(record->index, line).second) {
+            throw ConfigError("duplicate record for run " +
+                              std::to_string(record->index) + " at " +
+                              at(label, line_no) +
+                              " (was the shard run twice into one file?)");
+        }
+    }
     return shard;
 }
 
@@ -141,7 +82,7 @@ namespace
  * Reject JSONL records that lack a coordinate column (a shard written
  * before the coordinate existed), naming the file and the column,
  * before the prefix check can report a generic mismatch. CSV shards
- * are held to the current header by parseCsvShard.
+ * are held to the current header by parseShardStream.
  */
 void
 checkCoordinateColumns(const std::vector<ShardFile>& shards)
@@ -217,14 +158,19 @@ validateShardFiles(const std::vector<ShardFile>& shards,
 namespace
 {
 
-/** index -> record line across all shards (validated: no duplicates). */
-std::unordered_map<std::size_t, const std::string*>
+using RecordLines =
+    std::unordered_map<std::size_t,
+                       std::pair<const ShardFile*, const std::string*>>;
+
+/** index -> (shard, record line) across all shards (validated: no
+ *  duplicates). */
+RecordLines
 recordLines(const std::vector<ShardFile>& shards)
 {
-    std::unordered_map<std::size_t, const std::string*> lines;
+    RecordLines lines;
     for (const ShardFile& shard : shards) {
         for (const auto& [index, line] : shard.records)
-            lines.emplace(index, &line);
+            lines.emplace(index, std::make_pair(&shard, &line));
     }
     return lines;
 }
@@ -253,20 +199,14 @@ mergeShardFiles(const std::vector<ShardFile>& shards,
                 std::ostream& os, SinkFormat format)
 {
     const auto lines = recordLines(shards);
-    MergeReport report;
-    report.total = runs.size();
     if (format == SinkFormat::Csv)
         os << campaignCsvHeader() << '\n';
     for (const CampaignRun& run : runs) {
         const auto it = lines.find(run.index);
-        if (it == lines.end()) {
-            report.missing.push_back(run.index);
-            continue;
-        }
-        os << *it->second << '\n';
-        ++report.merged;
+        if (it != lines.end())
+            os << *it->second.second << '\n';
     }
-    return report;
+    return shardCoverage(shards, runs);
 }
 
 namespace
@@ -280,131 +220,69 @@ number(double v)
     return os.str();
 }
 
-/** Extract a numeric JSON field; false when absent or null. */
-bool
-jsonNumberField(const std::string& line, const std::string& key,
-                double& out)
+/** The statistics --group-by aggregates, in aggregate column order. */
+std::vector<const StatField*>
+aggregatedStats()
 {
-    const std::string needle = '"' + key + "\":";
-    const std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    const char* start = line.c_str() + pos + needle.size();
-    if (std::strncmp(start, "null", 4) == 0)
-        return false;
-    char* end = nullptr;
-    out = std::strtod(start, &end);
-    return end != start;
+    std::vector<const StatField*> stats;
+    for (const StatField& f : statFields()) {
+        if (f.fold != Fold::None)
+            stats.push_back(&f);
+        LAPSES_ASSERT(f.fold == Fold::None || f.rank >= 0); // CSV reads it
+    }
+    return stats;
 }
 
-/** Split a CSV row into cells (quote-aware, matching csvEscape). */
-std::vector<std::string>
-splitCsvRow(const std::string& line)
+/**
+ * Run `index`'s value of each aggregated statistic, NaN where its
+ * record leaves the cell empty (CSV) or null (JSONL). A missing,
+ * unparsable or non-finite value is a ConfigError naming the file, the
+ * run and the key or column.
+ */
+std::vector<double>
+readAggregated(const ShardFile& shard, std::size_t index,
+               const std::string& line,
+               const std::vector<const StatField*>& stats)
 {
+    const bool json = shard.format == SinkFormat::Jsonl;
+    // Stats cells are never quoted, so a CSV row's last cells are its
+    // stats columns and the saturated flag, whatever its coordinates.
     std::vector<std::string> cells;
-    std::string cell;
-    bool quoted = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        const char c = line[i];
-        if (quoted) {
-            if (c == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    cell += '"';
-                    ++i;
-                } else {
-                    quoted = false;
-                }
-            } else {
-                cell += c;
+    std::istringstream row(json ? "" : line);
+    for (std::string cell; std::getline(row, cell, ',');)
+        cells.push_back(cell);
+    const std::string where =
+        shard.label + ": run " + std::to_string(index) + ": ";
+    const double max = std::numeric_limits<double>::max();
+    std::vector<double> values;
+    for (const StatField* f : stats) {
+        const std::string name = json ? f->key : f->csvName();
+        std::optional<std::string> cell;
+        const std::size_t back = statCsvFields().size() + 1 - f->rank;
+        if (json) {
+            const std::string key = '"' + name + "\":";
+            const std::size_t pos = line.find(key);
+            if (pos != std::string::npos) {
+                const std::size_t start = pos + key.size();
+                cell = line.substr(start,
+                                   line.find_first_of(",}", start) - start);
             }
-        } else if (c == '"') {
-            quoted = true;
-        } else if (c == ',') {
-            cells.push_back(std::move(cell));
-            cell.clear();
-        } else {
-            cell += c;
+        } else if (back <= cells.size()) {
+            cell = cells[cells.size() - back];
+        }
+        if (!cell)
+            throw ConfigError(where + "no " + name + " value");
+        if (*cell == (json ? "null" : "")) {
+            values.push_back(std::numeric_limits<double>::quiet_NaN());
+            continue;
+        }
+        try {
+            values.push_back(parseCheckedDouble(name, *cell, -max, max));
+        } catch (const ConfigError& e) {
+            throw ConfigError(where + e.what());
         }
     }
-    cells.push_back(std::move(cell));
-    return cells;
-}
-
-/** Column position of `name` in the campaign CSV header. */
-std::size_t
-csvColumn(const std::string& name)
-{
-    const std::vector<std::string> cols =
-        splitCsvRow(campaignCsvHeader());
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-        if (cols[i] == name)
-            return i;
-    }
-    throw ConfigError("internal: no CSV column '" + name + "'");
-}
-
-/** Per-record metrics the aggregation consumes. */
-struct RecordMetrics
-{
-    bool saturated = false;
-    bool hasLatency = false;
-    double latency = 0.0;
-    bool hasThroughput = false;
-    double throughput = 0.0;
-    bool hasRequestP99 = false;
-    double requestP99 = 0.0;
-    bool hasRequestP999 = false;
-    double requestP999 = 0.0;
-};
-
-RecordMetrics
-extractMetrics(const std::string& line, SinkFormat format)
-{
-    RecordMetrics m;
-    if (format == SinkFormat::Jsonl) {
-        m.saturated =
-            line.find("\"saturated\":true") != std::string::npos;
-        m.hasLatency = jsonNumberField(line, "latency_mean", m.latency);
-        m.hasThroughput =
-            jsonNumberField(line, "accepted_flit_rate", m.throughput);
-        m.hasRequestP99 =
-            jsonNumberField(line, "request_latency_p99", m.requestP99);
-        m.hasRequestP999 = jsonNumberField(
-            line, "request_latency_p999", m.requestP999);
-    } else {
-        static const std::size_t latency_col = csvColumn("latency");
-        static const std::size_t accepted_col = csvColumn("accepted");
-        static const std::size_t req_p99_col =
-            csvColumn("request_latency_p99");
-        static const std::size_t req_p999_col =
-            csvColumn("request_latency_p999");
-        static const std::size_t saturated_col =
-            csvColumn("saturated");
-        const std::vector<std::string> cells = splitCsvRow(line);
-        if (saturated_col < cells.size())
-            m.saturated = cells[saturated_col] == "true";
-        if (latency_col < cells.size() &&
-            !cells[latency_col].empty()) {
-            m.hasLatency = true;
-            m.latency = std::atof(cells[latency_col].c_str());
-        }
-        if (accepted_col < cells.size() &&
-            !cells[accepted_col].empty()) {
-            m.hasThroughput = true;
-            m.throughput = std::atof(cells[accepted_col].c_str());
-        }
-        if (req_p99_col < cells.size() &&
-            !cells[req_p99_col].empty()) {
-            m.hasRequestP99 = true;
-            m.requestP99 = std::atof(cells[req_p99_col].c_str());
-        }
-        if (req_p999_col < cells.size() &&
-            !cells[req_p999_col].empty()) {
-            m.hasRequestP999 = true;
-            m.requestP999 = std::atof(cells[req_p999_col].c_str());
-        }
-    }
-    return m;
+    return values;
 }
 
 } // namespace
@@ -420,6 +298,20 @@ runAxisValue(const CampaignRun& run, const std::string& axis)
     return field->format(run);
 }
 
+std::string
+aggregateColumns()
+{
+    std::string columns = "runs,saturated";
+    for (const StatField* f : aggregatedStats()) {
+        const std::string name = f->aggregate ? f->aggregate : f->csvName();
+        columns += f->fold == Fold::Mean
+                       ? ',' + name
+                       : ',' + name + "_mean," + name + "_p50," + name +
+                             "_p99";
+    }
+    return columns;
+}
+
 void
 writeAggregateCsv(const std::vector<ShardFile>& shards,
                   const std::vector<CampaignRun>& runs,
@@ -429,25 +321,16 @@ writeAggregateCsv(const std::vector<ShardFile>& shards,
     if (group_by.empty())
         throw ConfigError("--group-by needs at least one axis");
 
+    const std::vector<const StatField*> stats = aggregatedStats();
     struct Group
     {
         std::vector<std::string> axes;
         std::size_t records = 0;
         std::size_t saturated = 0;
-        std::vector<double> latency;
-        std::vector<double> throughput;
-        std::vector<double> requestP99;
-        std::vector<double> requestP999;
+        std::vector<std::vector<double>> samples; //!< per statistic
     };
 
-    std::unordered_map<std::size_t,
-                       std::pair<const std::string*, SinkFormat>>
-        lines;
-    for (const ShardFile& shard : shards) {
-        for (const auto& [index, line] : shard.records)
-            lines.emplace(index,
-                          std::make_pair(&line, shard.format));
-    }
+    const auto lines = recordLines(shards);
 
     // Groups in first-appearance order of the run-index walk, so the
     // aggregate is deterministic and follows the grid's own ordering.
@@ -468,62 +351,46 @@ writeAggregateCsv(const std::vector<ShardFile>& shards,
         const auto pos =
             group_pos.emplace(std::move(key), groups.size());
         if (pos.second) {
-            groups.emplace_back();
-            groups.back().axes = std::move(axes);
+            groups.push_back({std::move(axes), 0, 0, {}});
+            groups.back().samples.resize(stats.size());
         }
         Group& group = groups[pos.first->second];
-        const RecordMetrics m =
-            extractMetrics(*it->second.first, it->second.second);
+        const auto& [shard, line] = it->second;
+        const std::vector<double> values =
+            readAggregated(*shard, run.index, *line, stats);
         ++group.records;
-        if (m.saturated) {
+        // Saturated runs are counted, not averaged: their latency is
+        // unbounded.
+        if (parseRecordLine(*line, shard->format).value().saturated) {
             ++group.saturated;
-        } else {
-            if (m.hasLatency)
-                group.latency.push_back(m.latency);
-            if (m.hasThroughput)
-                group.throughput.push_back(m.throughput);
-            if (m.hasRequestP99)
-                group.requestP99.push_back(m.requestP99);
-            if (m.hasRequestP999)
-                group.requestP999.push_back(m.requestP999);
+            continue;
+        }
+        for (std::size_t i = 0; i < stats.size(); ++i) {
+            if (!std::isnan(values[i]))
+                group.samples[i].push_back(values[i]);
         }
     }
 
     for (const std::string& axis : group_by)
         os << csvEscape(axis) << ',';
-    os << "runs,saturated,latency_mean,latency_p50,latency_p99,"
-          "throughput_mean,throughput_p50,throughput_p99,"
-          "request_latency_p99,request_latency_p999\n";
+    os << aggregateColumns() << '\n';
     for (const Group& group : groups) {
         for (const std::string& value : group.axes)
             os << csvEscape(value) << ',';
-        os << group.records << ',' << group.saturated << ',';
-        const SampleSummary lat = summarize(group.latency);
-        const SampleSummary thr = summarize(group.throughput);
-        const SampleSummary req99 = summarize(group.requestP99);
-        const SampleSummary req999 = summarize(group.requestP999);
-        // Like the sinks, all-saturated cells stay empty ("Sat.").
-        if (lat.count > 0) {
-            os << number(lat.mean) << ',' << number(lat.p50) << ','
-               << number(lat.p99);
-        } else {
-            os << ",,";
+        os << group.records << ',' << group.saturated;
+        // Like the sinks, a cell without samples stays empty ("Sat."
+        // for an all-saturated group, open loop for request tails).
+        for (std::size_t i = 0; i < stats.size(); ++i) {
+            const SampleSummary sum = summarize(group.samples[i]);
+            const bool summary = stats[i]->fold == Fold::Summary;
+            if (sum.count == 0)
+                os << (summary ? ",,," : ",");
+            else if (summary)
+                os << ',' << number(sum.mean) << ',' << number(sum.p50)
+                   << ',' << number(sum.p99);
+            else
+                os << ',' << number(sum.mean);
         }
-        os << ',';
-        if (thr.count > 0) {
-            os << number(thr.mean) << ',' << number(thr.p50) << ','
-               << number(thr.p99);
-        } else {
-            os << ",,";
-        }
-        os << ',';
-        // SLO columns: group means of the per-run request-latency
-        // percentiles; empty for open-loop groups.
-        if (req99.count > 0)
-            os << number(req99.mean);
-        os << ',';
-        if (req999.count > 0)
-            os << number(req999.mean);
         os << '\n';
     }
 }

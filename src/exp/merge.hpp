@@ -112,18 +112,26 @@ MergeReport mergeShardFiles(const std::vector<ShardFile>& shards,
 std::string runAxisValue(const CampaignRun& run,
                          const std::string& axis);
 
+/** The aggregate CSV's columns after the grouped axes, comma-separated:
+ *  runs, saturated, then those of each statistic the stat-field table
+ *  folds (stats/stat_fields.hpp). */
+std::string aggregateColumns();
+
 /**
  * Aggregate shard records over grid axes and write a tidy CSV: one row
  * per distinct group_by value combination (in first-appearance
  * run-index order) with columns
  *
  *   <axes...>,runs,saturated,latency_mean,latency_p50,latency_p99,
- *   throughput_mean,throughput_p50,throughput_p99
+ *   throughput_mean,throughput_p50,throughput_p99,
+ *   request_latency_p99,request_latency_p999
  *
- * where latency aggregates each run's mean total latency and
- * throughput its accepted flit rate, across the group's unsaturated
- * runs (saturated runs are counted, not averaged — their latency is
- * unbounded). Missing runs are simply absent from their groups.
+ * folded over the group's unsaturated runs (saturated runs are
+ * counted, not averaged — their latency is unbounded): mean / p50 /
+ * p99 of each run's mean latency and accepted flit rate, and the means
+ * of its request-latency percentiles (empty for open loop). A missing,
+ * unparsable or non-finite value is a ConfigError naming the file, the
+ * run and the key or column. Missing runs are absent from their groups.
  */
 void writeAggregateCsv(const std::vector<ShardFile>& shards,
                        const std::vector<CampaignRun>& runs,

@@ -123,66 +123,42 @@ CsvSink::flush()
     os_.flush();
 }
 
-namespace
+std::optional<RecordLine>
+parseRecordLine(const std::string& line, SinkFormat format)
 {
-
-/** Parse the digits after `pos`; false when none are there. */
-bool
-parseIndexAt(const std::string& line, std::size_t pos,
-             std::size_t& out)
-{
-    if (pos >= line.size() ||
-        !std::isdigit(static_cast<unsigned char>(line[pos])))
-        return false;
-    out = std::strtoull(line.c_str() + pos, nullptr, 10);
-    return true;
+    // Every record opens with its run index and ends in the saturated
+    // flag, so a line a kill cut short fails the second test.
+    const bool json = format == SinkFormat::Jsonl;
+    const std::string open = json ? "{\"run\":" : "";
+    const std::string flag = json ? ",\"saturated\":" : ",";
+    const std::string close = json ? "}" : "";
+    if (line.compare(0, open.size(), open) != 0 ||
+        !std::isdigit(static_cast<unsigned char>(line[open.size()])))
+        return std::nullopt;
+    RecordLine record;
+    record.index = std::strtoull(line.c_str() + open.size(), nullptr, 10);
+    record.saturated = line.ends_with(flag + "true" + close);
+    if (!record.saturated && !line.ends_with(flag + "false" + close))
+        return std::nullopt;
+    return record;
 }
 
-} // namespace
-
 ResumeState
-scanResumeJsonl(std::istream& is)
+scanResume(std::istream& is, SinkFormat format)
 {
     ResumeState state;
     std::string line;
     while (std::getline(is, line)) {
-        // A record the kill cut short has no closing brace: ignore it,
-        // the campaign will re-run that point.
-        if (line.empty() || line.front() != '{' || line.back() != '}')
+        // Skip a torn record (the campaign re-runs that point) and the
+        // CSV header.
+        const std::optional<RecordLine> record =
+            parseRecordLine(line, format);
+        if (!record)
             continue;
-        const std::size_t run_key = line.find("\"run\":");
-        std::size_t index = 0;
-        if (run_key == std::string::npos ||
-            !parseIndexAt(line, run_key + 6, index))
-            continue;
-        state.completed.insert(index);
-        if (line.find("\"saturated\":true") != std::string::npos)
-            state.saturated.insert(index);
-        state.records.emplace(index, line);
-    }
-    return state;
-}
-
-ResumeState
-scanResumeCsv(std::istream& is)
-{
-    ResumeState state;
-    std::string line;
-    while (std::getline(is, line)) {
-        std::size_t index = 0;
-        if (!parseIndexAt(line, 0, index)) // header or torn line
-            continue;
-        // The saturated flag is the final cell.
-        const std::size_t comma = line.rfind(',');
-        if (comma == std::string::npos)
-            continue;
-        const std::string tail = line.substr(comma + 1);
-        if (tail != "true" && tail != "false")
-            continue; // torn mid-record: re-run it
-        state.completed.insert(index);
-        if (tail == "true")
-            state.saturated.insert(index);
-        state.records.emplace(index, line);
+        state.completed.insert(record->index);
+        if (record->saturated)
+            state.saturated.insert(record->index);
+        state.records.emplace(record->index, line);
     }
     return state;
 }

@@ -15,6 +15,7 @@
 #define LAPSES_EXP_RESULT_SINK_HPP
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "exp/campaign.hpp"
@@ -99,13 +100,28 @@ std::string runResultCsvRow(const RunResult& result);
  */
 std::string runRecordPrefix(const CampaignRun& run, SinkFormat format);
 
+/** A complete record's run index and saturated flag. */
+struct RecordLine
+{
+    std::size_t index = 0;
+    bool saturated = false;
+};
+
+/**
+ * Parse one line of a campaign output file in `format`. A complete
+ * record opens with its run index (`{"run":N,` or `N,`) and ends in the
+ * saturated flag; anything else, such as a record cut short by a kill
+ * or the CSV header, gives nullopt.
+ */
+std::optional<RecordLine> parseRecordLine(const std::string& line,
+                                          SinkFormat format);
+
 /**
  * Recover completed-run indices (and their saturation flags) from a
- * partial campaign output file, for CampaignOptions::resume. Malformed
- * lines — e.g. a record cut short by the kill — are ignored.
+ * partial campaign output file, for CampaignOptions::resume. Lines
+ * parseRecordLine rejects are skipped.
  */
-ResumeState scanResumeJsonl(std::istream& is);
-ResumeState scanResumeCsv(std::istream& is);
+ResumeState scanResume(std::istream& is, SinkFormat format);
 
 /**
  * Check that every resumed record belongs to this exact campaign

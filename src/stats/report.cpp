@@ -1,12 +1,11 @@
 #include "stats/report.hpp"
 
 #include <cmath>
-#include <cstdint>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "stats/stat_fields.hpp"
 
 namespace lapses
 {
@@ -44,159 +43,57 @@ statsCsvHeader()
 {
     // `saturated` must stay the final column: resume/merge detect a
     // record cut short by a kill through the last cell being a bool.
-    return "latency,network_latency,hops,accepted,offered,"
-           "dropped_messages,reinjected_messages,"
-           "request_latency_p50,request_latency_p99,"
-           "request_latency_p999,request_goodput,request_offered,"
-           "request_retries,request_timeouts,requests_failed,"
-           "saturated";
-}
-
-std::string
-statsToCsvRow(const SimStats& stats)
-{
-    std::ostringstream os;
-    if (stats.saturated) {
-        os << ",,,,";
-    } else {
-        os << stats.meanLatency() << ',' << stats.meanNetworkLatency()
-           << ',' << stats.hops.mean() << ',' << stats.acceptedFlitRate
-           << ',';
-    }
-    os << stats.offeredFlitRate << ',' << stats.droppedMessages << ','
-       << stats.reinjectedMessages << ',';
-    // Closed-loop SLO columns: empty for open-loop runs so sweep CSVs
-    // stay comparable across workloads.
-    if (stats.requestsIssued > 0 || stats.requestsCompleted > 0) {
-        os << stats.requestLatencyHist.percentile(0.5) << ','
-           << stats.requestLatencyHist.percentile(0.99) << ','
-           << stats.requestLatencyHist.percentile(0.999) << ','
-           << stats.requestGoodput << ',' << stats.requestOffered
-           << ',' << stats.requestRetries << ','
-           << stats.requestTimeouts << ',' << stats.requestsFailed
-           << ',';
-    } else {
-        os << ",,,,,,,,";
-    }
-    os << (stats.saturated ? "true" : "false");
-    return os.str();
+    std::string header;
+    for (const StatField* f : statCsvFields())
+        header += std::string(f->csvName()) + ',';
+    return header + "saturated";
 }
 
 namespace
 {
 
+/** One statistic as records print it: counters exactly, values at the
+ *  stream's default precision, and in JSON a non-finite value as null. */
 void
-jsonKey(std::ostringstream& os, const char* key, bool& first)
+printStat(std::ostream& os, const StatField& f, const SimStats& stats,
+          bool json)
 {
-    if (!first)
-        os << ',';
-    first = false;
-    os << '"' << key << "\":";
-}
-
-void
-jsonNumber(std::ostringstream& os, const char* key, double v,
-           bool& first)
-{
-    jsonKey(os, key, first);
-    if (std::isfinite(v))
-        os << v;
-    else
+    if (f.count != nullptr) {
+        os << stats.*f.count;
+        return;
+    }
+    const double v = f.value(stats);
+    if (json && !std::isfinite(v))
         os << "null";
-}
-
-/** Counters print exactly, as the CSV prints them. */
-void
-jsonNumber(std::ostringstream& os, const char* key, std::uint64_t v,
-           bool& first)
-{
-    jsonKey(os, key, first);
-    os << v;
+    else
+        os << v;
 }
 
 } // namespace
 
 std::string
+statsToCsvRow(const SimStats& stats)
+{
+    std::ostringstream os;
+    for (const StatField* f : statCsvFields()) {
+        if (!f->blankIn(stats))
+            printStat(os, *f, stats, false);
+        os << ',';
+    }
+    os << (stats.saturated ? "true" : "false");
+    return os.str();
+}
+
+std::string
 statsJsonFields(const SimStats& stats)
 {
     std::ostringstream os;
-    bool first = true;
-    jsonNumber(os, "latency_mean", stats.meanLatency(), first);
-    jsonNumber(os, "latency_p50", stats.latencyHist.percentile(0.5),
-               first);
-    jsonNumber(os, "latency_p95", stats.latencyHist.percentile(0.95),
-               first);
-    jsonNumber(os, "latency_p99", stats.latencyHist.percentile(0.99),
-               first);
-    jsonNumber(os, "network_latency_mean", stats.meanNetworkLatency(),
-               first);
-    jsonNumber(os, "hops_mean", stats.hops.mean(), first);
-    jsonNumber(os, "accepted_flit_rate", stats.acceptedFlitRate,
-               first);
-    jsonNumber(os, "offered_flit_rate", stats.offeredFlitRate, first);
-    jsonNumber(os, "delivered_messages",
-               stats.deliveredMessages, first);
-    jsonNumber(os, "measured_cycles",
-               stats.measuredCycles, first);
-    // Resilience fields (all zero / null on healthy runs).
-    jsonNumber(os, "link_down_events",
-               stats.linkDownEvents, first);
-    jsonNumber(os, "reconfigurations",
-               stats.reconfigurations, first);
-    jsonNumber(os, "dropped_messages",
-               stats.droppedMessages, first);
-    jsonNumber(os, "dropped_flits",
-               stats.droppedFlits, first);
-    jsonNumber(os, "reinjected_messages",
-               stats.reinjectedMessages, first);
-    jsonNumber(os, "rerouted_heads",
-               stats.reroutedHeads, first);
-    jsonNumber(os, "post_fault_latency_mean",
-               stats.postFaultLatency.count() > 0
-                   ? stats.postFaultLatency.mean()
-                   : std::numeric_limits<double>::quiet_NaN(),
-               first);
-    // Closed-loop service-workload fields (null/zero for open loop).
-    const bool closed =
-        stats.requestsIssued > 0 || stats.requestsCompleted > 0;
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    jsonNumber(os, "request_latency_mean",
-               closed ? stats.requestLatency.mean() : nan, first);
-    jsonNumber(os, "request_latency_p50",
-               closed ? stats.requestLatencyHist.percentile(0.5) : nan,
-               first);
-    jsonNumber(os, "request_latency_p99",
-               closed ? stats.requestLatencyHist.percentile(0.99)
-                      : nan,
-               first);
-    jsonNumber(os, "request_latency_p999",
-               closed ? stats.requestLatencyHist.percentile(0.999)
-                      : nan,
-               first);
-    jsonNumber(os, "requests_issued",
-               stats.requestsIssued, first);
-    jsonNumber(os, "requests_completed",
-               stats.requestsCompleted, first);
-    jsonNumber(os, "requests_failed",
-               stats.requestsFailed, first);
-    jsonNumber(os, "request_timeouts",
-               stats.requestTimeouts, first);
-    jsonNumber(os, "request_retries",
-               stats.requestRetries, first);
-    jsonNumber(os, "duplicate_requests",
-               stats.duplicateRequests, first);
-    jsonNumber(os, "duplicate_replies",
-               stats.duplicateReplies, first);
-    jsonNumber(os, "suppressed_reinjects",
-               stats.suppressedReinjects, first);
-    jsonNumber(os, "request_goodput", stats.requestGoodput, first);
-    jsonNumber(os, "request_offered", stats.requestOffered, first);
-    jsonNumber(os, "post_fault_request_latency_mean",
-               stats.postFaultRequestLatency.count() > 0
-                   ? stats.postFaultRequestLatency.mean()
-                   : nan,
-               first);
-    os << ",\"saturated\":" << (stats.saturated ? "true" : "false");
+    for (const StatField& f : statFields()) {
+        os << '"' << f.key << "\":";
+        printStat(os, f, stats, true);
+        os << ',';
+    }
+    os << "\"saturated\":" << (stats.saturated ? "true" : "false");
     return os.str();
 }
 

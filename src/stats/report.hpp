@@ -25,14 +25,14 @@ struct SweepSeries
 };
 
 /**
- * Write sweep series as tidy CSV:
- *   series,load,latency,network_latency,hops,accepted,offered,saturated
- * Saturated points keep the row with empty latency fields.
+ * Write sweep series as tidy CSV: `series,load` and the statsCsvHeader
+ * columns. Saturated points keep the row with empty latency fields.
  */
 void writeSweepCsv(std::ostream& os,
                    const std::vector<SweepSeries>& series);
 
-/** JSON object for one simulation point (flat keys, no nesting). */
+/** JSON object for one simulation point (flat keys, no nesting): one
+ *  key per row of the stat-field table, then "saturated". */
 std::string statsToJson(const SimStats& stats);
 
 /**
@@ -41,7 +41,8 @@ std::string statsToJson(const SimStats& stats);
  */
 std::string statsJsonFields(const SimStats& stats);
 
-/** Column names matching statsToCsvRow: "latency,...,saturated". */
+/** Column names matching statsToCsvRow: the stat-field table's CSV
+ *  columns in rank order, then "saturated". */
 std::string statsCsvHeader();
 
 /**

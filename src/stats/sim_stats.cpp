@@ -23,7 +23,7 @@ SimStats::summary() const
                       static_cast<unsigned long long>(deliveredMessages));
     }
     std::string s(buf);
-    if (requestsIssued > 0 || requestsCompleted > 0) {
+    if (closedLoop()) {
         std::snprintf(
             buf, sizeof(buf),
             " | requests: %llu issued, %llu done (p99 %.0f, "

@@ -149,6 +149,13 @@ struct SimStats
     /** Mean network latency (excludes source queueing). */
     double meanNetworkLatency() const { return networkLatency.mean(); }
 
+    /** A closed-loop run: requests issued or completed while measured. */
+    bool
+    closedLoop() const
+    {
+        return requestsIssued > 0 || requestsCompleted > 0;
+    }
+
     /** One-line human-readable summary. */
     std::string summary() const;
 };

@@ -121,7 +121,8 @@ TEST(CampaignRunner, ResumeSkipsCompletedRunsAndMatchesFullOutput)
         partial += line + '\n';
 
     std::istringstream partial_is(partial);
-    const ResumeState resume = scanResumeJsonl(partial_is);
+    const ResumeState resume =
+        scanResume(partial_is, SinkFormat::Jsonl);
     EXPECT_EQ(resume.completed.size(), 40u);
 
     const std::string rest = runToJsonl(runs, 4, &resume);
@@ -198,7 +199,8 @@ TEST(CampaignRunner, ResumeRejectsAMismatchedCampaign)
     const auto runs = smallCampaign();
     const std::string full = runToJsonl(runs, 1);
     std::istringstream full_is(full);
-    const ResumeState resume = scanResumeJsonl(full_is);
+    const ResumeState resume =
+        scanResume(full_is, SinkFormat::Jsonl);
 
     // Same campaign: fine.
     EXPECT_NO_THROW(validateResume(resume, runs, SinkFormat::Jsonl));
@@ -240,7 +242,7 @@ TEST(ResultSinks, CsvAndJsonlShareTheRecordSchema)
 
     // Round-trip: the CSV scanner recovers the completed run.
     std::istringstream csv_is(csv);
-    const ResumeState state = scanResumeCsv(csv_is);
+    const ResumeState state = scanResume(csv_is, SinkFormat::Csv);
     EXPECT_EQ(state.completed.size(), 1u);
     EXPECT_TRUE(state.isDone(0));
 }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -661,7 +662,7 @@ TEST(ResumeValidation, CatchesAFileFromADifferentShard)
 {
     const ShardFixture& fx = fixture();
     std::istringstream is(fx.shard[0].jsonl);
-    const ResumeState state = scanResumeJsonl(is);
+    const ResumeState state = scanResume(is, SinkFormat::Jsonl);
     ASSERT_FALSE(state.completed.empty());
 
     // Resuming shard 1/3's file as shard 1/3: fine.
@@ -740,6 +741,84 @@ TEST(Aggregation, GroupsOverGridAxesWithSummaryColumns)
         ConfigError);
     EXPECT_THROW(writeAggregateCsv(shards, fx.runs, {}, os),
                  ConfigError);
+}
+
+/** `row` with its n-th cell replaced (the row has no quoted cells). */
+std::string
+withCell(const std::string& row, std::size_t n, const std::string& value)
+{
+    std::size_t start = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        start = row.find(',', start) + 1;
+    return row.substr(0, start) + value + row.substr(row.find(',', start));
+}
+
+/** Expect aggregating `text` by model to throw a ConfigError naming
+ *  each of `names`. */
+void
+expectAggregateRejects(const std::string& text, SinkFormat format,
+                       const std::vector<std::string>& names)
+{
+    const std::string label =
+        format == SinkFormat::Csv ? "bad.csv" : "bad.jsonl";
+    const std::vector<ShardFile> shards = {
+        parseString(text, label, format)};
+    std::ostringstream os;
+    try {
+        writeAggregateCsv(shards, fixture().runs, {"model"}, os);
+        FAIL() << "aggregated a corrupt value:\n" << text << os.str();
+    } catch (const ConfigError& e) {
+        for (const std::string& name : names) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << name << " not in: " << e.what();
+        }
+    }
+}
+
+TEST(Aggregation, RejectsACorruptCsvCell)
+{
+    // A 2-run shard whose first latency cell read "garbage" once
+    // aggregated to a latency of 0 for its group.
+    std::istringstream is(fixture().whole.csv);
+    std::string header;
+    std::string first;
+    std::string second;
+    ASSERT_TRUE(std::getline(is, header) && std::getline(is, first) &&
+                std::getline(is, second));
+    const auto latency = static_cast<std::size_t>(std::count(
+        header.begin(), header.begin() + header.find(",latency,") + 1,
+        ','));
+    for (const char* bad : {"garbage", "inf", "nan", "1e999"}) {
+        expectAggregateRejects(
+            header + '\n' + withCell(first, latency, bad) + '\n' +
+                second + '\n',
+            SinkFormat::Csv, {"bad.csv", "run 0:", " latency ", bad});
+    }
+}
+
+TEST(Aggregation, RejectsACorruptOrMissingJsonlValue)
+{
+    // "latency_mean":garbage was once dropped silently.
+    std::istringstream is(fixture().whole.jsonl);
+    std::string first;
+    std::string second;
+    ASSERT_TRUE(std::getline(is, first) && std::getline(is, second));
+    const std::size_t start = first.find("\"latency_mean\":") + 15;
+    const std::size_t end = first.find(',', start);
+    for (const char* bad : {"garbage", "\"12\"", "nan", "1e999"}) {
+        std::string corrupt = first;
+        corrupt.replace(start, end - start, bad);
+        expectAggregateRejects(
+            corrupt + '\n' + second + '\n', SinkFormat::Jsonl,
+            {"bad.jsonl", "run 0:", " latency_mean ", bad});
+    }
+    // A record without an aggregated key is rejected the same way.
+    const std::size_t key = first.find("\"accepted_flit_rate\":");
+    std::string missing = first;
+    missing.erase(key, first.find(',', key) + 1 - key);
+    expectAggregateRejects(missing + '\n' + second + '\n',
+                           SinkFormat::Jsonl,
+                           {"bad.jsonl", "run 0:", "accepted_flit_rate"});
 }
 
 TEST(Aggregation, RunAxisValuesMatchTheSinks)

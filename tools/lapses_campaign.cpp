@@ -174,19 +174,14 @@ main(int argc, char** argv)
         if (resume) {
             if (json_path.empty() && csv_path.empty())
                 throw ConfigError("--resume needs --json or --csv");
-            if (!json_path.empty()) {
-                ScannedFile f{json_path, SinkFormat::Jsonl, {}};
-                std::ifstream is(json_path);
+            for (ScannedFile f :
+                 {ScannedFile{json_path, SinkFormat::Jsonl, {}},
+                  ScannedFile{csv_path, SinkFormat::Csv, {}}}) {
+                if (f.path.empty())
+                    continue;
+                std::ifstream is(f.path);
                 if (is)
-                    f.state = scanResumeJsonl(is);
-                validateResume(f.state, runs, f.format, shard);
-                scanned.push_back(std::move(f));
-            }
-            if (!csv_path.empty()) {
-                ScannedFile f{csv_path, SinkFormat::Csv, {}};
-                std::ifstream is(csv_path);
-                if (is)
-                    f.state = scanResumeCsv(is);
+                    f.state = scanResume(is, f.format);
                 validateResume(f.state, runs, f.format, shard);
                 scanned.push_back(std::move(f));
             }

@@ -25,6 +25,7 @@
  * file the unsharded campaign would have written.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -46,6 +47,8 @@ using namespace lapses;
 void
 printHelp()
 {
+    std::string columns = aggregateColumns();
+    std::replace(columns.begin(), columns.end(), ',', '|');
     std::printf(
         "lapses-merge -- merge sharded lapses-campaign output\n"
         "\n"
@@ -63,15 +66,17 @@ printHelp()
         "                       (gaps are listed for --resume refill)\n"
         "  --check              validate the shards and report\n"
         "                       coverage without writing anything\n"
-        "  --group-by AXES      mean/p50/p99 of latency and accepted\n"
-        "                       throughput per combination of these\n"
-        "                       comma-separated record coordinates\n"
-        "                       or grid axes:\n"
+        "  --group-by AXES      one aggregate row per combination of\n"
+        "                       these comma-separated record\n"
+        "                       coordinates or grid axes:\n"
+        "%s"
+        "                       with the columns (README \"Aggregation\"):\n"
         "%s"
         "  --agg-out FILE       write the aggregate CSV here [stdout]\n"
         "  --help               this text\n",
         campaignCliHelp().c_str(),
-        wrapHelpList(coordinateNames()).c_str());
+        wrapHelpList(coordinateNames()).c_str(),
+        wrapHelpList(columns).c_str());
 }
 
 /** "5 runs: 3, 7, 11, ... (and 2 more)" for the gap report. */
