@@ -1,6 +1,7 @@
 #include "exp/result_sink.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <istream>
 #include <ostream>
@@ -39,6 +40,26 @@ topologyName(const SimConfig& cfg)
 namespace
 {
 
+/** A JSON string's body: quotes, backslashes and control characters
+ *  escaped. */
+std::string
+jsonEscape(const std::string& value)
+{
+    std::string out;
+    for (const char c : value) {
+        if (static_cast<unsigned char>(c) < 0x20) {
+            char hex[8];
+            std::snprintf(hex, sizeof(hex), "\\u%04x", c);
+            out += hex;
+            continue;
+        }
+        if (c == '"' || c == '\\')
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
 /** The coordinate columns as JSON members or CSV cells. */
 std::string
 coordinates(const CampaignRun& run, SinkFormat format)
@@ -50,11 +71,11 @@ coordinates(const CampaignRun& run, SinkFormat format)
         if (!s.empty())
             s += ',';
         const std::string value = f.format(run);
-        const char* quote = f.quoted ? "\"" : "";
         if (format == SinkFormat::Csv)
             s += f.quoted ? csvEscape(value) : value;
         else
-            s += std::string("\"") + f.column + "\":" + quote + value + quote;
+            s += std::string("\"") + f.column + "\":" +
+                 (f.quoted ? '"' + jsonEscape(value) + '"' : value);
     }
     return s;
 }

@@ -14,6 +14,7 @@
 #include "core/experiment.hpp"
 #include "exp/campaign.hpp"
 #include "exp/result_sink.hpp"
+#include "topology/spec.hpp"
 
 namespace lapses
 {
@@ -245,6 +246,29 @@ TEST(ResultSinks, CsvAndJsonlShareTheRecordSchema)
     const ResumeState state = scanResume(csv_is, SinkFormat::Csv);
     EXPECT_EQ(state.completed.size(), 1u);
     EXPECT_TRUE(state.isDone(0));
+}
+
+TEST(ResultSinks, JsonEscapesStringCoordinates)
+{
+    // A file path with a quote once made the record
+    // {..."topology":"file:a"b/ring.topo"...}, which no JSON parser
+    // accepts.
+    CampaignGrid grid;
+    grid.base.topology =
+        parseTopologySpec("--topology", "file:a\"b\\c\td/ring.topo");
+    const std::vector<CampaignRun> runs = grid.expand();
+    const std::string escaped = "\"file:a\\\"b\\\\c\\u0009d/ring.topo\"";
+    const std::string line = runResultJson({runs[0], SimStats{}});
+    EXPECT_NE(line.find("\"topology\":" + escaped), std::string::npos)
+        << line;
+    EXPECT_NE(line.find("\"mesh\":" + escaped), std::string::npos)
+        << line;
+
+    // The resume scan and the prefix check read the escaped record.
+    std::istringstream is(line + '\n');
+    const ResumeState state = scanResume(is, SinkFormat::Jsonl);
+    EXPECT_TRUE(state.isDone(0));
+    EXPECT_NO_THROW(validateResume(state, runs, SinkFormat::Jsonl));
 }
 
 } // namespace
