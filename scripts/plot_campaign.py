@@ -61,9 +61,7 @@ def parse_aggregate(path):
 
 
 def metric_plots(metrics, stat):
-    """[(name, column, always)]: one plot per summarized statistic
-    (always drawn) and per other metric column (drawn when it has
-    values)."""
+    """[(png name, column, always drawn)] for the metric columns."""
     plots = []
     for column in metrics:
         name, _, suffix = column.rpartition("_")

@@ -27,6 +27,96 @@ at(const std::string& label, std::size_t line_no)
     return label + ':' + std::to_string(line_no);
 }
 
+using RecordLines =
+    std::unordered_map<std::size_t,
+                       std::pair<const ShardFile*, const std::string*>>;
+
+/** index -> (shard, record line) across all shards (validated: no
+ *  duplicates). */
+RecordLines
+recordLines(const std::vector<ShardFile>& shards)
+{
+    RecordLines lines;
+    for (const ShardFile& shard : shards) {
+        for (const auto& [index, line] : shard.records)
+            lines.emplace(index, std::make_pair(&shard, &line));
+    }
+    return lines;
+}
+
+std::string
+number(double v)
+{
+    std::ostringstream os;
+    os << v; // matches the sinks' default double formatting
+    return os.str();
+}
+
+/** The statistics --group-by aggregates, in aggregate column order. */
+std::vector<const StatField*>
+aggregatedStats()
+{
+    std::vector<const StatField*> stats;
+    for (const StatField& f : statFields()) {
+        if (f.fold != Fold::None)
+            stats.push_back(&f);
+        LAPSES_ASSERT(f.fold == Fold::None || f.rank >= 0); // CSV reads it
+    }
+    return stats;
+}
+
+/**
+ * Run `index`'s value of each aggregated statistic, NaN where its
+ * record leaves the cell empty (CSV) or null (JSONL). A missing,
+ * unparsable or non-finite value is a ConfigError naming the file, the
+ * run and the key or column.
+ */
+std::vector<double>
+readAggregated(const ShardFile& shard, std::size_t index,
+               const std::string& line,
+               const std::vector<const StatField*>& stats)
+{
+    const bool json = shard.format == SinkFormat::Jsonl;
+    // Stats cells are never quoted, so a CSV row's last cells are its
+    // stats columns and the saturated flag, whatever its coordinates.
+    std::vector<std::string> cells;
+    std::istringstream row(json ? "" : line);
+    for (std::string cell; std::getline(row, cell, ',');)
+        cells.push_back(cell);
+    const std::string where =
+        shard.label + ": run " + std::to_string(index) + ": ";
+    const double max = std::numeric_limits<double>::max();
+    std::vector<double> values;
+    for (const StatField* f : stats) {
+        const std::string name = json ? f->key : f->csvName();
+        std::optional<std::string> cell;
+        const std::size_t back = statCsvFields().size() + 1 - f->rank;
+        if (json) {
+            const std::string key = '"' + name + "\":";
+            const std::size_t pos = line.find(key);
+            if (pos != std::string::npos) {
+                const std::size_t start = pos + key.size();
+                cell = line.substr(start,
+                                   line.find_first_of(",}", start) - start);
+            }
+        } else if (back <= cells.size()) {
+            cell = cells[cells.size() - back];
+        }
+        if (!cell)
+            throw ConfigError(where + "no " + name + " value");
+        if (*cell == (json ? "null" : "")) {
+            values.push_back(std::numeric_limits<double>::quiet_NaN());
+            continue;
+        }
+        try {
+            values.push_back(parseCheckedDouble(name, *cell, -max, max));
+        } catch (const ConfigError& e) {
+            throw ConfigError(where + e.what());
+        }
+    }
+    return values;
+}
+
 } // namespace
 
 ShardFile
@@ -155,28 +245,6 @@ validateShardFiles(const std::vector<ShardFile>& shards,
     }
 }
 
-namespace
-{
-
-using RecordLines =
-    std::unordered_map<std::size_t,
-                       std::pair<const ShardFile*, const std::string*>>;
-
-/** index -> (shard, record line) across all shards (validated: no
- *  duplicates). */
-RecordLines
-recordLines(const std::vector<ShardFile>& shards)
-{
-    RecordLines lines;
-    for (const ShardFile& shard : shards) {
-        for (const auto& [index, line] : shard.records)
-            lines.emplace(index, std::make_pair(&shard, &line));
-    }
-    return lines;
-}
-
-} // namespace
-
 MergeReport
 shardCoverage(const std::vector<ShardFile>& shards,
               const std::vector<CampaignRun>& runs)
@@ -208,84 +276,6 @@ mergeShardFiles(const std::vector<ShardFile>& shards,
     }
     return shardCoverage(shards, runs);
 }
-
-namespace
-{
-
-std::string
-number(double v)
-{
-    std::ostringstream os;
-    os << v; // matches the sinks' default double formatting
-    return os.str();
-}
-
-/** The statistics --group-by aggregates, in aggregate column order. */
-std::vector<const StatField*>
-aggregatedStats()
-{
-    std::vector<const StatField*> stats;
-    for (const StatField& f : statFields()) {
-        if (f.fold != Fold::None)
-            stats.push_back(&f);
-        LAPSES_ASSERT(f.fold == Fold::None || f.rank >= 0); // CSV reads it
-    }
-    return stats;
-}
-
-/**
- * Run `index`'s value of each aggregated statistic, NaN where its
- * record leaves the cell empty (CSV) or null (JSONL). A missing,
- * unparsable or non-finite value is a ConfigError naming the file, the
- * run and the key or column.
- */
-std::vector<double>
-readAggregated(const ShardFile& shard, std::size_t index,
-               const std::string& line,
-               const std::vector<const StatField*>& stats)
-{
-    const bool json = shard.format == SinkFormat::Jsonl;
-    // Stats cells are never quoted, so a CSV row's last cells are its
-    // stats columns and the saturated flag, whatever its coordinates.
-    std::vector<std::string> cells;
-    std::istringstream row(json ? "" : line);
-    for (std::string cell; std::getline(row, cell, ',');)
-        cells.push_back(cell);
-    const std::string where =
-        shard.label + ": run " + std::to_string(index) + ": ";
-    const double max = std::numeric_limits<double>::max();
-    std::vector<double> values;
-    for (const StatField* f : stats) {
-        const std::string name = json ? f->key : f->csvName();
-        std::optional<std::string> cell;
-        const std::size_t back = statCsvFields().size() + 1 - f->rank;
-        if (json) {
-            const std::string key = '"' + name + "\":";
-            const std::size_t pos = line.find(key);
-            if (pos != std::string::npos) {
-                const std::size_t start = pos + key.size();
-                cell = line.substr(start,
-                                   line.find_first_of(",}", start) - start);
-            }
-        } else if (back <= cells.size()) {
-            cell = cells[cells.size() - back];
-        }
-        if (!cell)
-            throw ConfigError(where + "no " + name + " value");
-        if (*cell == (json ? "null" : "")) {
-            values.push_back(std::numeric_limits<double>::quiet_NaN());
-            continue;
-        }
-        try {
-            values.push_back(parseCheckedDouble(name, *cell, -max, max));
-        } catch (const ConfigError& e) {
-            throw ConfigError(where + e.what());
-        }
-    }
-    return values;
-}
-
-} // namespace
 
 std::string
 runAxisValue(const CampaignRun& run, const std::string& axis)

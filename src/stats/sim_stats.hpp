@@ -150,11 +150,7 @@ struct SimStats
     double meanNetworkLatency() const { return networkLatency.mean(); }
 
     /** A closed-loop run: requests issued or completed while measured. */
-    bool
-    closedLoop() const
-    {
-        return requestsIssued > 0 || requestsCompleted > 0;
-    }
+    bool closedLoop() const { return requestsIssued || requestsCompleted; }
 
     /** One-line human-readable summary. */
     std::string summary() const;

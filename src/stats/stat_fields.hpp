@@ -1,15 +1,11 @@
 /**
  * @file
  * The statistic-field table (DESIGN.md "Stat-field table"): one row
- * per output statistic of a SimStats. The JSON and CSV record writers
- * (stats/report.hpp), the merge's metric reader and the --group-by
- * aggregate (exp/merge.hpp) all walk it, so a new statistic costs one
- * row.
- *
- * The table holds two orders: rows appear in JSON key order, and
- * `rank` orders the CSV columns. They differ: the CSV prints the
- * request goodput and offered rate before the three request counters,
- * and those in reverse.
+ * per output statistic of a SimStats. The JSON and CSV record writers,
+ * the merge's metric reader and the --group-by aggregate all walk it.
+ * Rows appear in JSON key order; `rank` orders the CSV columns, which
+ * put the request goodput and offered rate before the three request
+ * counters, and those in reverse.
  */
 
 #ifndef LAPSES_STATS_STAT_FIELDS_HPP
