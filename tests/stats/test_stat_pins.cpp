@@ -31,6 +31,7 @@
 #include "exp/merge.hpp"
 #include "exp/result_sink.hpp"
 #include "stats/report.hpp"
+#include "stats/stat_fields.hpp"
 
 namespace lapses
 {
@@ -260,6 +261,17 @@ TEST(StatDigest, WritersAndAggregatePinned)
         EXPECT_EQ(rows[i].name, kPinned[i].name) << "row " << i;
         EXPECT_EQ(rows[i].digest, kPinned[i].digest) << rows[i].name;
     }
+}
+
+TEST(StatDigest, CsvRanksAreColumnPositions)
+{
+    // The merge reader finds a CSV cell by its rank, and --group-by
+    // reads only statistics with a CSV column.
+    const std::vector<const StatField*>& columns = statCsvFields();
+    for (std::size_t i = 0; i < columns.size(); ++i)
+        EXPECT_EQ(columns[i]->rank, static_cast<int>(i)) << columns[i]->key;
+    for (const StatField& f : statFields())
+        EXPECT_TRUE(f.fold == Fold::None || f.rank >= 0) << f.key;
 }
 
 TEST(StatDigest, JsonlAndCsvShardsAggregateAlike)
