@@ -45,11 +45,11 @@ def parse_aggregate(path):
             raise SystemExit(f"{path}: empty aggregate file")
         # <axes...>,runs,saturated,<metrics...>
         split = header.index("saturated") if "saturated" in header else 0
-        if split < 1 or header[split - 1] != "runs" or split == len(header) - 1:
+        axes, metrics = header[:split - 1], header[split + 1:]
+        if split < 1 or header[split - 1] != "runs" or not metrics:
             raise SystemExit(
                 f"{path}: not a lapses-merge --group-by aggregate "
                 f"(want <axes>,runs,saturated,<metrics> columns)")
-        axes, metrics = header[:split - 1], header[split + 1:]
         if not axes:
             raise SystemExit(f"{path}: no grouped axes in header")
         rows = []

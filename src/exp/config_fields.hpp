@@ -55,7 +55,7 @@ struct ConfigField
     const char* help = nullptr;    //!< '\n' starts a continuation line
     bool simOnly = false;          //!< only lapses-sim takes the flag
     const char* column = nullptr;  //!< record column; null: not recorded
-    bool quoted = false;           //!< a JSON string (CSV-escaped) column
+    bool quoted = false;           //!< a string column, escaped per format
     const char* axis = nullptr;    //!< --grid axis name; null: not swept
     int nest = -1;                 //!< expansion nesting rank
     /** Parse the flag's value ("" for a switch) into cfg; throws
