@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 
+#include "core/experiment.hpp"
 #include "exp/thread_pool.hpp"
 
 namespace lapses
@@ -74,18 +76,10 @@ unsigned
 resolveIntraJobs(unsigned requested)
 {
     unsigned jobs = requested;
-    if (jobs == 0) {
-        const char* env = std::getenv("LAPSES_INTRA_JOBS");
-        if (env != nullptr && *env != '\0') {
-            char* end = nullptr;
-            const long v = std::strtol(env, &end, 10);
-            if (end == env || *end != '\0' || v < 1) {
-                throw ConfigError("bad LAPSES_INTRA_JOBS value '" +
-                                  std::string(env) +
-                                  "' (want a positive integer)");
-            }
-            jobs = static_cast<unsigned>(v);
-        }
+    const char* env = std::getenv("LAPSES_INTRA_JOBS");
+    if (jobs == 0 && env != nullptr && *env != '\0') {
+        jobs = static_cast<unsigned>(parseCheckedInt(
+            "LAPSES_INTRA_JOBS", env, 1, std::numeric_limits<int>::max()));
     }
     if (jobs == 0) {
         jobs = std::thread::hardware_concurrency();
@@ -99,17 +93,12 @@ Cycle
 resolveMaxBatchCycles(Cycle requested, Cycle linkDelay)
 {
     Cycle cap = requested;
-    if (cap == 0) {
-        const char* env = std::getenv("LAPSES_MAX_BATCH");
-        if (env != nullptr && *env != '\0') {
-            char* end = nullptr;
-            const long v = std::strtol(env, &end, 10);
-            if (end == env || *end != '\0' || v < 1) {
-                throw ConfigError("bad LAPSES_MAX_BATCH value '" +
-                                  std::string(env) +
-                                  "' (want a positive integer)");
-            }
-            cap = static_cast<Cycle>(v);
+    const char* env = std::getenv("LAPSES_MAX_BATCH");
+    if (cap == 0 && env != nullptr && *env != '\0') {
+        cap = parseCheckedU64("LAPSES_MAX_BATCH", env);
+        if (cap == 0) {
+            throw ConfigError("bad LAPSES_MAX_BATCH value '0' (want a "
+                              "positive integer)");
         }
     }
     if (cap == 0)
@@ -330,7 +319,9 @@ Network::buildShards()
         Shard& sh = shards_[s];
         sh.begin = s == 0 ? 0 : bounds[s - 1];
         sh.end = s + 1 == s_count ? n : bounds[s];
-        sh.calendar.resize(width);
+        const WireKeySet no_keys(static_cast<std::size_t>(
+            (sh.end - sh.begin) * key_stride_));
+        sh.calendar.assign(width, {0, no_keys, no_keys});
         for (NodeId id = sh.begin; id < sh.end; ++id)
             shard_of_[static_cast<std::size_t>(id)] =
                 static_cast<std::uint32_t>(s);
@@ -429,7 +420,9 @@ Network::scheduleWire(Shard& sh, std::int32_t key, Cycle due,
         sh.slot == 0 ? sh.calendar.size() - 1 : sh.slot - 1;
     CalendarBucket& bucket = sh.calendar[slot];
     bucket.due = due;
-    (boundary ? bucket.boundary_keys : bucket.keys).push_back(key);
+    (boundary ? bucket.boundary_keys : bucket.keys)
+        .insert(static_cast<std::uint32_t>(
+            key - static_cast<std::int32_t>(sh.begin) * key_stride_));
 }
 
 void
@@ -574,66 +567,38 @@ Network::deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf,
 }
 
 void
-Network::deliverWiresRange(Shard& sh, NodeId begin, NodeId end,
-                           Cycle at)
+Network::deliverWire(Shard& sh, NodeId id, std::int32_t slot, Cycle at)
 {
-    // Worker-safe even mid-batch: boundary wires of these senders can
-    // hold no event due <= the shard's local cycle (the coordinator
-    // drained everything due at the batch start, and batchCycles caps
-    // the batch short of any later boundary due), so the due check
-    // skips them and only intra-shard events pop.
-    const int ports = topo_.numPorts();
-    for (NodeId id = begin; id < end; ++id) {
-        // Router output wires -> neighbor router input / local NIC.
-        for (PortId p = 0; p < ports; ++p) {
-            auto& fw = flit_wires_[wireIndex(id, p)];
-            while (!fw.empty() && fw.front().due <= at) {
-                ++sh.counters.wireEventsDelivered;
-                deliverFlitWire(sh, id, p, fw.pop(), at);
-            }
-            // Credit wires from (router id, in port p) upstream.
-            auto& cw = credit_wires_[wireIndex(id, p)];
-            while (!cw.empty() && cw.front().due <= at) {
-                ++sh.counters.wireEventsDelivered;
-                deliverCreditWire(id, p, cw.pop());
-            }
-        }
-        // NIC injection wires -> router local input port.
+    if (slot == key_stride_ - 1) {
         auto& iw = inject_wires_[static_cast<std::size_t>(id)];
         while (!iw.empty() && iw.front().due <= at) {
             ++sh.counters.wireEventsDelivered;
             deliverInjectWire(sh, id, iw.pop(), at);
         }
+        return;
     }
-}
-
-void
-Network::deliverKey(Shard& sh, std::int32_t key, Cycle at)
-{
-    const std::int32_t inject_slot = key_stride_ - 1;
-    const auto id = static_cast<NodeId>(key / key_stride_);
-    const std::int32_t slot = key % key_stride_;
-    if (slot == inject_slot) {
-        auto& iw = inject_wires_[static_cast<std::size_t>(id)];
-        while (!iw.empty() && iw.front().due <= at) {
-            ++sh.counters.wireEventsDelivered;
-            deliverInjectWire(sh, id, iw.pop(), at);
-        }
-    } else if (slot % 2 == 0) {
-        const auto p = static_cast<PortId>(slot / 2);
+    const auto p = static_cast<PortId>(slot / 2);
+    if (slot % 2 == 0) {
         auto& fw = flit_wires_[wireIndex(id, p)];
         while (!fw.empty() && fw.front().due <= at) {
             ++sh.counters.wireEventsDelivered;
             deliverFlitWire(sh, id, p, fw.pop(), at);
         }
     } else {
-        const auto p = static_cast<PortId>(slot / 2);
         auto& cw = credit_wires_[wireIndex(id, p)];
         while (!cw.empty() && cw.front().due <= at) {
             ++sh.counters.wireEventsDelivered;
             deliverCreditWire(id, p, cw.pop());
         }
     }
+}
+
+void
+Network::deliverKey(Shard& sh, std::uint32_t key, Cycle at)
+{
+    const auto stride = static_cast<std::uint32_t>(key_stride_);
+    deliverWire(sh, sh.begin + static_cast<NodeId>(key / stride),
+                static_cast<std::int32_t>(key % stride), at);
 }
 
 void
@@ -645,37 +610,15 @@ Network::drainShardIntra(Shard& sh)
     LAPSES_ASSERT(bucket.due == sh.now);
     ScopedPhaseTimer timer(profiling_,
                            sh.profile.intraDeliverySeconds);
-    if (bucket.keys.size() >=
-        static_cast<std::size_t>(sh.end - sh.begin)) {
-        // Saturated regime: most of the shard's wires carry traffic,
-        // so a range sweep (which visits wires in canonical order by
-        // construction) is cheaper than sorting the bucket. It
-        // delivers exactly this bucket's events — everything else in
-        // flight is due later, and other shards' events live in their
-        // own calendars.
-        bucket.keys.clear();
-        deliverWiresRange(sh, sh.begin, sh.end, sh.now);
-        return;
-    }
-    // Ascending wire-key order = the scan kernel's delivery order
-    // restricted to this shard, so every receiver sees its arrivals
-    // in the canonical order (receivers of intra-shard events live in
-    // this shard only).
-    std::sort(bucket.keys.begin(), bucket.keys.end());
-    std::int32_t prev_key = -1;
-    for (const std::int32_t key : bucket.keys) {
-        if (key == prev_key)
-            continue; // several same-cycle events on one wire
-        prev_key = key;
-        deliverKey(sh, key, sh.now);
-    }
-    bucket.keys.clear();
+    bucket.keys.drain(
+        [&](std::uint32_t key) { deliverKey(sh, key, sh.now); });
 }
 
 void
 Network::drainShardBoundary(Shard& sh)
 {
-    CalendarBucket& bucket = sh.calendar[now_slot_];
+    LAPSES_ASSERT(sh.now == now_);
+    CalendarBucket& bucket = sh.calendar[sh.slot];
     if (bucket.boundary_keys.empty())
         return;
     LAPSES_ASSERT(bucket.due == now_);
@@ -685,24 +628,21 @@ Network::drainShardBoundary(Shard& sh)
     // (acceptFlit/acceptCredit on disjoint (port, vc) slots plus an
     // idempotent activation), so their relative order against another
     // shard's intra-shard deliveries is unobservable.
-    std::sort(bucket.boundary_keys.begin(),
-              bucket.boundary_keys.end());
-    std::int32_t prev_key = -1;
-    for (const std::int32_t key : bucket.boundary_keys) {
-        if (key == prev_key)
-            continue;
-        prev_key = key;
-        deliverKey(sh, key, now_);
-    }
-    bucket.boundary_keys.clear();
+    bucket.boundary_keys.drain(
+        [&](std::uint32_t key) { deliverKey(sh, key, now_); });
 }
 
 void
 Network::stepScan()
 {
     {
+        // Every wire of every node in ascending key order: the
+        // canonical delivery order by definition.
         ScopedPhaseTimer timer(profiling_, profile_.wireDrainSeconds);
-        deliverWiresRange(shards_[0], 0, topo_.numNodes(), now_);
+        for (NodeId id = 0; id < topo_.numNodes(); ++id) {
+            for (std::int32_t slot = 0; slot < key_stride_; ++slot)
+                deliverWire(shards_[0], id, slot, now_);
+        }
     }
     const auto n = static_cast<std::size_t>(topo_.numNodes());
     counters_.nicSteps += n;
@@ -728,12 +668,9 @@ Network::stepScan()
     mergeShardCycleState();
     processPendingUnroutable();
     ++now_;
-    if (++now_slot_ == shards_[0].calendar.size())
-        now_slot_ = 0;
     // The scan kernel never batches; keep the (single) shard clock in
     // lockstep so the env adapters read the right sender cycle.
     shards_[0].now = now_;
-    shards_[0].slot = now_slot_;
 }
 
 void
@@ -937,8 +874,6 @@ Network::stepSharded(Cycle cycles)
     mergeShardCycleState();
     processPendingUnroutable();
     now_ += cycles;
-    now_slot_ = (now_slot_ + static_cast<std::size_t>(cycles)) %
-                shards_[0].calendar.size();
 }
 
 Cycle
@@ -1278,10 +1213,10 @@ Network::stepUntil(Cycle horizon)
             const Cycle advanced = target - now_;
             counters_.fastForwardedCycles += advanced;
             now_ = target;
-            now_slot_ = now_ % shards_[0].calendar.size();
+            const std::size_t slot = now_ % shards_[0].calendar.size();
             for (Shard& sh : shards_) {
                 sh.now = now_;
-                sh.slot = now_slot_;
+                sh.slot = slot;
             }
             return advanced;
         }

@@ -2,7 +2,7 @@
  * @file
  * The interconnection network: routers + NICs wired by 1-cycle links.
  *
- * Each bidirectional mesh link is a pair of unidirectional flit wires
+ * Each bidirectional link is a pair of unidirectional flit wires
  * plus reverse credit wires. Delivery is staged: everything a component
  * emits at cycle t arrives at its peer at t + linkDelay, so the order in
  * which routers step within a cycle cannot matter.
@@ -38,7 +38,9 @@
 #ifndef LAPSES_NETWORK_NETWORK_HPP
 #define LAPSES_NETWORK_NETWORK_HPP
 
+#include <bit>
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -152,7 +154,67 @@ struct NetworkParams
     Cycle telemetryWindow = 0;
 };
 
-/** A mesh of routers and NICs with credit-based flow control. */
+/**
+ * An ordered set of wire keys in [0, size): one bit per key plus one
+ * summary bit per non-zero 64-bit word, so a drain skips empty words
+ * 64 at a time. A calendar bucket keeps two of these; draining visits
+ * keys in ascending order, which is the scan sweep's delivery order,
+ * and a wire with several events due in one cycle is set only once.
+ */
+class WireKeySet
+{
+  public:
+    explicit WireKeySet(std::size_t size = 0)
+        : words_((size + 63) / 64), summary_((words_.size() + 63) / 64)
+    {
+    }
+
+    void
+    insert(std::uint32_t key)
+    {
+        std::uint64_t& word = words_[key / 64];
+        if (word == 0) {
+            summary_[key / 4096] |= std::uint64_t{1} << (key / 64 % 64);
+            ++live_words_;
+        }
+        word |= std::uint64_t{1} << (key % 64);
+    }
+
+    bool empty() const { return live_words_ == 0; }
+
+    /** Call fn(key) for every key in ascending order; the set is
+     *  empty afterwards. */
+    template <typename Fn>
+    void
+    drain(Fn&& fn)
+    {
+        for (std::uint32_t s = 0; s < summary_.size() && live_words_ != 0;
+             ++s) {
+            std::uint64_t summary = std::exchange(summary_[s], 0);
+            while (summary != 0) {
+                const std::uint32_t w =
+                    s * 64 + static_cast<std::uint32_t>(
+                                 std::countr_zero(summary));
+                summary &= summary - 1;
+                std::uint64_t word = std::exchange(words_[w], 0);
+                --live_words_;
+                while (word != 0) {
+                    fn(w * 64 +
+                       static_cast<std::uint32_t>(std::countr_zero(word)));
+                    word &= word - 1;
+                }
+            }
+        }
+    }
+
+  private:
+    std::vector<std::uint64_t> words_;
+    std::vector<std::uint64_t> summary_; //!< bit w: words_[w] != 0
+    std::size_t live_words_ = 0;         //!< non-zero words
+};
+
+/** Routers and NICs on any port graph, with credit-based flow
+ *  control. */
 class Network : public DeliverySink
 {
   public:
@@ -217,7 +279,7 @@ class Network : public DeliverySink
     };
 
     /**
-     * @param topo     the mesh
+     * @param topo     the port graph (mesh, torus or irregular fabric)
      * @param params   microarchitecture + injection parameters
      * @param table    programmed routing tables (must outlive Network)
      * @param escape_channels Duato escape discipline on/off
@@ -552,23 +614,21 @@ class Network : public DeliverySink
     // linkDelay + 2 buckets indexed by due % width, each bucket holds
     // events of exactly one due at a time, and bucket[now % width] is
     // precisely the set of wires with traffic due this cycle. A bucket
-    // entry is a wire key whose ascending order reproduces the scan
-    // kernel's delivery order (per node: flit wire, credit wire per
-    // port, then the injection wire), which keeps the stats/tracer
-    // stream byte-identical.
+    // holds wire keys relative to the shard's first key; ascending key
+    // order is the scan kernel's delivery order (per node: flit wire,
+    // credit wire per port, then the injection wire).
 
-    /** One calendar slot: the wires (possibly repeated, one entry per
-     *  event) with traffic due at cycles congruent to this slot.
-     *  Events are split at schedule time by the receiver's owning
-     *  shard: `keys` stay within the sender's shard and are drained by
-     *  its own worker, `boundary_keys` cross a shard cut and are
-     *  drained by the coordinator's canonical merge. Both halves of a
-     *  slot always share the same due cycle. */
+    /** One calendar slot: the wires with traffic due at cycles
+     *  congruent to this slot. Events are split at schedule time by
+     *  the receiver's owning shard: `keys` stay within the sender's
+     *  shard and are drained by its own worker, `boundary_keys` cross
+     *  a shard cut and are drained by the coordinator's canonical
+     *  merge. Both halves of a slot always share the same due cycle. */
     struct CalendarBucket
     {
         Cycle due = 0;
-        std::vector<std::int32_t> keys;
-        std::vector<std::int32_t> boundary_keys;
+        WireKeySet keys;
+        WireKeySet boundary_keys;
     };
 
     /** A traced delivery awaiting the barrier merge; the wire key
@@ -639,7 +699,9 @@ class Network : public DeliverySink
         /** Shard-local clock and calendar cursor. Between barriers a
          *  shard's local cycle may run ahead of the global now_ by up
          *  to batchCap - 1; the sequential phases see them re-synced
-         *  (sh.now == now_) on both sides of every batch. */
+         *  (sh.now == now_, sh.slot == now_ % width) on both sides of
+         *  every batch, so the coordinator needs no cursor of its
+         *  own. */
         Cycle now = 0;
         std::size_t slot = 0;
 
@@ -713,19 +775,18 @@ class Network : public DeliverySink
     void deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf,
                            Cycle at);
 
-    /** Deliver all wire traffic due at `at` from senders in
-     *  [begin, end), in canonical order (scan sweep). */
-    void deliverWiresRange(Shard& sh, NodeId begin, NodeId end,
-                           Cycle at);
+    /** Deliver every event due by `at` on the wire at key offset
+     *  `slot` (< key_stride_) of node `id`: the one per-wire pop loop
+     *  behind both the scan sweep and the calendar drains. */
+    void deliverWire(Shard& sh, NodeId id, std::int32_t slot, Cycle at);
 
-    /** Deliver one calendar key's due events (flit/credit/inject
-     *  dispatch shared by every bucket walk). */
-    void deliverKey(Shard& sh, std::int32_t key, Cycle at);
+    /** Decode a shard-relative calendar key and deliver its wire. */
+    void deliverKey(Shard& sh, std::uint32_t key, Cycle at);
 
-    /** Deliver a shard's due intra-shard events, in canonical order
-     *  within the shard: the sorted-bucket walk when sparse, the range
-     *  sweep when the bucket saturates its shard. Runs on the shard's
-     *  own stepping thread. */
+    /** Deliver a shard's due intra-shard events in ascending key
+     *  order, the canonical order within the shard (their receivers
+     *  live in this shard only). Runs on the shard's own stepping
+     *  thread. */
     void drainShardIntra(Shard& sh);
 
     /** Deliver a shard's due boundary-crossing events. Coordinator
@@ -833,7 +894,6 @@ class Network : public DeliverySink
     // per worker; Scan keeps a single inert shard so observers and
     // merge paths are uniform).
     std::int32_t key_stride_ = 0; //!< wire keys per node (2*ports + 1)
-    std::size_t now_slot_ = 0; //!< calendar[now_ % width], div-free
     std::vector<Shard> shards_;
     /** Owning shard per node (all zero unless Parallel). */
     std::vector<std::uint32_t> shard_of_;

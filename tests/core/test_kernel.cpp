@@ -86,9 +86,9 @@ TEST(Kernel, ParallelSelectionAndIntraJobResolution)
 
     // Junk or nonpositive LAPSES_INTRA_JOBS must refuse, not fall
     // back silently (a parallel run with a typo'd job count would
-    // quietly measure the wrong thing).
+    // quietly measure the wrong thing). 2^32 + 2 must not wrap to 2.
     cfg.intraJobs = 0;
-    for (const char* bad : {"0", "-3", "four", "2x"}) {
+    for (const char* bad : {"0", "-3", "four", "2x", "4294967298"}) {
         ::setenv("LAPSES_INTRA_JOBS", bad, 1);
         EXPECT_THROW(Simulation sim(cfg), ConfigError) << bad;
     }
@@ -128,6 +128,13 @@ TEST(Kernel, ActiveIsOneShardAndBatchesLikeParallel)
     cfg.maxBatchCycles = 1;
     Simulation explicit_batch(cfg);
     EXPECT_EQ(explicit_batch.network().batchCap(), 1u);
+    // Junk, nonpositive or out-of-range (2^64) values refuse too.
+    cfg.maxBatchCycles = 0;
+    for (const char* bad :
+         {"0", "-1", "x", "2x", "18446744073709551616"}) {
+        ::setenv("LAPSES_MAX_BATCH", bad, 1);
+        EXPECT_THROW(Simulation sim(cfg), ConfigError) << bad;
+    }
     ::unsetenv("LAPSES_MAX_BATCH");
 
     // The scan oracle never batches.

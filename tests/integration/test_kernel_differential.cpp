@@ -170,6 +170,14 @@ diffCases()
         cfg.telemetryWindow = window;
         add("telemetry:window" + std::to_string(window), cfg);
     }
+
+    // 400 nodes x 11 wire keys = 4400 keys at one shard, so the
+    // calendar's key sets reach a second 4096-key summary word; the
+    // 4x4 cases stop at 176 keys.
+    SimConfig large = diffBase();
+    large.radices = {20, 20};
+    large.normalizedLoad = 0.05;
+    add("mesh20x20", large);
     return cases;
 }
 
