@@ -100,9 +100,6 @@ kernelKindName(KernelKind k)
  */
 struct StepActivity
 {
-    /** A flit moved (forwarded, transmitted, or injected) this step. */
-    bool movedFlits = false;
-
     /** Flits this step pushed toward their destination (crossbar
      *  forwards for routers, link injections for NICs). The network
      *  accumulates these into its O(1) progress counter. */

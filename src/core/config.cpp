@@ -1,5 +1,6 @@
 #include "core/config.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -35,6 +36,43 @@ Topology
 buildTopology(const SimConfig& cfg)
 {
     return makeTopology(cfg.resolvedTopology(), cfg.radices);
+}
+
+FaultSchedule
+buildFaultSchedule(const SimConfig& cfg, const Topology& topo)
+{
+    FaultSchedule faults;
+    for (const FaultEvent& event : cfg.faultEvents)
+        faults.add(event);
+    if (cfg.faultCount > 0) {
+        faults.appendRandom(topo, cfg.faultCount,
+                            cfg.faultSeed != 0 ? cfg.faultSeed
+                                               : deriveFaultSeed(cfg.seed),
+                            cfg.faultStart, cfg.faultSpacing);
+    }
+    faults.validate(topo);
+    return faults;
+}
+
+int
+resolveEscapeVcs(const SimConfig& cfg, const RoutingAlgorithm& algo)
+{
+    if (!algo.usesEscapeChannels())
+        return 1; // unused; routers ignore it without escape discipline
+    // Meta-tables need the two-phase escape (see DESIGN.md); torus
+    // dateline routing needs two classes as well; all other schemes
+    // reserve a single escape VC.
+    const bool meta = cfg.table == TableKind::MetaRowMinimal ||
+                      cfg.table == TableKind::MetaBlockMaximal;
+    const int escape = cfg.escapeVcs > 0
+                           ? cfg.escapeVcs
+                           : std::max(algo.escapeClasses(), meta ? 2 : 1);
+    if (escape >= cfg.vcsPerPort) {
+        throw ConfigError(
+            "vcsPerPort too small for the required escape VCs (" +
+            std::to_string(escape) + ")");
+    }
+    return escape;
 }
 
 void

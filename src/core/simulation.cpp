@@ -15,35 +15,20 @@ namespace
  *  byte-identical across kernels, shard counts and batch caps. */
 constexpr Cycle kPhaseQuantum = 8;
 
-int
-resolveEscapeVcs(const SimConfig& cfg, const RoutingAlgorithm& algo)
-{
-    if (!algo.usesEscapeChannels())
-        return 1; // unused; routers ignore it without escape discipline
-    if (cfg.escapeVcs > 0)
-        return cfg.escapeVcs;
-    // Meta-tables need the two-phase escape (see DESIGN.md); torus
-    // dateline routing needs two classes as well; all other schemes
-    // reserve a single escape VC.
-    const bool meta = cfg.table == TableKind::MetaRowMinimal ||
-                      cfg.table == TableKind::MetaBlockMaximal;
-    return std::max(algo.escapeClasses(), meta ? 2 : 1);
-}
-
-/** Merge get(lane) over lanes [begin, end) with a pairwise tree
- *  (recursive midpoint split). The tree shape depends only on the
- *  lane count, never on delivery order or shard layout, so the merged
- *  Welford state is bit-for-bit reproducible. */
-template <typename Lane, typename Get>
-Accumulator
-reduceTree(const std::vector<Lane>& lanes,
-           std::size_t begin, std::size_t end, Get get)
+/** Merge lanes [begin, end) with a pairwise tree (recursive
+ *  midpoint split). The tree shape depends only on the lane count,
+ *  never on delivery order or shard layout, so the merged Welford
+ *  state is bit-for-bit reproducible. */
+template <typename Lane>
+Lane
+reduceTree(const std::vector<Lane>& lanes, std::size_t begin,
+           std::size_t end)
 {
     if (end - begin == 1)
-        return get(lanes[begin]);
+        return lanes[begin];
     const std::size_t mid = begin + (end - begin) / 2;
-    Accumulator left = reduceTree(lanes, begin, mid, get);
-    left.merge(reduceTree(lanes, mid, end, get));
+    Lane left = reduceTree(lanes, begin, mid);
+    left.merge(reduceTree(lanes, mid, end));
     return left;
 }
 
@@ -53,80 +38,10 @@ Simulation::Simulation(const SimConfig& cfg)
     : cfg_(cfg), topo_(buildTopology(cfg))
 {
     cfg_.validate();
-    if (cfg_.closedLoop() && cfg_.servers >= topo_.numEndpoints()) {
-        throw ConfigError("servers must be in [1, numEndpoints) for "
-                          "the request-reply workload");
-    }
     algo_ = makeRoutingAlgorithm(cfg_.routing, topo_);
     table_ = makeRoutingTable(cfg_.table, topo_, *algo_);
-
-    // Dynamic link faults: merge the explicit events with the seeded
-    // random schedule, then validate the whole sequence (range checks,
-    // legal transitions, connectivity after every down event) before
-    // any network state exists.
-    FaultSchedule faults;
-    for (const FaultEvent& event : cfg_.faultEvents)
-        faults.add(event);
-    if (cfg_.faultCount > 0) {
-        faults.appendRandom(topo_, cfg_.faultCount,
-                            cfg_.faultSeed != 0
-                                ? cfg_.faultSeed
-                                : deriveFaultSeed(cfg_.seed),
-                            cfg_.faultStart, cfg_.faultSpacing);
-    }
-    faults.validate(topo_);
     pattern_ = makeTrafficPattern(cfg_.traffic, topo_, cfg_.hotspot);
-    escape_vcs_ = resolveEscapeVcs(cfg_, *algo_);
-    if (algo_->usesEscapeChannels() && escape_vcs_ >= cfg_.vcsPerPort) {
-        throw ConfigError(
-            "vcsPerPort too small for the required escape VCs (" +
-            std::to_string(escape_vcs_) + ")");
-    }
-
-    NetworkParams np;
-    np.router.vcsPerPort = cfg_.vcsPerPort;
-    np.router.inBufDepth = cfg_.bufferDepth;
-    np.router.outBufDepth = cfg_.bufferDepth;
-    np.router.lookahead = cfg_.model == RouterModel::LaProud;
-    np.router.escapeVcs = escape_vcs_;
-    np.nic.numVcs = cfg_.vcsPerPort;
-    np.nic.routerBufDepth = cfg_.bufferDepth;
-    np.nic.msgLen = cfg_.msgLen;
-    np.nic.lookahead = np.router.lookahead;
-    np.nic.injection = cfg_.injection;
-    np.nic.burst = cfg_.burst;
-    // Closed-loop runs zero the open-loop injectors: demand comes
-    // from the request/reply engines instead of a rate process.
-    np.nic.msgsPerCycle =
-        cfg_.closedLoop()
-            ? 0.0
-            : msgRateForLoad(topo_, cfg_.normalizedLoad, cfg_.msgLen);
-    np.workload.kind = cfg_.workload;
-    np.workload.requestTimeout = cfg_.requestTimeout;
-    np.workload.maxRetries = cfg_.maxRetries;
-    np.workload.backoffBase = cfg_.backoffBase;
-    np.workload.inflightWindow = cfg_.inflightWindow;
-    np.workload.servers = cfg_.servers;
-    np.workload.serviceTime = cfg_.serviceTime;
-    np.selector = cfg_.selector;
-    np.seed = cfg_.seed;
-    np.kernel = cfg_.kernel;
-    np.intraJobs = cfg_.intraJobs;
-    np.linkDelay = cfg_.linkDelay;
-    np.maxBatch = cfg_.maxBatchCycles;
-    np.telemetryWindow = cfg_.telemetryWindow;
-    np.faults = std::move(faults);
-    np.reconfigLatency = cfg_.reconfigLatency;
-    np.faultPolicy = cfg_.faultPolicy;
-    // Online reconfiguration reprograms full tables only; other
-    // storage schemes cannot express fault-aware entries (the Table 5
-    // flexibility trade-off) and fall back to dead-port masking.
-    np.reprogramTable = cfg_.hasFaults()
-                            ? dynamic_cast<FullTable*>(table_.get())
-                            : nullptr;
-
-    net_ = std::make_unique<Network>(topo_, np, *table_,
-                                     algo_->usesEscapeChannels(),
+    net_ = std::make_unique<Network>(cfg_, topo_, *algo_, *table_,
                                      *pattern_);
     net_->setDeliveryHook(&Simulation::deliveryHook, this);
     net_->setRequestHook(&Simulation::requestHook, this);
@@ -146,7 +61,7 @@ Simulation::Simulation(const SimConfig& cfg)
             stats_.requestLatencyHist.numBuckets());
     }
 
-    stats_.offeredFlitRate = np.nic.msgsPerCycle * cfg_.msgLen;
+    stats_.offeredFlitRate = net_->msgsPerCycle() * cfg_.msgLen;
 }
 
 Simulation::~Simulation() = default;
@@ -156,6 +71,36 @@ Simulation::deliveryHook(void* ctx, const MessageDescriptor& msg,
                          Cycle now)
 {
     static_cast<Simulation*>(ctx)->recordDelivery(msg, now);
+}
+
+void
+Simulation::LatencyLane::add(double latency, Cycle at, Cycle lastFault)
+{
+    all.add(latency);
+    if (lastFault == kNeverCycle)
+        return;
+    postFault.add(latency);
+    recovery[std::min<std::size_t>(
+                 (at - lastFault) / SimStats::kRecoveryBucketCycles,
+                 SimStats::kRecoveryBuckets - 1)]
+        .add(latency);
+}
+
+void
+Simulation::LatencyLane::merge(const LatencyLane& other)
+{
+    all.merge(other.all);
+    postFault.merge(other.postFault);
+    for (std::size_t b = 0; b < SimStats::kRecoveryBuckets; ++b)
+        recovery[b].merge(other.recovery[b]);
+}
+
+void
+Simulation::DeliveryLane::merge(const DeliveryLane& other)
+{
+    total.merge(other.total);
+    network.merge(other.network);
+    hops.merge(other.hops);
 }
 
 void
@@ -171,40 +116,18 @@ Simulation::recordDelivery(const MessageDescriptor& msg, Cycle now)
     if (!msg.measured)
         return;
     const auto total = static_cast<double>(now - msg.createdAt);
-    const auto network = static_cast<double>(now - msg.injectedAt);
     DeliveryLane& lane = lanes_[msg.dest];
-    lane.totalLatency.add(total);
-    lane.networkLatency.add(network);
+    lane.total.add(total, now, net_->lastFaultCycle());
+    lane.network.add(static_cast<double>(now - msg.injectedAt));
     lane.hops.add(static_cast<double>(msg.hops));
     tally.latencyHist.add(total);
     ++tally.deliveredMessages;
     tally.deliveredFlits += msg.msgLen;
-    // Post-fault recovery curve: bucket deliveries by cycles elapsed
-    // since the most recent fault event.
-    const Cycle last_fault = net_->lastFaultCycle();
-    if (last_fault != kNeverCycle) {
-        lane.postFaultLatency.add(total);
-        const auto bucket = std::min<std::size_t>(
-            (now - last_fault) / SimStats::kRecoveryBucketCycles,
-            SimStats::kRecoveryBuckets - 1);
-        lane.recoveryCurve[bucket].add(total);
-    }
 }
 
 void
 Simulation::requestHook(void* ctx, NodeId client, Cycle issuedAt,
-                        Cycle completedAt, std::uint16_t attempt,
-                        bool measured)
-{
-    (void)attempt;
-    static_cast<Simulation*>(ctx)->recordRequest(client, issuedAt,
-                                                 completedAt,
-                                                 measured);
-}
-
-void
-Simulation::recordRequest(NodeId client, Cycle issuedAt,
-                          Cycle completedAt, bool measured)
+                        Cycle completedAt, bool measured)
 {
     // Runs on the thread owning the client's shard (completions fire
     // at the client NIC's ejection path): touch only that node's
@@ -214,55 +137,28 @@ Simulation::recordRequest(NodeId client, Cycle issuedAt,
     // biased toward the fast ones.
     if (!measured)
         return;
+    auto& sim = *static_cast<Simulation*>(ctx);
     const auto latency = static_cast<double>(completedAt - issuedAt);
-    RequestLane& lane = request_lanes_[client];
-    lane.requestLatency.add(latency);
-    tallies_[net_->shardOf(client)].requestLatencyHist.add(latency);
-    const Cycle last_fault = net_->lastFaultCycle();
-    if (last_fault != kNeverCycle) {
-        lane.postFaultRequestLatency.add(latency);
-        const auto bucket = std::min<std::size_t>(
-            (completedAt - last_fault) /
-                SimStats::kRecoveryBucketCycles,
-            SimStats::kRecoveryBuckets - 1);
-        lane.requestRecoveryCurve[bucket].add(latency);
-    }
+    sim.request_lanes_[client].add(latency, completedAt,
+                                   sim.net_->lastFaultCycle());
+    sim.tallies_[sim.net_->shardOf(client)].requestLatencyHist.add(
+        latency);
 }
 
 void
 Simulation::reduceStats()
 {
     const std::size_t n = lanes_.size();
-    stats_.totalLatency = reduceTree(
-        lanes_, 0, n,
-        [](const DeliveryLane& l) { return l.totalLatency; });
-    stats_.networkLatency = reduceTree(
-        lanes_, 0, n,
-        [](const DeliveryLane& l) { return l.networkLatency; });
-    stats_.hops = reduceTree(
-        lanes_, 0, n, [](const DeliveryLane& l) { return l.hops; });
-    stats_.postFaultLatency = reduceTree(
-        lanes_, 0, n,
-        [](const DeliveryLane& l) { return l.postFaultLatency; });
-    for (std::size_t b = 0; b < SimStats::kRecoveryBuckets; ++b) {
-        stats_.recoveryCurve[b] = reduceTree(
-            lanes_, 0, n,
-            [b](const DeliveryLane& l) { return l.recoveryCurve[b]; });
-    }
-
-    stats_.requestLatency = reduceTree(
-        request_lanes_, 0, n,
-        [](const RequestLane& l) { return l.requestLatency; });
-    stats_.postFaultRequestLatency = reduceTree(
-        request_lanes_, 0, n, [](const RequestLane& l) {
-            return l.postFaultRequestLatency;
-        });
-    for (std::size_t b = 0; b < SimStats::kRecoveryBuckets; ++b) {
-        stats_.requestRecoveryCurve[b] = reduceTree(
-            request_lanes_, 0, n, [b](const RequestLane& l) {
-                return l.requestRecoveryCurve[b];
-            });
-    }
+    const DeliveryLane delivery = reduceTree(lanes_, 0, n);
+    stats_.totalLatency = delivery.total.all;
+    stats_.postFaultLatency = delivery.total.postFault;
+    stats_.recoveryCurve = delivery.total.recovery;
+    stats_.networkLatency = delivery.network;
+    stats_.hops = delivery.hops;
+    const LatencyLane requests = reduceTree(request_lanes_, 0, n);
+    stats_.requestLatency = requests.all;
+    stats_.postFaultRequestLatency = requests.postFault;
+    stats_.requestRecoveryCurve = requests.recovery;
 
     stats_.latencyHist.reset();
     stats_.requestLatencyHist.reset();
@@ -404,40 +300,60 @@ Simulation::stepCycles(Cycle n)
         net_->stepUntil(end);
 }
 
+Simulation::PhaseCounts
+Simulation::phaseCounts() const
+{
+    const Network& net = *net_;
+    if (net.closedLoop()) {
+        const Network::WorkloadCounters wc = net.workloadCounters();
+        return {wc.issued, wc.issuedMeasured,
+                wc.completedMeasured + wc.failedMeasured};
+    }
+    // Measured messages a fault permanently dropped never deliver;
+    // they count as resolved.
+    return {net.createdTotal(), net.createdMeasured(),
+            net.deliveredMeasured() + net.droppedMeasured()};
+}
+
 void
 Simulation::runPhases()
 {
     Network& net = *net_;
 
-    // Phase 1: warm-up. Inject unmeasured traffic until the configured
-    // number of messages has been created.
+    // Phase 1: warm-up. Run unmeasured until the configured number of
+    // messages (requests) has been issued.
     if (!runUntil([&] {
-            return net.createdTotal() >= cfg_.warmupMessages;
+            return phaseCounts().issued >= cfg_.warmupMessages;
         })) {
         return;
     }
 
-    // Phase 2: measurement window. Tag new messages; stop tagging after
-    // the quota.
+    // Phase 2: measurement window. Tag new messages (requests, and
+    // the flits they generate); stop tagging after the quota.
     net.setMeasuring(true);
     measuring_window_ = true;
     measure_start_ = net.now();
     const bool measured = runUntil([&] {
-        return net.createdMeasured() >= cfg_.measureMessages;
+        return phaseCounts().issuedMeasured >= cfg_.measureMessages;
     });
     net.setMeasuring(false);
     measure_end_ = net.now();
     measuring_window_ = false;
-    stats_.injectedMessages = net.createdMeasured();
+    stats_.injectedMessages = phaseCounts().issuedMeasured;
     if (!measured)
         return;
 
-    // Phase 3: drain. Injection continues (unmeasured) to hold the load
-    // steady while tagged messages finish. Measured messages a fault
-    // permanently dropped will never deliver; count them done.
+    // Phase 3: drain. Open-loop injection continues (unmeasured) to
+    // hold the load steady while tagged messages finish. Closed loop
+    // stops admitting new requests but keeps the reliability layer
+    // live — timers, retries and backoff continue until every
+    // measured request has completed or exhausted its retry budget,
+    // which takes a bounded number of timeout + backoff rounds.
+    if (net.closedLoop())
+        net.setInjectionEnabled(false);
     if (!runUntil([&] {
-            return net.deliveredMeasured() + net.droppedMeasured() >=
-                   net.createdMeasured();
+            const PhaseCounts c = phaseCounts();
+            return c.resolvedMeasured >= c.issuedMeasured;
         })) {
         return;
     }
@@ -445,80 +361,23 @@ Simulation::runPhases()
     stats_.measuredCycles = measure_end_ - measure_start_;
     reduceStats();
     if (stats_.measuredCycles > 0) {
-        stats_.acceptedFlitRate =
-            static_cast<double>(window_flits_) /
-            (static_cast<double>(stats_.measuredCycles) *
-             static_cast<double>(topo_.numEndpoints()));
-    }
-}
-
-void
-Simulation::runClosedLoopPhases()
-{
-    Network& net = *net_;
-
-    // Phase 1: warm-up. Clients issue from their windows until the
-    // configured number of requests has been put on the wire.
-    if (!runUntil([&] {
-            return net.workloadCounters().issued >=
-                   cfg_.warmupMessages;
-        })) {
-        return;
-    }
-
-    // Phase 2: measurement window. Tag new requests (and the flits
-    // they generate) until the request quota is reached.
-    net.setMeasuring(true);
-    measuring_window_ = true;
-    measure_start_ = net.now();
-    const bool measured = runUntil([&] {
-        return net.workloadCounters().issuedMeasured >=
-               cfg_.measureMessages;
-    });
-    net.setMeasuring(false);
-    measure_end_ = net.now();
-    measuring_window_ = false;
-    if (!measured)
-        return;
-
-    // Phase 3: drain. Stop admitting new requests but keep the
-    // reliability layer live — timers, retries and backoff continue
-    // until every measured request has either completed or exhausted
-    // its retry budget. Each outstanding request terminates within a
-    // bounded number of timeout + backoff rounds, so this converges.
-    net.setInjectionEnabled(false);
-    if (!runUntil([&] {
-            const Network::WorkloadCounters wc = net.workloadCounters();
-            return wc.completedMeasured + wc.failedMeasured >=
-                   wc.issuedMeasured;
-        })) {
-        return;
-    }
-
-    const Network::WorkloadCounters wc = net.workloadCounters();
-    stats_.injectedMessages = wc.issuedMeasured;
-    stats_.measuredCycles = measure_end_ - measure_start_;
-    reduceStats();
-    if (stats_.measuredCycles > 0) {
-        const auto cycles =
-            static_cast<double>(stats_.measuredCycles);
+        const auto cycles = static_cast<double>(stats_.measuredCycles);
         stats_.acceptedFlitRate =
             static_cast<double>(window_flits_) /
             (cycles * static_cast<double>(topo_.numEndpoints()));
-        stats_.requestGoodput =
-            static_cast<double>(wc.completedMeasured) / cycles;
-        stats_.requestOffered =
-            static_cast<double>(wc.issuedMeasured) / cycles;
+        if (net.closedLoop()) {
+            stats_.requestGoodput =
+                static_cast<double>(stats_.requestsCompleted) / cycles;
+            stats_.requestOffered =
+                static_cast<double>(stats_.requestsIssued) / cycles;
+        }
     }
 }
 
 SimStats
 Simulation::run()
 {
-    if (cfg_.closedLoop())
-        runClosedLoopPhases();
-    else
-        runPhases();
+    runPhases();
     // Every exit path — including saturation and the early returns in
     // runPhases — reports fully reduced statistics.
     reduceStats();

@@ -52,7 +52,22 @@ class Simulation
     Network& network() { return *net_; }
 
     /** The effective escape-VC count after auto-resolution. */
-    int effectiveEscapeVcs() const { return escape_vcs_; }
+    int effectiveEscapeVcs() const { return net_->escapeVcs(); }
+
+    /** One latency statistic split around faults: every sample, the
+     *  samples after the first fault, and the recovery curve (samples
+     *  bucketed by cycles since the most recent fault). */
+    struct LatencyLane
+    {
+        Accumulator all;
+        Accumulator postFault;
+        std::array<Accumulator, SimStats::kRecoveryBuckets> recovery{};
+
+        /** Record `latency`, observed at cycle `at`; `lastFault` is
+         *  the most recent fault event's cycle (kNeverCycle = none). */
+        void add(double latency, Cycle at, Cycle lastFault);
+        void merge(const LatencyLane& other);
+    };
 
     /**
      * Per-destination-node statistics accumulators (DESIGN.md "Sharded
@@ -61,15 +76,16 @@ class Simulation
      * parallel kernel with no locks; the lane granularity is the node
      * (not the shard) so the reduction shape — and therefore every
      * floating-point result — is independent of the shard count.
+     * Request lanes are LatencyLanes per client node, sharded the same
+     * way: a client's completions fire on the thread owning it.
      */
     struct DeliveryLane
     {
-        Accumulator totalLatency;
-        Accumulator networkLatency;
+        LatencyLane total;
+        Accumulator network;
         Accumulator hops;
-        Accumulator postFaultLatency;
-        std::array<Accumulator, SimStats::kRecoveryBuckets>
-            recoveryCurve{};
+
+        void merge(const DeliveryLane& other);
     };
 
     /** Per-shard integer tallies. Integer sums are exact and
@@ -91,31 +107,24 @@ class Simulation
         std::uint64_t windowFlits = 0;
     };
 
-    /**
-     * Per-client-node request-SLO accumulators, sharded exactly like
-     * DeliveryLane: a client's completions all fire on the thread
-     * owning its shard, and the node-granular lanes reduce through
-     * the same fixed-shape tree, so the merged floating-point values
-     * are byte-identical for every kernel and shard count.
-     */
-    struct RequestLane
-    {
-        Accumulator requestLatency;
-        Accumulator postFaultRequestLatency;
-        std::array<Accumulator, SimStats::kRecoveryBuckets>
-            requestRecoveryCurve{};
-    };
-
   private:
     static void deliveryHook(void* ctx, const MessageDescriptor& msg,
                              Cycle now);
     void recordDelivery(const MessageDescriptor& msg, Cycle now);
 
     static void requestHook(void* ctx, NodeId client, Cycle issuedAt,
-                            Cycle completedAt, std::uint16_t attempt,
-                            bool measured);
-    void recordRequest(NodeId client, Cycle issuedAt,
-                       Cycle completedAt, bool measured);
+                            Cycle completedAt, bool measured);
+
+    /** The phase loop's counters: messages created and measured ones
+     *  delivered or fault-dropped (open loop), or requests issued and
+     *  measured ones completed or failed (closed loop). */
+    struct PhaseCounts
+    {
+        std::uint64_t issued = 0;
+        std::uint64_t issuedMeasured = 0;
+        std::uint64_t resolvedMeasured = 0;
+    };
+    PhaseCounts phaseCounts() const;
 
     /** Run phase loop until pred is true or saturation; returns false
      *  when the run saturated. */
@@ -125,21 +134,18 @@ class Simulation
     /** Periodic saturation / deadlock checks. */
     bool saturationCheck();
 
-    /** Fold lanes_ and tallies_ into stats_ (idempotent: recomputes
-     *  from scratch). Accumulators merge over a fixed-shape pairwise
-     *  tree whose shape depends only on the node count, so the merged
-     *  floating-point values are byte-identical for every kernel,
-     *  shard count and batch size. */
+    /** Fold the lanes and tallies_ into stats_ (idempotent:
+     *  recomputes from scratch). Lanes merge whole over a fixed-shape
+     *  pairwise tree whose shape depends only on the node count, so
+     *  the merged floating-point values are byte-identical for every
+     *  kernel, shard count and batch size. */
     void reduceStats();
 
-    /** The warm-up / measure / drain phases (body of run()). */
+    /** The warm-up / measure / drain phases (body of run()): issue a
+     *  warm-up count, measure a quota, then drain until every measured
+     *  message or request is resolved. Closed loop stops admitting
+     *  new requests for the drain; retries keep running. */
     void runPhases();
-
-    /** The closed-loop phase loop: warm up on issued requests,
-     *  measure a request quota, then drain until every measured
-     *  request completed or failed (retries keep running after new
-     *  issues stop). */
-    void runClosedLoopPhases();
 
     SimConfig cfg_;
     Topology topo_;
@@ -147,12 +153,11 @@ class Simulation
     RoutingTablePtr table_;
     TrafficPatternPtr pattern_;
     std::unique_ptr<Network> net_;
-    int escape_vcs_;
 
     SimStats stats_;
     std::vector<DeliveryLane> lanes_;  //!< indexed by destination node
     std::vector<ShardTally> tallies_;  //!< indexed by owning shard
-    std::vector<RequestLane> request_lanes_; //!< by client node
+    std::vector<LatencyLane> request_lanes_; //!< by client node
     bool measuring_window_ = false;
     Cycle measure_start_ = 0;
     Cycle measure_end_ = 0;

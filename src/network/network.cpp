@@ -9,6 +9,7 @@
 
 #include "core/experiment.hpp"
 #include "exp/thread_pool.hpp"
+#include "selection/selector_factory.hpp"
 
 namespace lapses
 {
@@ -118,7 +119,7 @@ Network::RouterEnv::flitOut(PortId out_port, VcId out_vc,
     // to its own time axis.
     Network& net = *net_;
     const std::size_t w = net.wireIndex(id_, out_port);
-    const Cycle due = sh_->now + 1 + net.params_.linkDelay;
+    const Cycle due = sh_->now + 1 + net.cfg_.linkDelay;
     net.flit_wires_[w].push({flit, out_vc, due});
     net.scheduleWire(*sh_, net.flitWireKey(id_, out_port), due,
                      net.boundary_wire_[w] != 0);
@@ -129,7 +130,7 @@ Network::RouterEnv::creditOut(PortId in_port, VcId vc)
 {
     Network& net = *net_;
     const std::size_t w = net.wireIndex(id_, in_port);
-    const Cycle due = sh_->now + 1 + net.params_.linkDelay;
+    const Cycle due = sh_->now + 1 + net.cfg_.linkDelay;
     net.credit_wires_[w].push({vc, due});
     net.scheduleWire(*sh_, net.creditWireKey(id_, in_port), due,
                      net.boundary_wire_[w] != 0);
@@ -151,7 +152,7 @@ void
 Network::NicEnv::injectFlit(VcId vc, const Flit& flit)
 {
     Network& net = *net_;
-    const Cycle due = sh_->now + 1 + net.params_.linkDelay;
+    const Cycle due = sh_->now + 1 + net.cfg_.linkDelay;
     net.inject_wires_[static_cast<std::size_t>(id_)].push(
         {flit, vc, due});
     // Injection wires deliver to the sender's own router: always
@@ -165,32 +166,66 @@ Network::NicEnv::injectFlit(VcId vc, const Flit& flit)
     ++sh_->injected_flits;
 }
 
-Network::Network(const Topology& topo, const NetworkParams& params,
-                 const RoutingTable& table, bool escape_channels,
-                 const TrafficPattern& pattern)
-    : topo_(topo), params_(params),
-      kernel_(resolveKernelKind(params.kernel))
+Network::Network(const SimConfig& cfg, const Topology& topo,
+                 const RoutingAlgorithm& algo, RoutingTable& table,
+                 const TrafficPattern& pattern,
+                 std::vector<NodeId> shard_cuts)
+    : topo_(topo), cfg_(cfg), kernel_(resolveKernelKind(cfg.kernel)),
+      escape_vcs_(resolveEscapeVcs(cfg, algo))
 {
     const NodeId n = topo.numNodes();
     const int ports = topo.numPorts();
-    const int vcs = params.router.vcsPerPort;
-    Rng master(params.seed);
+    Rng master(cfg.seed);
+
+    // Validated before any component exists. Online reconfiguration
+    // reprograms full tables only; other storage schemes cannot
+    // express fault-aware entries (the Table 5 flexibility trade-off)
+    // and fall back to dead-port masking.
+    fault_events_ = buildFaultSchedule(cfg, topo).events();
+    if (cfg.hasFaults())
+        reprogram_table_ = dynamic_cast<FullTable*>(&table);
 
     // Closed-loop workload: the NICs' engines hash everything off the
-    // run seed, so the network stamps it into its own copy of the
-    // options and hands every NIC a pointer to that copy.
-    workload_opts_ = params.workload;
-    workload_opts_.seed = params.seed;
-    if (workload_opts_.kind == WorkloadKind::RequestReply) {
+    // run seed and all read this one copy of the options.
+    workload_opts_ = {.kind = cfg.workload,
+                      .requestTimeout = cfg.requestTimeout,
+                      .maxRetries = cfg.maxRetries,
+                      .backoffBase = cfg.backoffBase,
+                      .inflightWindow = cfg.inflightWindow,
+                      .servers = cfg.servers,
+                      .serverNodes = {},
+                      .serviceTime = cfg.serviceTime,
+                      .seed = cfg.seed};
+    if (closedLoop()) {
         // Servers are the first `servers` endpoints (the identity
         // block [0, servers) on all-endpoint topologies).
-        workload_opts_.serverNodes.clear();
-        for (int s = 0; s < workload_opts_.servers; ++s)
+        if (cfg.servers >= topo.numEndpoints()) {
+            throw ConfigError("servers must be in [1, numEndpoints) for "
+                              "the request-reply workload");
+        }
+        for (int s = 0; s < cfg.servers; ++s)
             workload_opts_.serverNodes.push_back(
                 topo.endpoint(static_cast<NodeId>(s)));
     }
-    Nic::Params nic_params = params.nic;
-    nic_params.workload = &workload_opts_;
+    // Closed-loop runs zero the open-loop injectors: demand comes
+    // from the request/reply engines instead of a rate process.
+    if (!closedLoop())
+        msgs_per_cycle_ = msgRateForLoad(topo, cfg.normalizedLoad,
+                                         cfg.msgLen);
+    const bool lookahead = cfg.model == RouterModel::LaProud;
+    const RouterParams router_params{.vcsPerPort = cfg.vcsPerPort,
+                                     .inBufDepth = cfg.bufferDepth,
+                                     .outBufDepth = cfg.bufferDepth,
+                                     .lookahead = lookahead,
+                                     .escapeVcs = escape_vcs_};
+    const Nic::Params nic_params{.numVcs = cfg.vcsPerPort,
+                                 .routerBufDepth = cfg.bufferDepth,
+                                 .msgLen = cfg.msgLen,
+                                 .lookahead = lookahead,
+                                 .injection = cfg.injection,
+                                 .burst = cfg.burst,
+                                 .msgsPerCycle = msgs_per_cycle_,
+                                 .workload = &workload_opts_};
 
     // Contiguous component storage: stepping walks flat arrays instead
     // of chasing one heap pointer per router/NIC.
@@ -201,8 +236,8 @@ Network::Network(const Topology& topo, const NetworkParams& params,
 
     for (NodeId id = 0; id < n; ++id) {
         routers_.emplace_back(
-            id, topo, params.router, table, escape_channels,
-            makePathSelector(params.selector,
+            id, topo, router_params, table, algo.usesEscapeChannels(),
+            makePathSelector(cfg.selector,
                              master.split(0x5E1Eu + static_cast<
                                           std::uint64_t>(id))),
             pool_);
@@ -228,10 +263,10 @@ Network::Network(const Topology& topo, const NetworkParams& params,
     const auto wire_count =
         static_cast<std::size_t>(n) * static_cast<std::size_t>(ports);
     const auto flit_cap =
-        static_cast<std::size_t>(params.linkDelay) + 3;
-    const auto credit_cap = static_cast<std::size_t>(vcs) *
+        static_cast<std::size_t>(cfg.linkDelay) + 3;
+    const auto credit_cap = static_cast<std::size_t>(cfg.vcsPerPort) *
                                 (static_cast<std::size_t>(
-                                     params.linkDelay) + 2) + 2;
+                                     cfg.linkDelay) + 2) + 2;
     flit_wires_.reserve(wire_count);
     credit_wires_.reserve(wire_count);
     for (std::size_t i = 0; i < wire_count; ++i) {
@@ -249,33 +284,26 @@ Network::Network(const Topology& topo, const NetworkParams& params,
     router_active_.assign(static_cast<std::size_t>(n), 0);
     nic_active_.assign(static_cast<std::size_t>(n), 0);
     nic_wake_at_.assign(static_cast<std::size_t>(n), kNeverCycle);
-    buildShards();
-
-    // Fault schedule. The caller is responsible for validate()
-    // (connectivity etc.); the sort is repeated here so a hand-built
-    // schedule still applies in order.
-    fault_events_ = params.faults.events();
-    std::sort(fault_events_.begin(), fault_events_.end());
-    reprogram_table_ = params.reprogramTable;
+    buildShards(shard_cuts);
 
     // Telemetry: one counter block per router, allocated once so the
     // pointers handed to the routers stay stable, and the first window
     // boundary armed as a wake source.
-    if (params_.telemetryWindow > 0) {
+    if (cfg.telemetryWindow > 0) {
         router_telemetry_.assign(static_cast<std::size_t>(n),
                                  RouterTelemetry(ports));
         for (NodeId id = 0; id < n; ++id) {
             routers_[static_cast<std::size_t>(id)].setTelemetry(
                 &router_telemetry_[static_cast<std::size_t>(id)]);
         }
-        next_telemetry_at_ = params_.telemetryWindow;
+        next_telemetry_at_ = cfg.telemetryWindow;
     }
 }
 
 Network::~Network() = default;
 
 void
-Network::buildShards()
+Network::buildShards(const std::vector<NodeId>& shard_cuts)
 {
     const NodeId n = topo_.numNodes();
     // Shard-count resolution: Active is the event kernel at exactly
@@ -283,8 +311,8 @@ Network::buildShards()
     // keeps one inert shard so observers and merges stay uniform.
     std::vector<NodeId> bounds;
     if (kernel_ == KernelKind::Parallel) {
-        if (!params_.shardBoundaries.empty()) {
-            bounds = params_.shardBoundaries;
+        if (!shard_cuts.empty()) {
+            bounds = shard_cuts;
             NodeId prev = 0;
             for (const NodeId b : bounds) {
                 if (b <= prev || b >= n) {
@@ -302,7 +330,7 @@ Network::buildShards()
             }
         } else {
             const auto jobs = static_cast<std::size_t>(std::min<
-                unsigned>(resolveIntraJobs(params_.intraJobs),
+                unsigned>(resolveIntraJobs(cfg_.intraJobs),
                           static_cast<unsigned>(n)));
             for (std::size_t s = 1; s < jobs; ++s) {
                 bounds.push_back(static_cast<NodeId>(
@@ -312,7 +340,7 @@ Network::buildShards()
     }
     const std::size_t s_count = bounds.size() + 1;
     const std::size_t width =
-        static_cast<std::size_t>(params_.linkDelay) + 2;
+        static_cast<std::size_t>(cfg_.linkDelay) + 2;
     shards_.resize(s_count);
     shard_of_.assign(static_cast<std::size_t>(n), 0);
     for (std::size_t s = 0; s < s_count; ++s) {
@@ -367,8 +395,8 @@ Network::buildShards()
     }
     batch_cap_ = kernel_ == KernelKind::Scan
                      ? 1
-                     : resolveMaxBatchCycles(params_.maxBatch,
-                                             params_.linkDelay);
+                     : resolveMaxBatchCycles(cfg_.maxBatchCycles,
+                                             cfg_.linkDelay);
     // Workers for shards 1..S-1; the caller thread steps shard 0.
     // The pool is per-network, so campaign workers that each own a
     // parallel network can never deadlock on a shared pool.
@@ -382,10 +410,10 @@ Network::buildShards()
 void
 Network::attachTelemetryBuffer(TelemetryBuffer* buffer)
 {
-    if (buffer != nullptr && params_.telemetryWindow == 0) {
+    if (buffer != nullptr && cfg_.telemetryWindow == 0) {
         throw ConfigError(
             "telemetry buffer needs a nonzero telemetry window "
-            "(set NetworkParams::telemetryWindow / --telemetry-window)");
+            "(set SimConfig::telemetryWindow / --telemetry-window)");
     }
     telemetry_buffer_ = buffer;
 }
@@ -395,14 +423,14 @@ Network::captureTelemetryWindow()
 {
     if (telemetry_buffer_ != nullptr) {
         telemetry_buffer_->beginWindow(
-            now_ - params_.telemetryWindow, now_);
+            now_ - cfg_.telemetryWindow, now_);
         for (NodeId id = 0; id < topo_.numNodes(); ++id) {
             telemetry_buffer_->sample(
                 id, router_telemetry_[static_cast<std::size_t>(id)],
                 nics_[static_cast<std::size_t>(id)].backlog());
         }
     }
-    next_telemetry_at_ = now_ + params_.telemetryWindow;
+    next_telemetry_at_ = now_ + cfg_.telemetryWindow;
 }
 
 void
@@ -922,7 +950,7 @@ Network::applyFaultEvents()
             applyUpEvent(event.node, event.port);
         last_fault_cycle_ = now_;
         // Every event opens (or extends) a reconfiguration window.
-        const Cycle due = now_ + params_.reconfigLatency;
+        const Cycle due = now_ + cfg_.reconfigLatency;
         if (reconfig_due_.empty() || reconfig_due_.back() != due)
             reconfig_due_.push_back(due);
         for (auto& r : routers_)
@@ -996,9 +1024,9 @@ Network::applyUpEvent(NodeId node, PortId port)
     // While the link was down nothing could enter either endpoint's
     // buffers, so a full credit line is exact.
     routers_[static_cast<std::size_t>(node)].markPortAlive(
-        port, params_.router.inBufDepth);
+        port, cfg_.bufferDepth);
     routers_[static_cast<std::size_t>(peer)].markPortAlive(
-        peer_port, params_.router.inBufDepth);
+        peer_port, cfg_.bufferDepth);
     ++fault_counters_.linkUpEvents;
 }
 
@@ -1108,7 +1136,7 @@ Network::purgeMessage(MsgRef msg, bool allow_reinject)
 
     Nic& src_nic = nics_[static_cast<std::size_t>(src)];
     if (allow_reinject &&
-        params_.faultPolicy == FaultPolicy::Reinject &&
+        cfg_.faultPolicy == FaultPolicy::Reinject &&
         !src_nic.wantsReinject(desc)) {
         // The client's reliability layer already timed this
         // transmission out (or resolved the request); it owns the
@@ -1117,7 +1145,7 @@ Network::purgeMessage(MsgRef msg, bool allow_reinject)
         // the client's outstanding table.
         ++fault_counters_.suppressedReinjects;
     } else if (allow_reinject &&
-               params_.faultPolicy == FaultPolicy::Reinject) {
+               cfg_.faultPolicy == FaultPolicy::Reinject) {
         src_nic.requeueFront(dest, created_at, measured, desc.role,
                              desc.reqSeq, desc.attempt);
         ++fault_counters_.reinjectedMessages;

@@ -50,11 +50,10 @@
 #include <vector>
 
 #include "common/ring_buffer.hpp"
-#include "fault/fault_schedule.hpp"
+#include "core/config.hpp"
 #include "network/nic.hpp"
 #include "network/tracer.hpp"
 #include "router/router.hpp"
-#include "selection/selector_factory.hpp"
 #include "tables/full_table.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -83,76 +82,6 @@ unsigned resolveIntraJobs(unsigned requested);
  *  batch can ever be safe. A bad environment value throws
  *  ConfigError. */
 Cycle resolveMaxBatchCycles(Cycle requested, Cycle linkDelay);
-
-/** Network-level construction parameters. */
-struct NetworkParams
-{
-    RouterParams router;
-    Nic::Params nic;
-    Cycle linkDelay = 1;
-    SelectorKind selector = SelectorKind::StaticXY;
-    std::uint64_t seed = 1;
-    KernelKind kernel = KernelKind::Auto;
-
-    /** Parallel-kernel shard/worker count; 0 = auto (LAPSES_INTRA_JOBS,
-     *  else hardware concurrency). Ignored by Active (one shard) and
-     *  Scan. The value never affects results — only how a cycle's
-     *  component stepping is spread over threads. */
-    unsigned intraJobs = 0;
-
-    /**
-     * Explicit interior shard cut points (ascending node ids in
-     * (0, numNodes)), overriding the balanced partition — a test hook
-     * for pinning boundary behavior on adversarial cuts, including
-     * shards that never hold active components. Empty = balanced.
-     */
-    std::vector<NodeId> shardBoundaries;
-
-    /** Event-kernel (Active and Parallel) barrier batch cap in
-     *  cycles; 0 = auto (LAPSES_MAX_BATCH, else linkDelay + 1).
-     *  Clamped to [1, linkDelay + 1]; 1 restores a barrier every
-     *  cycle. Like intraJobs the value never affects results —
-     *  batching only changes how often the shards rejoin. */
-    Cycle maxBatch = 0;
-
-    // --- Dynamic link faults (DESIGN.md "Fault events") -----------
-    /** Validated schedule of mid-run link down/up events. */
-    FaultSchedule faults;
-
-    /** Cycles between a fault event and the reconfiguration that
-     *  reprograms tables / re-routes held headers. */
-    Cycle reconfigLatency = 200;
-
-    /** Drop or reinject the messages a dying link cuts. */
-    FaultPolicy faultPolicy = FaultPolicy::Reinject;
-
-    // --- Closed-loop workload (DESIGN.md "Closed-loop determinism
-    // contract") ---------------------------------------------------
-    /** Request/reply engine knobs; kind == Open (the default) keeps
-     *  every NIC on the classic open-loop injectors. The network
-     *  stamps its own seed into the copy it hands the NICs. */
-    WorkloadOptions workload;
-
-    /**
-     * The table to reprogram around failures at reconfiguration time
-     * (must be the same object the routers route from). Null for
-     * storage schemes that cannot express fault-aware entries — those
-     * still mask dead ports, but headers whose every candidate faces
-     * a dead link are dropped instead of re-routed.
-     */
-    FullTable* reprogramTable = nullptr;
-
-    // --- Telemetry (DESIGN.md "Telemetry determinism contract") ----
-    /**
-     * Cycles per telemetry window; 0 = telemetry off (routers keep no
-     * counters, no wake source exists, zero hot-path work beyond one
-     * null check per site). When > 0 every window boundary is a wake
-     * source like fault events, whether or not a TelemetryBuffer is
-     * attached — so a campaign axis over window sizes changes only
-     * how idle stretches are split, never any statistic.
-     */
-    Cycle telemetryWindow = 0;
-};
 
 /**
  * An ordered set of wire keys in [0, size): one bit per key plus one
@@ -279,15 +208,27 @@ class Network : public DeliverySink
     };
 
     /**
-     * @param topo     the port graph (mesh, torus or irregular fabric)
-     * @param params   microarchitecture + injection parameters
-     * @param table    programmed routing tables (must outlive Network)
-     * @param escape_channels Duato escape discipline on/off
-     * @param pattern  traffic pattern (must outlive Network)
+     * Build the network a run's configuration describes: routers and
+     * NICs (RouterParams, Nic::Params and WorkloadOptions all come
+     * from `cfg`), wires, the kernel's shards and the validated fault
+     * schedule (buildFaultSchedule). Throws ConfigError on a bad
+     * schedule, too few VCs for the escape discipline, or servers not
+     * below the endpoint count.
+     *
+     * @param algo    the routing the tables were built from: decides
+     *                the Duato escape discipline and its escape VCs
+     * @param table   programmed routing tables (must outlive Network);
+     *                reprogrammed around faults when it is a FullTable
+     * @param pattern traffic pattern (must outlive Network)
+     * @param shard_cuts parallel-kernel interior cut points
+     *                (ascending node ids in (0, numNodes)) overriding
+     *                the balanced partition — a test hook for
+     *                adversarial cuts; empty = balanced
      */
-    Network(const Topology& topo, const NetworkParams& params,
-            const RoutingTable& table, bool escape_channels,
-            const TrafficPattern& pattern);
+    Network(const SimConfig& cfg, const Topology& topo,
+            const RoutingAlgorithm& algo, RoutingTable& table,
+            const TrafficPattern& pattern,
+            std::vector<NodeId> shard_cuts = {});
 
     ~Network();
 
@@ -309,6 +250,13 @@ class Network : public DeliverySink
 
     /** The kernel this network runs (resolved, never Auto). */
     KernelKind kernel() const { return kernel_; }
+
+    /** Escape VCs per port (resolveEscapeVcs). */
+    int escapeVcs() const { return escape_vcs_; }
+
+    /** Open-loop messages per cycle each endpoint NIC injects (0 on
+     *  closed-loop runs). */
+    double msgsPerCycle() const { return msgs_per_cycle_; }
 
     /** Shards the topology is partitioned into (1 unless Parallel). */
     std::size_t shardCount() const { return shards_.size(); }
@@ -387,7 +335,7 @@ class Network : public DeliverySink
         return workload_opts_.kind == WorkloadKind::RequestReply;
     }
 
-    /** The resolved workload options (seed stamped in). */
+    /** The workload options built from the config. */
     const WorkloadOptions& workloadOptions() const
     {
         return workload_opts_;
@@ -454,7 +402,7 @@ class Network : public DeliverySink
      *  client node, exactly like the delivery hook. */
     using RequestHook = void (*)(void* ctx, NodeId client,
                                  Cycle issuedAt, Cycle completedAt,
-                                 std::uint16_t attempt, bool measured);
+                                 bool measured);
     void
     setRequestHook(RequestHook hook, void* ctx)
     {
@@ -465,11 +413,11 @@ class Network : public DeliverySink
     // DeliverySink: forwards a client engine's completion.
     void
     requestCompleted(NodeId client, Cycle issuedAt, Cycle completedAt,
-                     std::uint16_t attempt, bool measured) override
+                     bool measured) override
     {
         if (request_hook_ != nullptr)
             request_hook_(request_hook_ctx_, client, issuedAt,
-                          completedAt, attempt, measured);
+                          completedAt, measured);
     }
 
     /** Attach (or detach with nullptr) a flit-event tracer. Shards
@@ -483,7 +431,7 @@ class Network : public DeliverySink
     /**
      * Attach (or detach with nullptr) the buffer that receives one row
      * per node at every telemetry window boundary. Requires a nonzero
-     * NetworkParams::telemetryWindow (ConfigError otherwise) — the
+     * SimConfig::telemetryWindow (ConfigError otherwise) — the
      * counters and the wake source only exist when the window was
      * configured at construction. The buffer must outlive the network
      * or be detached first.
@@ -491,7 +439,7 @@ class Network : public DeliverySink
     void attachTelemetryBuffer(TelemetryBuffer* buffer);
 
     /** The configured telemetry window (0 = off). */
-    Cycle telemetryWindow() const { return params_.telemetryWindow; }
+    Cycle telemetryWindow() const { return cfg_.telemetryWindow; }
 
     /** This node's cumulative telemetry counters (telemetry must be
      *  configured; tests and the buffer snapshot read through here). */
@@ -761,8 +709,9 @@ class Network : public DeliverySink
     bool anyComponentActive() const;
 
     /** Build the shard partition (and, for Parallel, the worker pool
-     *  and pool banks) at construction. */
-    void buildShards();
+     *  and pool banks) at construction; see the constructor's
+     *  shard_cuts. */
+    void buildShards(const std::vector<NodeId>& shard_cuts);
 
     // Shared per-event delivery (trace record + hand-off +
     // activation). `at` is the delivering domain's current cycle: the
@@ -866,8 +815,10 @@ class Network : public DeliverySink
     void captureTelemetryWindow();
 
     const Topology& topo_;
-    NetworkParams params_;
+    const SimConfig cfg_;
     KernelKind kernel_;
+    int escape_vcs_;
+    double msgs_per_cycle_ = 0.0;
     Cycle now_ = 0;
 
     /** Descriptor store; declared before the components that hold
@@ -940,6 +891,9 @@ class Network : public DeliverySink
     std::vector<Cycle> reconfig_due_; //!< ascending; deduped on push
     std::size_t next_reconfig_ = 0;
     FailureSet failures_;
+    /** The routers' own table when it is a FullTable on a faulted
+     *  run. Null otherwise: dead ports are still masked, but heads
+     *  whose every candidate faces a dead link are dropped. */
     FullTable* reprogram_table_ = nullptr;
     /** Merge scratch for the shards' pending-unroutable reports. */
     std::vector<std::tuple<NodeId, PortId, VcId>> unroutable_scratch_;
@@ -964,7 +918,7 @@ class Network : public DeliverySink
     /** Merge scratch for the shards' trace records. */
     std::vector<TraceRecord> trace_merge_;
 
-    /** Seed-stamped workload options every NIC engine reads. */
+    /** Workload options (from cfg_) every NIC engine reads. */
     WorkloadOptions workload_opts_;
 
     // Telemetry state. The per-node counter storage lives here (not in

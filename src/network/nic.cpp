@@ -90,7 +90,7 @@ Nic::acceptFlit(const Flit& flit, Cycle now, DeliverySink& sink)
         const ReplyOutcome outcome = client_->onReply(desc.reqSeq, now);
         if (outcome.completed)
             sink.requestCompleted(node_, outcome.issuedAt, now,
-                                  outcome.attempt, outcome.measured);
+                                  outcome.measured);
     }
     sink.messageDelivered(flit.msg, now);
 }
@@ -207,7 +207,6 @@ Nic::step(Cycle now, Env& env)
             a.active = false;
         env.injectFlit(v, flit);
         mux_next_ = (static_cast<int>(v) + 1) % nv;
-        report.movedFlits = true;
         report.progressed = 1;
         break;
     }

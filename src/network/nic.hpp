@@ -41,16 +41,15 @@ class DeliverySink
     virtual void messageDelivered(MsgRef msg, Cycle now) = 0;
 
     /** A closed-loop request completed: its reply reached the client
-     *  at `completedAt` after `attempt + 1` transmissions. Default
-     *  no-op so open-loop sinks stay untouched. */
+     *  at `completedAt`. Default no-op so open-loop sinks stay
+     *  untouched. */
     virtual void
     requestCompleted(NodeId client, Cycle issuedAt, Cycle completedAt,
-                     std::uint16_t attempt, bool measured)
+                     bool measured)
     {
         (void)client;
         (void)issuedAt;
         (void)completedAt;
-        (void)attempt;
         (void)measured;
     }
 };

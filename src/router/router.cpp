@@ -386,7 +386,6 @@ Router::serveVcMux(Cycle now, Env& env)
         if (!out.hasInfiniteCredits())
             --ovc.credits;
         out.recordUse(now);
-        ++transmitted_flits_;
         --buffered_flits_; // the flit leaves the router for the wire
         if (telem_ != nullptr)
             ++telem_->flitsOut[static_cast<std::size_t>(op)];
@@ -546,7 +545,6 @@ StepActivity
 Router::step(Cycle now, Env& env)
 {
     const std::uint64_t forwarded_before = forwarded_flits_;
-    const std::uint64_t transmitted_before = transmitted_flits_;
     if (telem_ != nullptr) {
         // Time-weighted VC occupancy, sampled at cycle entry. Only
         // ports with backlog contribute, and a quiescent router's
@@ -567,8 +565,6 @@ Router::step(Cycle now, Env& env)
     serveVcMux(now, env);
 
     StepActivity report;
-    report.movedFlits = forwarded_flits_ != forwarded_before ||
-                        transmitted_flits_ != transmitted_before;
     report.progressed = static_cast<std::uint32_t>(forwarded_flits_ -
                                                    forwarded_before);
     report.pendingWork = occupancy() > 0;

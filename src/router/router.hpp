@@ -375,7 +375,6 @@ class Router
     RouterTelemetry* telem_ = nullptr;
 
     std::uint64_t forwarded_flits_ = 0;
-    std::uint64_t transmitted_flits_ = 0;
     std::size_t buffered_flits_ = 0;
 };
 

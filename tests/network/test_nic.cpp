@@ -99,20 +99,20 @@ TEST_F(NicTest, StepReportsActivityAndQuiescence)
     Nic idle_nic(0, params(0.0), table, pattern, Rng{5}, pool);
     CaptureEnv env;
     const StepActivity idle = idle_nic.step(0, env);
-    EXPECT_FALSE(idle.movedFlits);
+    EXPECT_EQ(idle.progressed, 0u);
     EXPECT_FALSE(idle.pendingWork);
     EXPECT_EQ(idle.nextWake, kNeverCycle);
     EXPECT_TRUE(idle_nic.isQuiescent(1));
 
     // A busy NIC reports pending work while its backlog streams, and
-    // movedFlits on the cycles it puts a flit on the link.
+    // progress on the cycles it puts a flit on the link.
     Nic nic(0, params(0.5, 4), table, pattern, Rng{5}, pool);
     Cycle now = 0;
     bool moved_any = false;
     bool pending_any = false;
     for (; now < 100; ++now) {
         const StepActivity r = nic.step(now, env);
-        moved_any |= r.movedFlits;
+        moved_any |= r.progressed > 0;
         pending_any |= r.pendingWork;
         // While a message streams, the NIC may never claim quiescence.
         if (r.pendingWork)

@@ -12,8 +12,8 @@
  * oracle. Deliveries eject on the destination's owning worker, so the
  * observable ordering contract is per destination node (a single
  * global stream across shards is not defined under worker delivery).
- * These tests build networks directly through
- * NetworkParams::shardBoundaries to drive randomized and adversarial
+ * These tests build networks directly with explicit shard_cuts
+ * constructor arguments to drive randomized and adversarial
  * cuts the balanced partition would never produce, including slivers
  * that spend most cycles with no active component (the idle-shard
  * fast-forward path) and multi-cycle batches that must break exactly
@@ -36,7 +36,6 @@
 #include "tables/table_factory.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topology/mesh.hpp"
-#include "traffic/injection.hpp"
 #include "traffic/patterns.hpp"
 
 namespace lapses
@@ -75,37 +74,26 @@ struct NetRig
            std::uint64_t seed, RigOpts opts = {})
         : topo(makeMeshTopology(radices, false))
     {
-        algo = makeRoutingAlgorithm(RoutingAlgo::DuatoFullyAdaptive,
-                                    topo);
-        table = makeRoutingTable(TableKind::Full, topo, *algo);
-        pattern = makeTrafficPattern(TrafficKind::Uniform, topo);
+        SimConfig cfg; // Duato on a full table, uniform traffic
+        cfg.table = TableKind::Full;
+        cfg.vcsPerPort = 2;
+        cfg.bufferDepth = 8;
+        cfg.msgLen = 4;
+        cfg.normalizedLoad = load;
+        cfg.seed = seed;
+        cfg.kernel = kernel;
+        cfg.intraJobs = 1; // overridden by explicit boundaries
+        cfg.linkDelay = opts.linkDelay;
+        cfg.maxBatchCycles = opts.maxBatch;
+        cfg.telemetryWindow = opts.telemetryWindow;
+        cfg.faultEvents = opts.faults.events();
+        cfg.reconfigLatency = opts.reconfigLatency;
+        algo = makeRoutingAlgorithm(cfg.routing, topo);
+        table = makeRoutingTable(cfg.table, topo, *algo);
+        pattern = makeTrafficPattern(cfg.traffic, topo);
         deliveries.resize(static_cast<std::size_t>(topo.numNodes()));
-
-        NetworkParams np;
-        np.router.vcsPerPort = 2;
-        np.router.inBufDepth = 8;
-        np.router.outBufDepth = 8;
-        np.router.lookahead = true;
-        np.router.escapeVcs = 1;
-        np.nic.numVcs = 2;
-        np.nic.routerBufDepth = 8;
-        np.nic.msgLen = 4;
-        np.nic.lookahead = true;
-        np.nic.msgsPerCycle = msgRateForLoad(topo, load, np.nic.msgLen);
-        np.seed = seed;
-        np.kernel = kernel;
-        np.intraJobs = 1; // overridden by explicit boundaries
-        np.shardBoundaries = std::move(boundaries);
-        np.linkDelay = opts.linkDelay;
-        np.maxBatch = opts.maxBatch;
-        np.telemetryWindow = opts.telemetryWindow;
-        if (!opts.faults.empty())
-            opts.faults.validate(topo);
-        np.faults = std::move(opts.faults);
-        np.reconfigLatency = opts.reconfigLatency;
-        net = std::make_unique<Network>(topo, np, *table,
-                                        algo->usesEscapeChannels(),
-                                        *pattern);
+        net = std::make_unique<Network>(cfg, topo, *algo, *table,
+                                        *pattern, std::move(boundaries));
         net->setDeliveryHook(&NetRig::record, this);
     }
 

@@ -144,7 +144,7 @@ TEST(RouterPipeline, StepReportsActivityAndQuiescence)
     EXPECT_TRUE(h.router->isQuiescent());
     h.env.now = 0;
     const StepActivity idle = h.router->step(0, h.env);
-    EXPECT_FALSE(idle.movedFlits);
+    EXPECT_EQ(idle.progressed, 0u);
     EXPECT_FALSE(idle.pendingWork);
     EXPECT_EQ(idle.nextWake, kNeverCycle);
 
@@ -155,7 +155,7 @@ TEST(RouterPipeline, StepReportsActivityAndQuiescence)
     for (Cycle c = 5; c <= 9; ++c) {
         h.env.now = c;
         const StepActivity r = h.router->step(c, h.env);
-        moved_any |= r.movedFlits;
+        moved_any |= r.progressed > 0;
         // Pending work until the flit leaves on the link at cycle 9.
         EXPECT_EQ(r.pendingWork, c < 9) << c;
     }
