@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/assert.hpp"
+#include "router/flit.hpp"
 
 namespace lapses
 {
@@ -84,8 +85,10 @@ SimConfig::validate() const
         throw ConfigError("vcsPerPort must be >= 1");
     if (bufferDepth < 1)
         throw ConfigError("bufferDepth must be >= 1");
-    if (msgLen < 1)
-        throw ConfigError("msgLen must be >= 1");
+    if (msgLen < 1 || msgLen > kMaxMsgLen) {
+        throw ConfigError("msgLen must be in [1, " +
+                          std::to_string(kMaxMsgLen) + "]");
+    }
     if (!std::isfinite(normalizedLoad) || normalizedLoad <= 0.0)
         throw ConfigError("normalizedLoad must be finite and > 0");
     if (measureMessages < 1)

@@ -8,6 +8,7 @@
 #include "core/experiment.hpp"
 #include "core/names.hpp"
 #include "exp/result_sink.hpp"
+#include "router/flit.hpp"
 
 namespace lapses
 {
@@ -19,12 +20,18 @@ namespace
 // error names. An axis reads its values with its flag's parser, so
 // both accept the same range.
 
+template <int Lo, int Hi = std::numeric_limits<int>::max()>
+int
+intInRange(const std::string& name, const std::string& token)
+{
+    return parseCheckedInt(name, token, Lo, Hi);
+}
+
 template <int Lo>
 int
 intAtLeast(const std::string& name, const std::string& token)
 {
-    return parseCheckedInt(name, token, Lo,
-                           std::numeric_limits<int>::max());
+    return intInRange<Lo>(name, token);
 }
 
 double
@@ -172,7 +179,8 @@ const ConfigField kFields[] = {
         {.flag = "--injection", .metavar = "I", .section = kWorkload,
          .help = "exponential|bernoulli|bursty [exponential]",
          .column = "injection", .axis = "injection", .nest = 7}),
-    swept<&SimConfig::msgLen, &CampaignAxes::msgLens, intAtLeast<1>>(
+    swept<&SimConfig::msgLen, &CampaignAxes::msgLens,
+          intInRange<1, kMaxMsgLen>>(
         {.flag = "--msglen", .metavar = "N", .section = kWorkload,
          .help = "flits per message [20]", .column = "msglen",
          .axis = "msglen", .nest = 6}),

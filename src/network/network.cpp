@@ -120,7 +120,7 @@ Network::RouterEnv::flitOut(PortId out_port, VcId out_vc,
     Network& net = *net_;
     const std::size_t w = net.wireIndex(id_, out_port);
     const Cycle due = sh_->now + 1 + net.cfg_.linkDelay;
-    net.flit_wires_[w].push({flit, out_vc, due});
+    net.flit_wires_.push(w, {flit, out_vc, due});
     net.scheduleWire(*sh_, net.flitWireKey(id_, out_port), due,
                      net.boundary_wire_[w] != 0);
 }
@@ -131,7 +131,7 @@ Network::RouterEnv::creditOut(PortId in_port, VcId vc)
     Network& net = *net_;
     const std::size_t w = net.wireIndex(id_, in_port);
     const Cycle due = sh_->now + 1 + net.cfg_.linkDelay;
-    net.credit_wires_[w].push({vc, due});
+    net.credit_wires_.push(w, {vc, due});
     net.scheduleWire(*sh_, net.creditWireKey(id_, in_port), due,
                      net.boundary_wire_[w] != 0);
 }
@@ -153,8 +153,7 @@ Network::NicEnv::injectFlit(VcId vc, const Flit& flit)
 {
     Network& net = *net_;
     const Cycle due = sh_->now + 1 + net.cfg_.linkDelay;
-    net.inject_wires_[static_cast<std::size_t>(id_)].push(
-        {flit, vc, due});
+    net.inject_wires_.push(static_cast<std::size_t>(id_), {flit, vc, due});
     // Injection wires deliver to the sender's own router: always
     // intra-shard.
     net.scheduleWire(*sh_, net.injectWireKey(id_), due,
@@ -267,20 +266,15 @@ Network::Network(const SimConfig& cfg, const Topology& topo,
     const auto credit_cap = static_cast<std::size_t>(cfg.vcsPerPort) *
                                 (static_cast<std::size_t>(
                                      cfg.linkDelay) + 2) + 2;
-    flit_wires_.reserve(wire_count);
-    credit_wires_.reserve(wire_count);
-    for (std::size_t i = 0; i < wire_count; ++i) {
-        flit_wires_.emplace_back(flit_cap);
-        credit_wires_.emplace_back(credit_cap);
-    }
-    inject_wires_.reserve(static_cast<std::size_t>(n));
-    for (NodeId id = 0; id < n; ++id)
-        inject_wires_.emplace_back(flit_cap);
+    flit_wires_ = FifoSet<WireFlit>(wire_count, flit_cap);
+    credit_wires_ = FifoSet<WireCredit>(wire_count, credit_cap);
+    inject_wires_ = FifoSet<WireFlit>(static_cast<std::size_t>(n), flit_cap);
 
     // Event-driven kernel bookkeeping. All events pushed at cycle t
     // are due t + linkDelay + 1, so linkDelay + 2 calendar buckets
     // make due % width injective over the in-flight window.
-    key_stride_ = 2 * ports + 1;
+    key_shift_ = std::countr_zero(
+        std::bit_ceil(static_cast<unsigned>(2 * ports + 1)));
     router_active_.assign(static_cast<std::size_t>(n), 0);
     nic_active_.assign(static_cast<std::size_t>(n), 0);
     nic_wake_at_.assign(static_cast<std::size_t>(n), kNeverCycle);
@@ -347,8 +341,8 @@ Network::buildShards(const std::vector<NodeId>& shard_cuts)
         Shard& sh = shards_[s];
         sh.begin = s == 0 ? 0 : bounds[s - 1];
         sh.end = s + 1 == s_count ? n : bounds[s];
-        const WireKeySet no_keys(static_cast<std::size_t>(
-            (sh.end - sh.begin) * key_stride_));
+        const WireKeySet no_keys(
+            static_cast<std::size_t>(sh.end - sh.begin) << key_shift_);
         sh.calendar.assign(width, {0, no_keys, no_keys});
         for (NodeId id = sh.begin; id < sh.end; ++id)
             shard_of_[static_cast<std::size_t>(id)] =
@@ -450,7 +444,7 @@ Network::scheduleWire(Shard& sh, std::int32_t key, Cycle due,
     bucket.due = due;
     (boundary ? bucket.boundary_keys : bucket.keys)
         .insert(static_cast<std::uint32_t>(
-            key - static_cast<std::int32_t>(sh.begin) * key_stride_));
+            key - (static_cast<std::int32_t>(sh.begin) << key_shift_)));
 }
 
 void
@@ -597,26 +591,27 @@ Network::deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf,
 void
 Network::deliverWire(Shard& sh, NodeId id, std::int32_t slot, Cycle at)
 {
-    if (slot == key_stride_ - 1) {
-        auto& iw = inject_wires_[static_cast<std::size_t>(id)];
-        while (!iw.empty() && iw.front().due <= at) {
+    if (slot == injectSlot()) {
+        const auto w = static_cast<std::size_t>(id);
+        while (!inject_wires_.empty(w) &&
+               inject_wires_.front(w).due <= at) {
             ++sh.counters.wireEventsDelivered;
-            deliverInjectWire(sh, id, iw.pop(), at);
+            deliverInjectWire(sh, id, inject_wires_.pop(w), at);
         }
         return;
     }
-    const auto p = static_cast<PortId>(slot / 2);
-    if (slot % 2 == 0) {
-        auto& fw = flit_wires_[wireIndex(id, p)];
-        while (!fw.empty() && fw.front().due <= at) {
+    const auto p = static_cast<PortId>(slot >> 1);
+    const std::size_t w = wireIndex(id, p);
+    if ((slot & 1) == 0) {
+        while (!flit_wires_.empty(w) && flit_wires_.front(w).due <= at) {
             ++sh.counters.wireEventsDelivered;
-            deliverFlitWire(sh, id, p, fw.pop(), at);
+            deliverFlitWire(sh, id, p, flit_wires_.pop(w), at);
         }
     } else {
-        auto& cw = credit_wires_[wireIndex(id, p)];
-        while (!cw.empty() && cw.front().due <= at) {
+        while (!credit_wires_.empty(w) &&
+               credit_wires_.front(w).due <= at) {
             ++sh.counters.wireEventsDelivered;
-            deliverCreditWire(id, p, cw.pop());
+            deliverCreditWire(id, p, credit_wires_.pop(w));
         }
     }
 }
@@ -624,9 +619,10 @@ Network::deliverWire(Shard& sh, NodeId id, std::int32_t slot, Cycle at)
 void
 Network::deliverKey(Shard& sh, std::uint32_t key, Cycle at)
 {
-    const auto stride = static_cast<std::uint32_t>(key_stride_);
-    deliverWire(sh, sh.begin + static_cast<NodeId>(key / stride),
-                static_cast<std::int32_t>(key % stride), at);
+    deliverWire(sh, sh.begin + static_cast<NodeId>(key >> key_shift_),
+                static_cast<std::int32_t>(
+                    key & ((std::uint32_t{1} << key_shift_) - 1)),
+                at);
 }
 
 void
@@ -668,7 +664,7 @@ Network::stepScan()
         // canonical delivery order by definition.
         ScopedPhaseTimer timer(profiling_, profile_.wireDrainSeconds);
         for (NodeId id = 0; id < topo_.numNodes(); ++id) {
-            for (std::int32_t slot = 0; slot < key_stride_; ++slot)
+            for (std::int32_t slot = 0; slot <= injectSlot(); ++slot)
                 deliverWire(shards_[0], id, slot, now_);
         }
     }
@@ -977,9 +973,9 @@ Network::applyDownEvent(NodeId node, PortId port)
     // its two wires, flits and worm owners at its two endpoint ports.
     std::vector<MsgRef> affected;
     const auto side = [&](NodeId n, PortId p) {
-        const auto& fw = flit_wires_[wireIndex(n, p)];
-        for (std::size_t i = 0; i < fw.size(); ++i)
-            affected.push_back(fw.at(i).flit.msg);
+        const std::size_t w = wireIndex(n, p);
+        for (std::size_t i = 0; i < flit_wires_.size(w); ++i)
+            affected.push_back(flit_wires_.at(w, i).flit.msg);
         routers_[static_cast<std::size_t>(n)].collectPortMessages(
             p, affected);
     };
@@ -1004,13 +1000,13 @@ Network::applyDownEvent(NodeId node, PortId port)
     // Quarantine the dead channel: in-flight credits are lost with
     // the link, endpoint credit counters drop to zero (reset to full
     // at repair — by then both peer input buffers are empty).
-    credit_wires_[wireIndex(node, port)].clear();
-    credit_wires_[wireIndex(peer, peer_port)].clear();
+    credit_wires_.clear(wireIndex(node, port));
+    credit_wires_.clear(wireIndex(peer, peer_port));
     routers_[static_cast<std::size_t>(node)].quarantineDeadPort(port);
     routers_[static_cast<std::size_t>(peer)].quarantineDeadPort(
         peer_port);
-    LAPSES_ASSERT(flit_wires_[wireIndex(node, port)].empty());
-    LAPSES_ASSERT(flit_wires_[wireIndex(peer, peer_port)].empty());
+    LAPSES_ASSERT(flit_wires_.empty(wireIndex(node, port)));
+    LAPSES_ASSERT(flit_wires_.empty(wireIndex(peer, peer_port)));
     ++fault_counters_.linkDownEvents;
 }
 
@@ -1104,9 +1100,8 @@ Network::purgeMessage(MsgRef msg, bool allow_reinject)
     // quarantine zeroes the counter afterwards.
     for (NodeId id = 0; id < topo_.numNodes(); ++id) {
         for (PortId p = 0; p < topo_.numPorts(); ++p) {
-            auto& fw = flit_wires_[wireIndex(id, p)];
-            const std::size_t dropped = fw.removeIf(
-                [&](const WireFlit& wf) {
+            removed += flit_wires_.removeIf(
+                wireIndex(id, p), [&](const WireFlit& wf) {
                     if (wf.flit.msg != msg)
                         return false;
                     if (p != kLocalPort) {
@@ -1115,16 +1110,15 @@ Network::purgeMessage(MsgRef msg, bool allow_reinject)
                     }
                     return true;
                 });
-            removed += dropped;
         }
-        auto& iw = inject_wires_[static_cast<std::size_t>(id)];
-        removed += iw.removeIf([&](const WireFlit& wf) {
-            if (wf.flit.msg != msg)
-                return false;
-            // The NIC spent a local-port credit on this flit.
-            nics_[static_cast<std::size_t>(id)].acceptCredit(wf.vc);
-            return true;
-        });
+        removed += inject_wires_.removeIf(
+            static_cast<std::size_t>(id), [&](const WireFlit& wf) {
+                if (wf.flit.msg != msg)
+                    return false;
+                // The NIC spent a local-port credit on this flit.
+                nics_[static_cast<std::size_t>(id)].acceptCredit(wf.vc);
+                return true;
+            });
     }
 
     occupancy_ -= removed;
@@ -1346,10 +1340,10 @@ Network::totalOccupancySlow() const
     std::size_t n = 0;
     for (const auto& r : routers_)
         n += r.occupancy();
-    for (const auto& w : flit_wires_)
-        n += w.size();
-    for (const auto& w : inject_wires_)
-        n += w.size();
+    for (std::size_t w = 0; w < flit_wires_.count(); ++w)
+        n += flit_wires_.size(w);
+    for (std::size_t w = 0; w < inject_wires_.count(); ++w)
+        n += inject_wires_.size(w);
     return n;
 }
 

@@ -49,7 +49,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/ring_buffer.hpp"
+#include "common/fifo_set.hpp"
 #include "core/config.hpp"
 #include "network/nic.hpp"
 #include "network/tracer.hpp"
@@ -565,6 +565,14 @@ class Network : public DeliverySink
     // holds wire keys relative to the shard's first key; ascending key
     // order is the scan kernel's delivery order (per node: flit wire,
     // credit wire per port, then the injection wire).
+    //
+    // Wire key = (node << key_shift_) + slot. Slot 2 * port is the
+    // port's flit wire, 2 * port + 1 its credit wire and 2 * ports the
+    // node's injection wire, its last real slot. The per-node stride
+    // is 2 * ports + 1 rounded up to a power of two, so decoding a key
+    // is a shift and a mask; the slots above 2 * ports are never set,
+    // and the order of the real keys is the same as with a dense
+    // stride.
 
     /** One calendar slot: the wires with traffic due at cycles
      *  congruent to this slot. Events are split at schedule time by
@@ -671,7 +679,7 @@ class Network : public DeliverySink
     std::int32_t
     flitWireKey(NodeId node, PortId port) const
     {
-        return static_cast<std::int32_t>(node) * key_stride_ +
+        return (static_cast<std::int32_t>(node) << key_shift_) +
                2 * static_cast<std::int32_t>(port);
     }
     std::int32_t
@@ -682,9 +690,12 @@ class Network : public DeliverySink
     std::int32_t
     injectWireKey(NodeId node) const
     {
-        return static_cast<std::int32_t>(node) * key_stride_ +
-               key_stride_ - 1;
+        return (static_cast<std::int32_t>(node) << key_shift_) +
+               injectSlot();
     }
+    /** The injection wire's key slot: 2 * ports, after every port's
+     *  flit and credit slots. */
+    std::int32_t injectSlot() const { return 2 * topo_.numPorts(); }
 
     /** Register a pushed wire event with the sender's shard calendar,
      *  pre-classified as intra-shard or boundary-crossing (the env
@@ -725,7 +736,7 @@ class Network : public DeliverySink
                            Cycle at);
 
     /** Deliver every event due by `at` on the wire at key offset
-     *  `slot` (< key_stride_) of node `id`: the one per-wire pop loop
+     *  `slot` (<= injectSlot()) of node `id`: the one per-wire pop loop
      *  behind both the scan sweep and the calendar drains. */
     void deliverWire(Shard& sh, NodeId id, std::int32_t slot, Cycle at);
 
@@ -830,21 +841,23 @@ class Network : public DeliverySink
     std::vector<RouterEnv> router_envs_;
     std::vector<NicEnv> nic_envs_;
 
-    /** Router output wires, indexed by (router, out port). Port 0 wires
-     *  deliver to the local NIC (ejection). */
-    std::vector<RingBuffer<WireFlit>> flit_wires_;
+    /** Router output wires, indexed by wireIndex(router, out port).
+     *  Port 0 wires deliver to the local NIC (ejection). */
+    FifoSet<WireFlit> flit_wires_;
 
-    /** Credit wires from (router, in port) back upstream; in port 0
-     *  credits deliver to the local NIC. */
-    std::vector<RingBuffer<WireCredit>> credit_wires_;
+    /** Credit wires from (router, in port) back upstream, indexed by
+     *  wireIndex; in port 0 credits deliver to the local NIC. */
+    FifoSet<WireCredit> credit_wires_;
 
     /** NIC -> router injection wires, one per node. */
-    std::vector<RingBuffer<WireFlit>> inject_wires_;
+    FifoSet<WireFlit> inject_wires_;
 
     // Event kernel state (Active = one shard, Parallel = one shard
     // per worker; Scan keeps a single inert shard so observers and
     // merge paths are uniform).
-    std::int32_t key_stride_ = 0; //!< wire keys per node (2*ports + 1)
+    /** log2 of the wire keys per node: 2 * ports + 1 rounded up to a
+     *  power of two. */
+    int key_shift_ = 0;
     std::vector<Shard> shards_;
     /** Owning shard per node (all zero unless Parallel). */
     std::vector<std::uint32_t> shard_of_;

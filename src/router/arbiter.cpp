@@ -1,6 +1,6 @@
 #include "router/arbiter.hpp"
 
-#include <bit>
+#include <algorithm>
 
 namespace lapses
 {
@@ -8,52 +8,41 @@ namespace lapses
 bool
 RoundRobinArbiter::anyRequest() const
 {
-    for (const std::uint64_t w : words_) {
-        if (w != 0)
-            return true;
-    }
-    return false;
+    return word_ != 0 ||
+           std::any_of(wide_.begin(), wide_.end(),
+                       [](std::uint64_t w) { return w != 0; });
 }
 
 int
 RoundRobinArbiter::scanFrom(int start) const
 {
     std::size_t wi = static_cast<std::size_t>(start) >> 6;
-    if (wi >= words_.size())
-        return -1;
     // Mask off lines below `start` in its word; later words scan whole.
-    std::uint64_t w = words_[wi] & (~std::uint64_t{0} << (start & 63));
+    std::uint64_t w = wide_[wi] & (~std::uint64_t{0} << (start & 63));
     while (true) {
-        if (w != 0) {
-            const int i = static_cast<int>(wi) * 64 + std::countr_zero(w);
-            return i < num_requesters_ ? i : -1;
-        }
-        if (++wi == words_.size())
+        if (w != 0)
+            return static_cast<int>(wi) * 64 + std::countr_zero(w);
+        if (++wi == wide_.size())
             return -1;
-        w = words_[wi];
+        w = wide_[wi];
     }
 }
 
 int
-RoundRobinArbiter::grant()
+RoundRobinArbiter::grantWide()
 {
-    // Rotating priority: first raised line at or after the pointer,
-    // wrapping around — exactly the circular scan a chain of fixed
-    // arbiters would implement.
     int winner = scanFrom(next_);
     if (winner < 0 && next_ != 0)
         winner = scanFrom(0);
-    if (winner >= 0)
-        next_ = winner + 1 == num_requesters_ ? 0 : winner + 1;
     clear();
-    return winner;
+    return winner < 0 ? -1 : advancePast(winner);
 }
 
 void
 RoundRobinArbiter::clear()
 {
-    for (std::uint64_t& w : words_)
-        w = 0;
+    word_ = 0;
+    std::fill(wide_.begin(), wide_.end(), 0);
 }
 
 } // namespace lapses

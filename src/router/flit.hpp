@@ -15,6 +15,8 @@
 #ifndef LAPSES_ROUTER_FLIT_HPP
 #define LAPSES_ROUTER_FLIT_HPP
 
+#include <limits>
+
 #include "common/types.hpp"
 
 namespace lapses
@@ -66,6 +68,11 @@ struct Flit
 
     FlitType type = FlitType::Head;
 };
+
+/** Longest message in flits. A NIC counts the flits it has sent of a
+ *  message in a counter of seq's type, up to the length itself. */
+inline constexpr int kMaxMsgLen =
+    std::numeric_limits<decltype(Flit::seq)>::max();
 
 } // namespace lapses
 

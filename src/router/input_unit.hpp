@@ -2,19 +2,20 @@
  * @file
  * Router input unit: per-VC flit buffers and routing state.
  *
- * One InputUnit per input port holds the VC demultiplexer's buffers
- * (Section 2.1) and, per VC, the header's progress through the routing
- * pipeline: Idle -> WaitArb (after decode and, without look-ahead, table
- * lookup) -> Active (path selected, output VC allocated) until the tail
- * passes.
+ * Each input port has the VC demultiplexer's buffers (Section 2.1) and,
+ * per VC, the header's progress through the routing pipeline: Idle ->
+ * WaitArb (after decode and, without look-ahead, table lookup) ->
+ * Active (path selected, output VC allocated) until the tail passes.
+ *
+ * The router owns the storage: all its input VCs in one flat array and
+ * all their FIFOs in one FifoSet, both in (port, VC) order. An
+ * InputUnit is one port's view into them.
  */
 
 #ifndef LAPSES_ROUTER_INPUT_UNIT_HPP
 #define LAPSES_ROUTER_INPUT_UNIT_HPP
 
-#include <vector>
-
-#include "common/ring_buffer.hpp"
+#include "common/fifo_set.hpp"
 #include "common/types.hpp"
 #include "router/flit.hpp"
 #include "routing/route_candidates.hpp"
@@ -30,14 +31,10 @@ enum class RouteState : std::uint8_t
     Active,  //!< path allocated; body/tail flits use the bypass path
 };
 
-/** Per-virtual-channel input state. */
+/** Per-virtual-channel input state (its flit FIFO lives in the
+ *  router's input FifoSet at the same index). */
 struct InputVc
 {
-    explicit InputVc(std::size_t depth) : buffer(depth) {}
-
-    /** Input flit FIFO (Table 2: 20 flits deep by default). */
-    RingBuffer<Flit> buffer;
-
     RouteState state = RouteState::Idle;
 
     /** Earliest cycle the header may attempt selection/arbitration. */
@@ -57,18 +54,22 @@ struct InputVc
     VcId outVc = kInvalidVc;
 };
 
-/** Input port: VC demux + buffers. */
+/** Input port: a view of one port's VC state and flit FIFOs. */
 class InputUnit
 {
   public:
-    InputUnit(int num_vcs, std::size_t buf_depth)
+    /**
+     * @param vcs     the port's num_vcs VC states
+     * @param fifos   the port's flit FIFOs (Table 2: 20 flits deep by
+     *                default), VC v at index v
+     * @param num_vcs VCs on the physical channel
+     */
+    InputUnit(InputVc* vcs, FifoSpan<Flit> fifos, int num_vcs)
+        : vcs_(vcs), fifos_(fifos), num_vcs_(num_vcs)
     {
-        vcs_.reserve(static_cast<std::size_t>(num_vcs));
-        for (int v = 0; v < num_vcs; ++v)
-            vcs_.emplace_back(buf_depth);
     }
 
-    int numVcs() const { return static_cast<int>(vcs_.size()); }
+    int numVcs() const { return num_vcs_; }
 
     InputVc& vc(VcId v) { return vcs_[static_cast<std::size_t>(v)]; }
     const InputVc&
@@ -76,6 +77,9 @@ class InputUnit
     {
         return vcs_[static_cast<std::size_t>(v)];
     }
+
+    /** The port's flit FIFOs, indexed by VC. */
+    const FifoSpan<Flit>& buffers() const { return fifos_; }
 
     /**
      * Accept a flit from the link (stage 1: sync/demux/buffer/decode).
@@ -85,7 +89,7 @@ class InputUnit
     receiveFlit(VcId v, Flit flit, Cycle now)
     {
         flit.readyAt = now + 1;
-        vc(v).buffer.push(flit);
+        fifos_.push(static_cast<std::size_t>(v), flit);
     }
 
     /** Total buffered flits across VCs (diagnostics). */
@@ -93,13 +97,15 @@ class InputUnit
     occupancy() const
     {
         std::size_t n = 0;
-        for (const auto& v : vcs_)
-            n += v.buffer.size();
+        for (int v = 0; v < num_vcs_; ++v)
+            n += fifos_.size(static_cast<std::size_t>(v));
         return n;
     }
 
   private:
-    std::vector<InputVc> vcs_;
+    InputVc* vcs_;
+    FifoSpan<Flit> fifos_;
+    int num_vcs_;
 };
 
 } // namespace lapses

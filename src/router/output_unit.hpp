@@ -7,14 +7,17 @@
  * path-selection heuristics consume: cumulative use count (LFU), last
  * use cycle (LRU), allocated-VC count (MIN-MUX) and credit totals
  * (MAX-CREDIT).
+ *
+ * The router owns the per-VC storage: all its output VCs in one flat
+ * array and all their FIFOs in one FifoSet, both in (port, VC) order.
+ * An OutputUnit views one port's share and owns the port's arbiters
+ * and usage counters.
  */
 
 #ifndef LAPSES_ROUTER_OUTPUT_UNIT_HPP
 #define LAPSES_ROUTER_OUTPUT_UNIT_HPP
 
-#include <vector>
-
-#include "common/ring_buffer.hpp"
+#include "common/fifo_set.hpp"
 #include "common/types.hpp"
 #include "router/arbiter.hpp"
 #include "router/flit.hpp"
@@ -22,18 +25,13 @@
 namespace lapses
 {
 
-/** Per-virtual-channel output state. */
+/** Per-virtual-channel output state (its flit FIFO, ahead of the VC
+ *  multiplexer, lives in the router's output FifoSet at the same
+ *  index). */
 struct OutputVc
 {
-    OutputVc(std::size_t depth, int initial_credits)
-        : buffer(depth), credits(initial_credits)
-    {}
-
-    /** Output flit FIFO ahead of the VC multiplexer. */
-    RingBuffer<Flit> buffer;
-
     /** Downstream input-buffer credits for this VC. */
-    int credits;
+    int credits = 0;
 
     /** Allocated to an in-flight message (cleared when its tail is
      *  transmitted). */
@@ -49,24 +47,24 @@ class OutputUnit
 {
   public:
     /**
+     * @param vcs              the port's num_vcs VC states, credits
+     *                         already set to the downstream buffer
+     *                         depth
+     * @param fifos            the port's output FIFOs, VC v at index v
      * @param num_vcs          VCs on the physical channel
-     * @param buf_depth        output FIFO depth per VC
-     * @param initial_credits  downstream input buffer depth
      * @param xbar_requesters  input VC id space for crossbar arbitration
      * @param infinite_credits ejection port: the NIC sink never
      *                         backpressures
      */
-    OutputUnit(int num_vcs, std::size_t buf_depth, int initial_credits,
+    OutputUnit(OutputVc* vcs, FifoSpan<Flit> fifos, int num_vcs,
                int xbar_requesters, bool infinite_credits)
-        : xbarArb(xbar_requesters), muxArb(num_vcs),
+        : xbarArb(xbar_requesters), muxArb(num_vcs), vcs_(vcs),
+          fifos_(fifos), num_vcs_(num_vcs),
           infinite_credits_(infinite_credits)
     {
-        vcs_.reserve(static_cast<std::size_t>(num_vcs));
-        for (int v = 0; v < num_vcs; ++v)
-            vcs_.emplace_back(buf_depth, initial_credits);
     }
 
-    int numVcs() const { return static_cast<int>(vcs_.size()); }
+    int numVcs() const { return num_vcs_; }
 
     OutputVc& vc(VcId v) { return vcs_[static_cast<std::size_t>(v)]; }
     const OutputVc&
@@ -74,6 +72,9 @@ class OutputUnit
     {
         return vcs_[static_cast<std::size_t>(v)];
     }
+
+    /** The port's output FIFOs, indexed by VC. */
+    const FifoSpan<Flit>& buffers() const { return fifos_; }
 
     /** Ejection ports never wait for credits. */
     bool hasInfiniteCredits() const { return infinite_credits_; }
@@ -105,8 +106,8 @@ class OutputUnit
     activeVcCount() const
     {
         int n = 0;
-        for (const auto& o : vcs_)
-            n += o.busy ? 1 : 0;
+        for (int v = 0; v < num_vcs_; ++v)
+            n += vcs_[v].busy ? 1 : 0;
         return n;
     }
 
@@ -115,8 +116,8 @@ class OutputUnit
     totalCredits() const
     {
         int n = 0;
-        for (const auto& o : vcs_)
-            n += o.credits;
+        for (int v = 0; v < num_vcs_; ++v)
+            n += vcs_[v].credits;
         return n;
     }
 
@@ -141,7 +142,9 @@ class OutputUnit
     RoundRobinArbiter muxArb;
 
   private:
-    std::vector<OutputVc> vcs_;
+    OutputVc* vcs_;
+    FifoSpan<Flit> fifos_;
+    int num_vcs_;
     std::uint64_t use_count_ = 0;
     Cycle last_use_cycle_ = 0;
     bool infinite_credits_;

@@ -31,43 +31,29 @@ Router::Router(NodeId id, const Topology& topo,
         throw ConfigError(
             "Duato's protocol needs 1 <= escapeVcs < vcsPerPort");
     }
+    const int xbar_requesters = num_ports_ * params_.vcsPerPort;
+    const auto vc_count = static_cast<std::size_t>(xbar_requesters);
+    in_vcs_.resize(vc_count);
+    // Downstream of every network output is a peer input FIFO of
+    // inBufDepth; the ejection port's NIC sink never backpressures.
+    out_vcs_.assign(vc_count, OutputVc{.credits = params_.inBufDepth});
+    in_fifos_ = FifoSet<Flit>(
+        vc_count, static_cast<std::size_t>(params_.inBufDepth));
+    out_fifos_ = FifoSet<Flit>(
+        vc_count, static_cast<std::size_t>(params_.outBufDepth));
     inputs_.reserve(static_cast<std::size_t>(num_ports_));
     outputs_.reserve(static_cast<std::size_t>(num_ports_));
-    const int xbar_requesters = num_ports_ * params_.vcsPerPort;
     for (PortId p = 0; p < num_ports_; ++p) {
-        inputs_.emplace_back(params_.vcsPerPort,
-                             static_cast<std::size_t>(params_.inBufDepth));
-        // Downstream of every network output is a peer input FIFO of
-        // inBufDepth; the ejection port's NIC sink never backpressures.
-        outputs_.emplace_back(params_.vcsPerPort,
-                              static_cast<std::size_t>(params_.outBufDepth),
-                              params_.inBufDepth, xbar_requesters,
+        const std::size_t first = vcIndex(p, 0);
+        inputs_.emplace_back(&in_vcs_[first], in_fifos_.subspan(first),
+                             params_.vcsPerPort);
+        outputs_.emplace_back(&out_vcs_[first], out_fifos_.subspan(first),
+                              params_.vcsPerPort, xbar_requesters,
                               p == kLocalPort);
     }
-    pending_request_.assign(
-        static_cast<std::size_t>(xbar_requesters), kInvalidPort);
+    pending_request_.assign(vc_count, kInvalidPort);
     in_vc_mask_.assign(static_cast<std::size_t>(num_ports_), 0);
     out_vc_mask_.assign(static_cast<std::size_t>(num_ports_), 0);
-}
-
-void
-Router::acceptFlit(PortId in_port, VcId vc, const Flit& flit, Cycle now)
-{
-    LAPSES_ASSERT(in_port >= 0 && in_port < num_ports_);
-    inputs_[static_cast<std::size_t>(in_port)].receiveFlit(vc, flit, now);
-    ++buffered_flits_;
-    markOccupied(in_vc_mask_, in_port_mask_, in_port, vc);
-}
-
-void
-Router::acceptCredit(PortId out_port, VcId vc)
-{
-    LAPSES_ASSERT(out_port >= 0 && out_port < num_ports_);
-    OutputVc& ovc =
-        outputs_[static_cast<std::size_t>(out_port)].vc(vc);
-    ++ovc.credits;
-    LAPSES_ASSERT_MSG(ovc.credits <= params_.inBufDepth,
-                      "credit overflow: more credits than buffer slots");
 }
 
 std::vector<std::pair<PortId, VcId>>
@@ -80,12 +66,12 @@ Router::occupiedInputVcs() const
 }
 
 void
-Router::advanceHeaderState(PortId in_port, VcId vc, Cycle now)
+Router::advanceHeaderState(std::size_t i, Cycle now)
 {
-    InputVc& ivc = inputs_[static_cast<std::size_t>(in_port)].vc(vc);
-    if (ivc.state != RouteState::Idle || ivc.buffer.empty())
+    InputVc& ivc = in_vcs_[i];
+    if (ivc.state != RouteState::Idle || in_fifos_.empty(i))
         return;
-    const Flit& front = ivc.buffer.front();
+    const Flit& front = in_fifos_.front(i);
     if (front.readyAt > now)
         return;
     LAPSES_ASSERT_MSG(isHead(front.type),
@@ -182,8 +168,9 @@ Router::hasLiveCandidate(const RouteCandidates& route) const
 PortId
 Router::gatherRequest(PortId in_port, VcId vc, Cycle now, Env& env)
 {
-    InputVc& ivc = inputs_[static_cast<std::size_t>(in_port)].vc(vc);
-    if (ivc.buffer.empty())
+    const std::size_t i = vcIndex(in_port, vc);
+    InputVc& ivc = in_vcs_[i];
+    if (in_fifos_.empty(i))
         return kInvalidPort;
 
     if (ivc.state == RouteState::WaitArb) {
@@ -195,8 +182,8 @@ Router::gatherRequest(PortId in_port, VcId vc, Cycle now, Env& env)
         std::array<PortStatus, RouteCandidates::kMaxCandidates> status;
         int avail = 0;
         int live = 0;
-        for (int i = 0; i < ivc.route.count(); ++i) {
-            const PortId p = ivc.route.at(i);
+        for (int c = 0; c < ivc.route.count(); ++c) {
+            const PortId p = ivc.route.at(c);
             if (portDead(p))
                 continue;
             ++live;
@@ -218,8 +205,7 @@ Router::gatherRequest(PortId in_port, VcId vc, Cycle now, Env& env)
             // does not help — the network purges it at end of cycle.
             if (reconfig_pending_)
                 return kInvalidPort;
-            const MessageDescriptor& desc =
-                pool_[ivc.buffer.front().msg];
+            const MessageDescriptor& desc = pool_[in_fifos_.front(i).msg];
             ivc.route = table_.lookup(id_, desc.dest);
             if (!hasLiveCandidate(ivc.route))
                 env.headUnroutable(in_port, vc);
@@ -238,12 +224,8 @@ Router::gatherRequest(PortId in_port, VcId vc, Cycle now, Env& env)
     if (ivc.state == RouteState::Active) {
         // Bypass path: body/tail flits follow the allocated route,
         // contending only for the crossbar output slot.
-        const Flit& front = ivc.buffer.front();
-        if (front.readyAt > now)
-            return kInvalidPort;
-        const OutputUnit& out =
-            outputs_[static_cast<std::size_t>(ivc.outPort)];
-        if (out.vc(ivc.outVc).buffer.full())
+        if (in_fifos_.front(i).readyAt > now ||
+            out_fifos_.full(vcIndex(ivc.outPort, ivc.outVc)))
             return kInvalidPort;
         return ivc.outPort;
     }
@@ -253,19 +235,23 @@ Router::gatherRequest(PortId in_port, VcId vc, Cycle now, Env& env)
 void
 Router::serveCrossbar(Cycle now, Env& env)
 {
-    // Raise request lines — only VCs holding flits can request, and
-    // the occupied list iterates them in the same ascending (port, VC)
-    // order the full sweep used, so arbitration is unchanged.
+    // Advance headers and raise request lines in one pass — only VCs
+    // holding flits can request, and the occupied list iterates them
+    // in the same ascending (port, VC) order the full sweep used, so
+    // arbitration is unchanged. Decoding a header before the next VC's
+    // request is safe: the decode writes only its own input VC, and no
+    // other VC's request reads it.
     std::uint64_t req_ports = 0;
     std::uint64_t raised = 0;
     std::uint64_t granted = 0;
     forEachOccupiedInput([&](PortId ip, VcId v) {
+        const std::size_t i = vcIndex(ip, v);
+        advanceHeaderState(i, now);
         const PortId req = gatherRequest(ip, v, now, env);
-        pending_request_[static_cast<std::size_t>(
-            requesterIndex(ip, v))] = req;
+        pending_request_[i] = req;
         if (req != kInvalidPort) {
             outputs_[static_cast<std::size_t>(req)].xbarArb.request(
-                requesterIndex(ip, v));
+                static_cast<int>(i));
             req_ports |= std::uint64_t{1} << req;
             ++raised;
         }
@@ -281,12 +267,12 @@ Router::serveCrossbar(Cycle now, Env& env)
         const int winner = out.xbarArb.grant();
         if (winner < 0)
             continue;
+        const auto i = static_cast<std::size_t>(winner);
         const PortId ip = static_cast<PortId>(winner /
                                               params_.vcsPerPort);
         const VcId v = static_cast<VcId>(winner % params_.vcsPerPort);
-        InputVc& ivc = inputs_[static_cast<std::size_t>(ip)].vc(v);
-        LAPSES_ASSERT(pending_request_[static_cast<std::size_t>(winner)]
-                      == op);
+        InputVc& ivc = in_vcs_[i];
+        LAPSES_ASSERT(pending_request_[i] == op);
 
         if (ivc.state == RouteState::WaitArb) {
             // Header granted: allocate the output VC now. The grant is
@@ -303,14 +289,13 @@ Router::serveCrossbar(Cycle now, Env& env)
         }
         const VcId ov = ivc.outVc;
         LAPSES_ASSERT(ov != kInvalidVc && ivc.outPort == op);
-        LAPSES_ASSERT(!out.vc(ov).buffer.full());
 
         // Move the flit through the crossbar into the output FIFO: one
         // cycle of crossbar traversal, then it is eligible for the VC
         // multiplexer.
-        Flit flit = ivc.buffer.pop();
+        Flit flit = in_fifos_.pop(i);
         clearIfDrained(in_vc_mask_, in_port_mask_, ip, v,
-                       ivc.buffer.empty());
+                       in_fifos_.empty(i));
         env.creditOut(ip, v);
         flit.readyAt = now + 2;
         if (isHead(flit.type)) {
@@ -338,7 +323,7 @@ Router::serveCrossbar(Cycle now, Env& env)
             ivc.outVc = kInvalidVc;
             ivc.msg = kInvalidMsgRef;
         }
-        out.vc(ov).buffer.push(flit);
+        out_fifos_.push(vcIndex(op, ov), flit);
         markOccupied(out_vc_mask_, out_port_mask_, op, ov);
         ++forwarded_flits_;
         ++granted;
@@ -358,13 +343,14 @@ Router::serveVcMux(Cycle now, Env& env)
         const auto op = static_cast<PortId>(std::countr_zero(pm));
         pm &= pm - 1;
         OutputUnit& out = outputs_[static_cast<std::size_t>(op)];
+        const std::size_t first = vcIndex(op, 0);
         std::uint64_t vm = out_vc_mask_[static_cast<std::size_t>(op)];
         bool raised = false;
         while (vm != 0) {
             const auto v = static_cast<VcId>(std::countr_zero(vm));
             vm &= vm - 1;
-            const OutputVc& ovc = out.vc(v);
-            if (ovc.buffer.front().readyAt <= now) {
+            if (out_fifos_.front(first + static_cast<std::size_t>(v))
+                    .readyAt <= now) {
                 if (out.canTransmit(v)) {
                     out.muxArb.request(v);
                     raised = true;
@@ -379,10 +365,11 @@ Router::serveVcMux(Cycle now, Env& env)
         if (winner < 0)
             continue;
         const VcId v = static_cast<VcId>(winner);
-        OutputVc& ovc = out.vc(v);
-        Flit flit = ovc.buffer.pop();
+        const std::size_t o = first + static_cast<std::size_t>(winner);
+        OutputVc& ovc = out_vcs_[o];
+        Flit flit = out_fifos_.pop(o);
         clearIfDrained(out_vc_mask_, out_port_mask_, op, v,
-                       ovc.buffer.empty());
+                       out_fifos_.empty(o));
         if (!out.hasInfiniteCredits())
             --ovc.credits;
         out.recordUse(now);
@@ -409,10 +396,10 @@ Router::markPortAlive(PortId p, int fresh_credits)
 {
     LAPSES_ASSERT(portDead(p));
     dead_port_mask_ &= ~(std::uint64_t{1} << p);
-    OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
     for (VcId v = 0; v < params_.vcsPerPort; ++v) {
-        OutputVc& ovc = out.vc(v);
-        LAPSES_ASSERT_MSG(ovc.buffer.empty() && !ovc.busy,
+        const std::size_t o = vcIndex(p, v);
+        OutputVc& ovc = out_vcs_[o];
+        LAPSES_ASSERT_MSG(out_fifos_.empty(o) && !ovc.busy,
                           "reviving a dead port with residual state");
         ovc.credits = fresh_credits;
     }
@@ -421,35 +408,30 @@ Router::markPortAlive(PortId p, int fresh_credits)
 void
 Router::collectPortMessages(PortId p, std::vector<MsgRef>& out) const
 {
-    const InputUnit& in = inputs_[static_cast<std::size_t>(p)];
-    const OutputUnit& op = outputs_[static_cast<std::size_t>(p)];
     for (VcId v = 0; v < params_.vcsPerPort; ++v) {
+        const std::size_t k = vcIndex(p, v);
         // Flits queued on the dead link's input side: their worm is
         // cut (the rest of the message is across the dead wire).
-        const InputVc& ivc = in.vc(v);
-        for (std::size_t i = 0; i < ivc.buffer.size(); ++i)
-            out.push_back(ivc.buffer.at(i).msg);
+        const InputVc& ivc = in_vcs_[k];
+        for (std::size_t i = 0; i < in_fifos_.size(k); ++i)
+            out.push_back(in_fifos_.at(k, i).msg);
         if (ivc.state != RouteState::Idle &&
             ivc.msg != kInvalidMsgRef) {
             out.push_back(ivc.msg);
         }
         // Flits (and worm owners) waiting to transmit into the dead
         // wire.
-        const OutputVc& ovc = op.vc(v);
-        for (std::size_t i = 0; i < ovc.buffer.size(); ++i)
-            out.push_back(ovc.buffer.at(i).msg);
+        const OutputVc& ovc = out_vcs_[k];
+        for (std::size_t i = 0; i < out_fifos_.size(k); ++i)
+            out.push_back(out_fifos_.at(k, i).msg);
         if (ovc.busy && ovc.msg != kInvalidMsgRef)
             out.push_back(ovc.msg);
     }
     // Worms still crossing the router toward the dead port.
-    for (PortId ip = 0; ip < num_ports_; ++ip) {
-        for (VcId v = 0; v < params_.vcsPerPort; ++v) {
-            const InputVc& ivc =
-                inputs_[static_cast<std::size_t>(ip)].vc(v);
-            if (ivc.state == RouteState::Active && ivc.outPort == p &&
-                ivc.msg != kInvalidMsgRef) {
-                out.push_back(ivc.msg);
-            }
+    for (const InputVc& ivc : in_vcs_) {
+        if (ivc.state == RouteState::Active && ivc.outPort == p &&
+            ivc.msg != kInvalidMsgRef) {
+            out.push_back(ivc.msg);
         }
     }
 }
@@ -459,17 +441,16 @@ Router::purgeMessage(MsgRef msg,
                      const std::function<void(PortId, VcId)>& credit)
 {
     std::size_t removed = 0;
+    const auto of_msg = [msg](const Flit& f) { return f.msg == msg; };
     for (PortId p = 0; p < num_ports_; ++p) {
-        InputUnit& in = inputs_[static_cast<std::size_t>(p)];
-        OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
         for (VcId v = 0; v < params_.vcsPerPort; ++v) {
-            InputVc& ivc = in.vc(v);
-            const std::size_t in_removed = ivc.buffer.removeIf(
-                [msg](const Flit& f) { return f.msg == msg; });
+            const std::size_t k = vcIndex(p, v);
+            InputVc& ivc = in_vcs_[k];
+            const std::size_t in_removed = in_fifos_.removeIf(k, of_msg);
             for (std::size_t i = 0; i < in_removed; ++i)
                 credit(p, v);
             clearIfDrained(in_vc_mask_, in_port_mask_, p, v,
-                           ivc.buffer.empty());
+                           in_fifos_.empty(k));
             if (ivc.msg == msg) {
                 // Release the VC the worm owned; any output VC it had
                 // allocated is released through its own msg field.
@@ -478,11 +459,10 @@ Router::purgeMessage(MsgRef msg,
                 ivc.outVc = kInvalidVc;
                 ivc.msg = kInvalidMsgRef;
             }
-            OutputVc& ovc = out.vc(v);
-            const std::size_t out_removed = ovc.buffer.removeIf(
-                [msg](const Flit& f) { return f.msg == msg; });
+            OutputVc& ovc = out_vcs_[k];
+            const std::size_t out_removed = out_fifos_.removeIf(k, of_msg);
             clearIfDrained(out_vc_mask_, out_port_mask_, p, v,
-                           ovc.buffer.empty());
+                           out_fifos_.empty(k));
             if (ovc.busy && ovc.msg == msg) {
                 ovc.busy = false;
                 ovc.msg = kInvalidMsgRef;
@@ -498,10 +478,10 @@ void
 Router::quarantineDeadPort(PortId p)
 {
     LAPSES_ASSERT(portDead(p));
-    OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
     for (VcId v = 0; v < params_.vcsPerPort; ++v) {
-        OutputVc& ovc = out.vc(v);
-        LAPSES_ASSERT_MSG(ovc.buffer.empty() && !ovc.busy,
+        const std::size_t o = vcIndex(p, v);
+        OutputVc& ovc = out_vcs_[o];
+        LAPSES_ASSERT_MSG(out_fifos_.empty(o) && !ovc.busy,
                           "dead port still holds traffic after purge");
         ovc.credits = 0;
     }
@@ -513,7 +493,7 @@ Router::rerouteHeldHeads(
     std::uint64_t& rerouted)
 {
     forEachOccupiedInput([&](PortId ip, VcId v) {
-        InputVc& ivc = inputs_[static_cast<std::size_t>(ip)].vc(v);
+        InputVc& ivc = in_vcs_[vcIndex(ip, v)];
         if (ivc.state != RouteState::WaitArb)
             return;
         // The reconfiguration controller re-runs the lookup for every
@@ -533,7 +513,7 @@ Router::rerouteHeldHeads(
 MsgRef
 Router::heldUnroutableMsg(PortId p, VcId v) const
 {
-    const InputVc& ivc = inputs_[static_cast<std::size_t>(p)].vc(v);
+    const InputVc& ivc = in_vcs_[vcIndex(p, v)];
     if (ivc.state != RouteState::WaitArb ||
         ivc.msg == kInvalidMsgRef || hasLiveCandidate(ivc.route)) {
         return kInvalidMsgRef;
@@ -559,8 +539,6 @@ Router::step(Cycle now, Env& env)
                     out_vc_mask_[static_cast<std::size_t>(p)]));
         }
     }
-    forEachOccupiedInput(
-        [&](PortId ip, VcId v) { advanceHeaderState(ip, v, now); });
     serveCrossbar(now, env);
     serveVcMux(now, env);
 

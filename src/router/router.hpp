@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fifo_set.hpp"
 #include "common/types.hpp"
 #include "router/input_unit.hpp"
 #include "router/message_pool.hpp"
@@ -128,10 +129,27 @@ class Router
     int numVcs() const { return params_.vcsPerPort; }
 
     /** A flit arrives on in_port / vc from the link. */
-    void acceptFlit(PortId in_port, VcId vc, const Flit& flit, Cycle now);
+    void
+    acceptFlit(PortId in_port, VcId vc, const Flit& flit, Cycle now)
+    {
+        LAPSES_ASSERT(in_port >= 0 && in_port < num_ports_);
+        inputs_[static_cast<std::size_t>(in_port)].receiveFlit(vc, flit,
+                                                               now);
+        ++buffered_flits_;
+        markOccupied(in_vc_mask_, in_port_mask_, in_port, vc);
+    }
 
     /** A credit returns for output (out_port, vc). */
-    void acceptCredit(PortId out_port, VcId vc);
+    void
+    acceptCredit(PortId out_port, VcId vc)
+    {
+        LAPSES_ASSERT(out_port >= 0 && out_port < num_ports_);
+        OutputVc& ovc = out_vcs_[vcIndex(out_port, vc)];
+        ++ovc.credits;
+        LAPSES_ASSERT_MSG(ovc.credits <= params_.inBufDepth,
+                          "credit overflow: more credits than buffer "
+                          "slots");
+    }
 
     /**
      * Advance one cycle: route headers, arbitrate the crossbar,
@@ -258,9 +276,9 @@ class Router
     MsgRef heldUnroutableMsg(PortId p, VcId v) const;
 
   private:
-    /** Move a header at the front of (in_port, vc) through decode /
+    /** Move a header at the front of input VC i through decode /
      *  lookup into the WaitArb state. */
-    void advanceHeaderState(PortId in_port, VcId vc, Cycle now);
+    void advanceHeaderState(std::size_t i, Cycle now);
 
     /** Raise crossbar requests for one input VC; returns the requested
      *  output port or kInvalidPort. */
@@ -277,17 +295,22 @@ class Router
      *  escape as last resort). */
     VcId allocateVc(const RouteCandidates& route, PortId p) const;
 
-    /** Grant winners per output port, move flits input -> output FIFO. */
+    /** Advance headers and raise requests in one pass over the
+     *  occupied inputs, then grant winners per output port and move
+     *  flits input -> output FIFO. */
     void serveCrossbar(Cycle now, Env& env);
 
     /** Transmit one flit per output port onto the link. */
     void serveVcMux(Cycle now, Env& env);
 
-    int
-    requesterIndex(PortId in_port, VcId vc) const
+    /** Index of (port, vc) in the flat per-router VC arrays and FIFO
+     *  sets; also the VC's crossbar requester id. */
+    std::size_t
+    vcIndex(PortId port, VcId vc) const
     {
-        return static_cast<int>(in_port) * params_.vcsPerPort +
-               static_cast<int>(vc);
+        return static_cast<std::size_t>(port) *
+                   static_cast<std::size_t>(params_.vcsPerPort) +
+               static_cast<std::size_t>(vc);
     }
 
     // Occupied-list maintenance. Every buffer push/pop site must keep
@@ -350,6 +373,14 @@ class Router
     MessagePool& pool_;
     int num_ports_;
 
+    // Per-VC storage, flat in (port, VC) order (vcIndex): VC state
+    // and one slot array of flit FIFOs per direction. The units are
+    // per-port views into these heap arrays, so they stay valid when
+    // the router moves.
+    std::vector<InputVc> in_vcs_;
+    std::vector<OutputVc> out_vcs_;
+    FifoSet<Flit> in_fifos_;
+    FifoSet<Flit> out_fifos_;
     std::vector<InputUnit> inputs_;
     std::vector<OutputUnit> outputs_;
 

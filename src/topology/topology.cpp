@@ -190,16 +190,6 @@ Topology::Topology(NodeId num_nodes, int num_ports)
     peer_port_.assign(slots, kInvalidPort);
 }
 
-std::size_t
-Topology::linkIndex(NodeId node, PortId p) const
-{
-    LAPSES_ASSERT(contains(node));
-    LAPSES_ASSERT(p > kLocalPort && p < num_ports_);
-    return static_cast<std::size_t>(node) *
-               static_cast<std::size_t>(num_ports_) +
-           static_cast<std::size_t>(p);
-}
-
 void
 Topology::connect(RouterPortPair a, RouterPortPair b)
 {

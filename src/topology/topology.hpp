@@ -353,7 +353,14 @@ class Topology
 
   private:
     std::size_t
-    linkIndex(NodeId node, PortId p) const;
+    linkIndex(NodeId node, PortId p) const
+    {
+        LAPSES_ASSERT(contains(node));
+        LAPSES_ASSERT(p > kLocalPort && p < num_ports_);
+        return static_cast<std::size_t>(node) *
+                   static_cast<std::size_t>(num_ports_) +
+               static_cast<std::size_t>(p);
+    }
 
     NodeId num_nodes_;
     int num_ports_;

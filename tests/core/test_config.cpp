@@ -43,6 +43,14 @@ TEST(Config, ValidateRejectsBadValues)
     cfg.msgLen = 0;
     EXPECT_THROW(cfg.validate(), ConfigError);
 
+    // A flit's 16-bit sequence number cannot count a longer message:
+    // the NIC's counter wrapped and the message never ended.
+    cfg = SimConfig{};
+    cfg.msgLen = 65536;
+    EXPECT_THROW(cfg.validate(), ConfigError);
+    cfg.msgLen = 65535;
+    EXPECT_NO_THROW(cfg.validate());
+
     cfg = SimConfig{};
     cfg.normalizedLoad = 0.0;
     EXPECT_THROW(cfg.validate(), ConfigError);

@@ -173,13 +173,17 @@ TEST(GridSpec, RejectsUnknownAxisAndBadValues)
         }
     }
     // An axis value is checked against its flag's range at parse
-    // time, naming the axis.
-    try {
-        applyGridSpec("msglen=0", grid);
-        FAIL() << "accepted msglen=0";
-    } catch (const ConfigError& e) {
-        EXPECT_NE(std::string(e.what()).find("msglen"), std::string::npos)
-            << e.what();
+    // time, naming the axis. A message longer than the 16-bit flit
+    // sequence can number is out of range too.
+    for (const char* spec : {"msglen=0", "msglen=65536"}) {
+        try {
+            applyGridSpec(spec, grid);
+            FAIL() << "accepted " << spec;
+        } catch (const ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find("msglen"),
+                      std::string::npos)
+                << e.what();
+        }
     }
     EXPECT_TRUE(grid.axes.loads.empty());
     EXPECT_TRUE(grid.axes.msgLens.empty());

@@ -82,7 +82,7 @@ TEST(Invariants, NoRouteStateLeaksAtQuiescence)
             const InputUnit& in = r.inputUnit(p);
             for (VcId v = 0; v < cfg.vcsPerPort; ++v) {
                 EXPECT_EQ(in.vc(v).state, RouteState::Idle);
-                EXPECT_TRUE(in.vc(v).buffer.empty());
+                EXPECT_TRUE(in.buffers().empty(v));
             }
         }
     }

@@ -171,13 +171,25 @@ diffCases()
         add("telemetry:window" + std::to_string(window), cfg);
     }
 
-    // 400 nodes x 11 wire keys = 4400 keys at one shard, so the
-    // calendar's key sets reach a second 4096-key summary word; the
-    // 4x4 cases stop at 176 keys.
+    // 400 nodes x 16 wire keys (11 real slots padded to a power of
+    // two) = 6400 keys at one shard, so the calendar's key sets pass
+    // key 4096 into a second summary word; the 4x4 cases stop at 256
+    // keys.
     SimConfig large = diffBase();
     large.radices = {20, 20};
     large.normalizedLoad = 0.05;
     add("mesh20x20", large);
+
+    // 17 ports x 4 VCs = 68 crossbar requesters: the only case past
+    // the arbiter's one-word limit of 64, so the wide request path
+    // runs under every kernel.
+    SimConfig wide = diffBase();
+    wide.topology = parseTopologySpec("--topology", "fattree8x2");
+    wide.routing = RoutingAlgo::UpDown;
+    wide.table = TableKind::Full;
+    wide.normalizedLoad = 0.1;
+    wide.msgLen = 8;
+    add("fattree8x2", wide);
     return cases;
 }
 

@@ -145,7 +145,7 @@ TEST(Network, TotalLatencyIncludesSourceQueueing)
 
 TEST(Network, BackpressureNeverOverflowsBuffers)
 {
-    // Overload the network; LAPSES_ASSERT in RingBuffer aborts on any
+    // Overload the network; LAPSES_ASSERT in FifoSet aborts on any
     // credit accounting error, so surviving the run is the assertion.
     SimConfig cfg = tinyConfig();
     cfg.traffic = TrafficKind::BitReversal;

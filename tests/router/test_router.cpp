@@ -377,7 +377,7 @@ TEST(OccupiedLists, ActivateOnReceiveAndClearOnDrain)
     VcId out_vc = kInvalidVc;
     int backlogged = 0;
     for (VcId v = 0; v < h.router->numVcs(); ++v) {
-        if (!h.router->outputUnit(out).vc(v).buffer.empty()) {
+        if (!h.router->outputUnit(out).buffers().empty(v)) {
             ++backlogged;
             out_vc = v;
         }
@@ -425,11 +425,11 @@ TEST(OccupiedLists, MatchBufferStateUnderStreaming)
         for (PortId p = 0; p < h.router->numPorts(); ++p) {
             for (VcId v = 0; v < h.router->numVcs(); ++v) {
                 EXPECT_EQ(h.router->inputVcOccupied(p, v),
-                          !h.router->inputUnit(p).vc(v).buffer.empty())
+                          !h.router->inputUnit(p).buffers().empty(v))
                     << "in " << int(p) << '/' << int(v);
                 EXPECT_EQ(
                     h.router->outputVcOccupied(p, v),
-                    !h.router->outputUnit(p).vc(v).buffer.empty())
+                    !h.router->outputUnit(p).buffers().empty(v))
                     << "out " << int(p) << '/' << int(v);
             }
         }
