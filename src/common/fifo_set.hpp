@@ -43,13 +43,6 @@ class FifoSpan
     bool empty(std::size_t f) const { return cursors_[f].size == 0; }
     bool full(std::size_t f) const { return cursors_[f].size == capacity_; }
 
-    /** Free slots of FIFO f; this is what credits advertise upstream. */
-    std::size_t
-    freeSpace(std::size_t f) const
-    {
-        return capacity_ - cursors_[f].size;
-    }
-
     /** Append to FIFO f, which must not be full. */
     void
     push(std::size_t f, const T& value)
@@ -66,14 +59,6 @@ class FifoSpan
     /** Oldest element of FIFO f, which must not be empty. */
     const T&
     front(std::size_t f) const
-    {
-        const Cursor& c = cursors_[f];
-        LAPSES_ASSERT_MSG(c.size != 0, "FIFO front on empty FIFO");
-        return slots_[f * capacity_ + c.head];
-    }
-
-    T&
-    front(std::size_t f)
     {
         const Cursor& c = cursors_[f];
         LAPSES_ASSERT_MSG(c.size != 0, "FIFO front on empty FIFO");
