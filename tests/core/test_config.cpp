@@ -45,11 +45,11 @@ TEST(Config, ValidateRejectsBadValues)
 
     // A flit's 16-bit sequence number cannot count a longer message:
     // the NIC's counter wrapped and the message never ended.
-    cfg = SimConfig{};
-    cfg.msgLen = 65536;
-    EXPECT_THROW(cfg.validate(), ConfigError);
-    cfg.msgLen = 65535;
-    EXPECT_NO_THROW(cfg.validate());
+    SimConfig long_msg;
+    long_msg.msgLen = 65536;
+    EXPECT_THROW(long_msg.validate(), ConfigError);
+    long_msg.msgLen = 65535;
+    EXPECT_NO_THROW(long_msg.validate());
 
     cfg = SimConfig{};
     cfg.normalizedLoad = 0.0;
