@@ -118,22 +118,16 @@ Network::RouterEnv::flitOut(PortId out_port, VcId out_vc,
     // ahead of the global cycle, and its emissions must land relative
     // to its own time axis.
     Network& net = *net_;
-    const std::size_t w = net.wireIndex(id_, out_port);
-    const Cycle due = sh_->now + 1 + net.cfg_.linkDelay;
-    net.flit_wires_.push(w, {flit, out_vc, due});
-    net.scheduleWire(*sh_, net.flitWireKey(id_, out_port), due,
-                     net.boundary_wire_[w] != 0);
+    net.emit(*sh_, {flit, id_, out_port, out_vc, WireKind::Flit},
+             net.boundary_wire_[net.wireIndex(id_, out_port)] != 0);
 }
 
 void
 Network::RouterEnv::creditOut(PortId in_port, VcId vc)
 {
     Network& net = *net_;
-    const std::size_t w = net.wireIndex(id_, in_port);
-    const Cycle due = sh_->now + 1 + net.cfg_.linkDelay;
-    net.credit_wires_.push(w, {vc, due});
-    net.scheduleWire(*sh_, net.creditWireKey(id_, in_port), due,
-                     net.boundary_wire_[w] != 0);
+    net.emit(*sh_, {{}, id_, in_port, vc, WireKind::Credit},
+             net.boundary_wire_[net.wireIndex(id_, in_port)] != 0);
 }
 
 void
@@ -151,13 +145,10 @@ Network::RouterEnv::headUnroutable(PortId in_port, VcId vc)
 void
 Network::NicEnv::injectFlit(VcId vc, const Flit& flit)
 {
-    Network& net = *net_;
-    const Cycle due = sh_->now + 1 + net.cfg_.linkDelay;
-    net.inject_wires_.push(static_cast<std::size_t>(id_), {flit, vc, due});
     // Injection wires deliver to the sender's own router: always
     // intra-shard.
-    net.scheduleWire(*sh_, net.injectWireKey(id_), due,
-                     /*boundary=*/false);
+    net_->emit(*sh_, {flit, id_, kLocalPort, vc, WireKind::Inject},
+               /*boundary=*/false);
     // The flit enters the tracked domain (wires + router FIFOs). The
     // global occupancy counter belongs to the sequential phases;
     // stepping threads record the delta shard-locally and the barrier
@@ -256,25 +247,7 @@ Network::Network(const SimConfig& cfg, const Topology& topo,
         nic_envs_[static_cast<std::size_t>(id)].bind(this, id);
     }
 
-    // Wires: a link carries at most one flit per cycle, so capacity
-    // linkDelay + 1 suffices; credit wires may carry one credit per VC
-    // per cycle.
-    const auto wire_count =
-        static_cast<std::size_t>(n) * static_cast<std::size_t>(ports);
-    const auto flit_cap =
-        static_cast<std::size_t>(cfg.linkDelay) + 3;
-    const auto credit_cap = static_cast<std::size_t>(cfg.vcsPerPort) *
-                                (static_cast<std::size_t>(
-                                     cfg.linkDelay) + 2) + 2;
-    flit_wires_ = FifoSet<WireFlit>(wire_count, flit_cap);
-    credit_wires_ = FifoSet<WireCredit>(wire_count, credit_cap);
-    inject_wires_ = FifoSet<WireFlit>(static_cast<std::size_t>(n), flit_cap);
-
-    // Event-driven kernel bookkeeping. All events pushed at cycle t
-    // are due t + linkDelay + 1, so linkDelay + 2 calendar buckets
-    // make due % width injective over the in-flight window.
-    key_shift_ = std::countr_zero(
-        std::bit_ceil(static_cast<unsigned>(2 * ports + 1)));
+    // Event-driven kernel bookkeeping.
     router_active_.assign(static_cast<std::size_t>(n), 0);
     nic_active_.assign(static_cast<std::size_t>(n), 0);
     nic_wake_at_.assign(static_cast<std::size_t>(n), kNeverCycle);
@@ -333,17 +306,13 @@ Network::buildShards(const std::vector<NodeId>& shard_cuts)
         }
     }
     const std::size_t s_count = bounds.size() + 1;
-    const std::size_t width =
-        static_cast<std::size_t>(cfg_.linkDelay) + 2;
     shards_.resize(s_count);
     shard_of_.assign(static_cast<std::size_t>(n), 0);
     for (std::size_t s = 0; s < s_count; ++s) {
         Shard& sh = shards_[s];
         sh.begin = s == 0 ? 0 : bounds[s - 1];
         sh.end = s + 1 == s_count ? n : bounds[s];
-        const WireKeySet no_keys(
-            static_cast<std::size_t>(sh.end - sh.begin) << key_shift_);
-        sh.calendar.assign(width, {0, no_keys, no_keys});
+        sh.calendar = WireCalendar(cfg_.linkDelay);
         for (NodeId id = sh.begin; id < sh.end; ++id)
             shard_of_[static_cast<std::size_t>(id)] =
                 static_cast<std::uint32_t>(s);
@@ -428,26 +397,6 @@ Network::captureTelemetryWindow()
 }
 
 void
-Network::scheduleWire(Shard& sh, std::int32_t key, Cycle due,
-                      bool boundary)
-{
-    if (kernel_ == KernelKind::Scan)
-        return;
-    // Every wire event is pushed with due = sender cycle + linkDelay
-    // + 1 and each shard calendar has linkDelay + 2 slots, so due %
-    // width is always the slot just behind the sender's — no division
-    // needed. The sender's shard owns the entry; during stepping only
-    // the owning thread pushes here, against its own local cursor.
-    const std::size_t slot =
-        sh.slot == 0 ? sh.calendar.size() - 1 : sh.slot - 1;
-    CalendarBucket& bucket = sh.calendar[slot];
-    bucket.due = due;
-    (boundary ? bucket.boundary_keys : bucket.keys)
-        .insert(static_cast<std::uint32_t>(
-            key - (static_cast<std::int32_t>(sh.begin) << key_shift_)));
-}
-
-void
 Network::activateRouter(NodeId id)
 {
     std::uint8_t& mark = router_active_[static_cast<std::size_t>(id)];
@@ -485,10 +434,7 @@ Network::nextEventCycle()
 {
     Cycle next = kNeverCycle;
     for (Shard& sh : shards_) {
-        for (const CalendarBucket& bucket : sh.calendar) {
-            if (!bucket.keys.empty() || !bucket.boundary_keys.empty())
-                next = std::min(next, bucket.due);
-        }
+        next = std::min(next, sh.calendar.earliestDue(0, false));
         // Drop stale wake entries (NIC re-activated or rescheduled
         // since). Shards with nothing pending cost two empty checks —
         // the fast-forward hops straight over idle shards.
@@ -516,24 +462,49 @@ Network::nextEventCycle()
 }
 
 void
-Network::deliverFlitWire(Shard& sh, NodeId id, PortId p,
-                         const WireFlit& wf, Cycle at)
+Network::deliver(Shard& sh, const WireEvent& ev, Cycle at)
 {
-    if (p == kLocalPort) {
+    ++sh.counters.wireEventsDelivered;
+    const NodeId id = ev.node;
+    const PortId p = ev.port;
+    // Trace keys are dense in (sending node, port), with the injection
+    // wire after the node's last port.
+    const auto trace_key = [&](int slot) {
+        return static_cast<std::int32_t>(id) * (topo_.numPorts() + 1) +
+               slot;
+    };
+    if (ev.kind == WireKind::Inject) {
         if (tracer_ != nullptr) {
-            const MessageDescriptor& desc = pool_[wf.flit.msg];
+            const MessageDescriptor& desc = pool_[ev.flit.msg];
+            sh.trace.push_back({trace_key(topo_.numPorts()),
+                                {at, TraceEvent::Kind::Inject, id,
+                                 kLocalPort, desc.id, ev.flit.seq,
+                                 ev.flit.type, desc.role, desc.attempt}});
+        }
+        routers_[static_cast<std::size_t>(id)].acceptFlit(
+            kLocalPort, ev.vc, ev.flit, at);
+        activateRouter(id);
+        return;
+    }
+    if (p == kLocalPort) {
+        if (ev.kind == WireKind::Credit) {
+            nics_[static_cast<std::size_t>(id)].acceptCredit(ev.vc);
+            activateNic(id);
+            return;
+        }
+        if (tracer_ != nullptr) {
+            const MessageDescriptor& desc = pool_[ev.flit.msg];
             sh.trace.push_back(
-                {flitWireKey(id, p),
-                 {at, TraceEvent::Kind::Eject, id, kInvalidPort,
-                  desc.id, wf.flit.seq, wf.flit.type, desc.role,
-                  desc.attempt}});
+                {trace_key(p),
+                 {at, TraceEvent::Kind::Eject, id, kInvalidPort, desc.id,
+                  ev.flit.seq, ev.flit.type, desc.role, desc.attempt}});
         }
         // The flit leaves the tracked domain at its destination NIC.
         // Ejections happen only on the owning shard's delivery path;
         // the barrier merge folds the delta into occupancy_.
         ++sh.ejected_flits;
         Nic& nic = nics_[static_cast<std::size_t>(id)];
-        nic.acceptFlit(wf.flit, at, *this);
+        nic.acceptFlit(ev.flit, at, *this);
         // A delivered request/reply arms new engine work (a service
         // completion, a freed window slot) the NIC's recorded wake
         // cannot know about — re-activate so it is stepped this very
@@ -545,128 +516,40 @@ Network::deliverFlitWire(Shard& sh, NodeId id, PortId p,
     }
     const NodeId peer = topo_.neighbor(id, p);
     LAPSES_ASSERT(peer != kInvalidNode);
-    if (tracer_ != nullptr) {
-        sh.trace.push_back({flitWireKey(id, p),
-                            {at, TraceEvent::Kind::HopArrive, peer,
-                             topo_.peerPort(id, p),
-                             pool_[wf.flit.msg].id, wf.flit.seq,
-                             wf.flit.type}});
-    }
-    routers_[static_cast<std::size_t>(peer)].acceptFlit(
-        topo_.peerPort(id, p), wf.vc, wf.flit, at);
-    activateRouter(peer);
-}
-
-void
-Network::deliverCreditWire(NodeId id, PortId p, const WireCredit& wc)
-{
-    if (p == kLocalPort) {
-        nics_[static_cast<std::size_t>(id)].acceptCredit(wc.vc);
-        activateNic(id);
-        return;
-    }
-    const NodeId peer = topo_.neighbor(id, p);
-    LAPSES_ASSERT(peer != kInvalidNode);
-    routers_[static_cast<std::size_t>(peer)].acceptCredit(
-        topo_.peerPort(id, p), wc.vc);
-    activateRouter(peer);
-}
-
-void
-Network::deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf,
-                           Cycle at)
-{
-    if (tracer_ != nullptr) {
-        const MessageDescriptor& desc = pool_[wf.flit.msg];
-        sh.trace.push_back({injectWireKey(id),
-                            {at, TraceEvent::Kind::Inject, id,
-                             kLocalPort, desc.id, wf.flit.seq,
-                             wf.flit.type, desc.role, desc.attempt}});
-    }
-    routers_[static_cast<std::size_t>(id)].acceptFlit(
-        kLocalPort, wf.vc, wf.flit, at);
-    activateRouter(id);
-}
-
-void
-Network::deliverWire(Shard& sh, NodeId id, std::int32_t slot, Cycle at)
-{
-    if (slot == injectSlot()) {
-        const auto w = static_cast<std::size_t>(id);
-        while (!inject_wires_.empty(w) &&
-               inject_wires_.front(w).due <= at) {
-            ++sh.counters.wireEventsDelivered;
-            deliverInjectWire(sh, id, inject_wires_.pop(w), at);
-        }
-        return;
-    }
-    const auto p = static_cast<PortId>(slot >> 1);
-    const std::size_t w = wireIndex(id, p);
-    if ((slot & 1) == 0) {
-        while (!flit_wires_.empty(w) && flit_wires_.front(w).due <= at) {
-            ++sh.counters.wireEventsDelivered;
-            deliverFlitWire(sh, id, p, flit_wires_.pop(w), at);
-        }
+    Router& receiver = routers_[static_cast<std::size_t>(peer)];
+    if (ev.kind == WireKind::Credit) {
+        receiver.acceptCredit(topo_.peerPort(id, p), ev.vc);
     } else {
-        while (!credit_wires_.empty(w) &&
-               credit_wires_.front(w).due <= at) {
-            ++sh.counters.wireEventsDelivered;
-            deliverCreditWire(id, p, credit_wires_.pop(w));
+        if (tracer_ != nullptr) {
+            sh.trace.push_back({trace_key(p),
+                                {at, TraceEvent::Kind::HopArrive, peer,
+                                 topo_.peerPort(id, p),
+                                 pool_[ev.flit.msg].id, ev.flit.seq,
+                                 ev.flit.type}});
         }
+        receiver.acceptFlit(topo_.peerPort(id, p), ev.vc, ev.flit, at);
     }
+    activateRouter(peer);
 }
 
 void
-Network::deliverKey(Shard& sh, std::uint32_t key, Cycle at)
+Network::drainCalendar(Shard& sh, bool boundary)
 {
-    deliverWire(sh, sh.begin + static_cast<NodeId>(key >> key_shift_),
-                static_cast<std::int32_t>(
-                    key & ((std::uint32_t{1} << key_shift_) - 1)),
-                at);
-}
-
-void
-Network::drainShardIntra(Shard& sh)
-{
-    CalendarBucket& bucket = sh.calendar[sh.slot];
-    if (bucket.keys.empty())
-        return;
-    LAPSES_ASSERT(bucket.due == sh.now);
-    ScopedPhaseTimer timer(profiling_,
-                           sh.profile.intraDeliverySeconds);
-    bucket.keys.drain(
-        [&](std::uint32_t key) { deliverKey(sh, key, sh.now); });
-}
-
-void
-Network::drainShardBoundary(Shard& sh)
-{
-    LAPSES_ASSERT(sh.now == now_);
-    CalendarBucket& bucket = sh.calendar[sh.slot];
-    if (bucket.boundary_keys.empty())
-        return;
-    LAPSES_ASSERT(bucket.due == now_);
-    // Ascending keys within the shard + ascending shard order at the
-    // caller = the global canonical order restricted to boundary
-    // events. Boundary events only touch router ingress state
-    // (acceptFlit/acceptCredit on disjoint (port, vc) slots plus an
-    // idempotent activation), so their relative order against another
-    // shard's intra-shard deliveries is unobservable.
-    bucket.boundary_keys.drain(
-        [&](std::uint32_t key) { deliverKey(sh, key, now_); });
+    // Emission order: which arrival of a cycle comes first reaches no
+    // result (DESIGN.md "Wire-event calendar").
+    sh.calendar.drain(sh.now, boundary, [&](const WireEvent& ev) {
+        deliver(sh, ev, sh.now);
+    });
 }
 
 void
 Network::stepScan()
 {
+    Shard& sh = shards_[0];
     {
-        // Every wire of every node in ascending key order: the
-        // canonical delivery order by definition.
+        // One shard owns every wire, so nothing is boundary.
         ScopedPhaseTimer timer(profiling_, profile_.wireDrainSeconds);
-        for (NodeId id = 0; id < topo_.numNodes(); ++id) {
-            for (std::int32_t slot = 0; slot <= injectSlot(); ++slot)
-                deliverWire(shards_[0], id, slot, now_);
-        }
+        drainCalendar(sh, /*boundary=*/false);
     }
     const auto n = static_cast<std::size_t>(topo_.numNodes());
     counters_.nicSteps += n;
@@ -692,9 +575,10 @@ Network::stepScan()
     mergeShardCycleState();
     processPendingUnroutable();
     ++now_;
-    // The scan kernel never batches; keep the (single) shard clock in
-    // lockstep so the env adapters read the right sender cycle.
-    shards_[0].now = now_;
+    // The scan kernel never batches; keep the (single) shard clock and
+    // its calendar in lockstep so emissions land in the right bucket.
+    sh.now = now_;
+    sh.calendar.advance();
 }
 
 void
@@ -792,11 +676,11 @@ Network::mergeShardCycleState()
 void
 Network::flushTrace()
 {
-    // Wire keys of different shards never collide, and ascending
-    // (cycle, wire key) is the scan sweep's delivery order, so one
-    // stable sort of the shards' buffers replays the exact global
-    // event stream into the single-writer tracer — whatever the shard
-    // count or batch size.
+    // A wire carries at most one traced flit per cycle and trace keys
+    // name the sending wire, so (cycle, key) is unique: one sort of the
+    // shards' buffers replays the same event stream into the
+    // single-writer tracer whatever the shard count, batch size or
+    // emission order.
     trace_merge_.clear();
     for (Shard& sh : shards_) {
         trace_merge_.insert(trace_merge_.end(), sh.trace.begin(),
@@ -820,27 +704,32 @@ Network::stepShardCycles(Shard& sh, Cycle cycles)
         // Intra-shard deliveries first (receivers join the active
         // set), then the component slice — the same phase order the
         // scan kernel uses.
-        drainShardIntra(sh);
+        {
+            ScopedPhaseTimer timer(profiling_,
+                                   sh.profile.intraDeliverySeconds);
+            drainCalendar(sh, /*boundary=*/false);
+        }
         stepShardComponents(sh);
         ++sh.now;
-        if (++sh.slot == sh.calendar.size())
-            sh.slot = 0;
+        sh.calendar.advance();
     }
 }
 
 void
 Network::stepSharded(Cycle cycles)
 {
-    // Coordinator boundary drain: shard calendars visited in shard
-    // order reproduce the global canonical order restricted to
-    // boundary-crossing events. Everything else — intra-shard
-    // deliveries, stats hooks, descriptor releases, trace records —
-    // happens on the owning shard's thread inside stepShardCycles.
+    // Coordinator boundary drain, before any worker starts: boundary
+    // events touch only router ingress state of other shards. Everything
+    // else — intra-shard deliveries, stats hooks, descriptor releases,
+    // trace records — happens on the owning shard's thread inside
+    // stepShardCycles.
     {
         ScopedPhaseTimer timer(profiling_,
                                profile_.boundaryDrainSeconds);
-        for (Shard& sh : shards_)
-            drainShardBoundary(sh);
+        for (Shard& sh : shards_) {
+            LAPSES_ASSERT(sh.now == now_);
+            drainCalendar(sh, /*boundary=*/true);
+        }
     }
 
     // Parallel stepping: one shard per thread, shard 0 on the
@@ -926,10 +815,9 @@ Network::batchCycles(Cycle horizon) const
     // are about to be drained; events emitted inside the batch are due
     // >= now_ + linkDelay + 1 >= now_ + k, after the batch.
     for (const Shard& sh : shards_) {
-        for (const CalendarBucket& bucket : sh.calendar) {
-            if (!bucket.boundary_keys.empty() && bucket.due > now_)
-                k = std::min(k, bucket.due - now_);
-        }
+        const Cycle due = sh.calendar.earliestDue(now_ + 1, true);
+        if (due != kNeverCycle)
+            k = std::min(k, due - now_);
     }
     return std::max<Cycle>(k, 1);
 }
@@ -972,15 +860,21 @@ Network::applyDownEvent(NodeId node, PortId port)
     // Collect every message the dying link cuts: flits in flight on
     // its two wires, flits and worm owners at its two endpoint ports.
     std::vector<MsgRef> affected;
-    const auto side = [&](NodeId n, PortId p) {
-        const std::size_t w = wireIndex(n, p);
-        for (std::size_t i = 0; i < flit_wires_.size(w); ++i)
-            affected.push_back(flit_wires_.at(w, i).flit.msg);
-        routers_[static_cast<std::size_t>(n)].collectPortMessages(
-            p, affected);
+    const auto on_link = [&](const WireEvent& ev, WireKind kind) {
+        return ev.kind == kind &&
+               ((ev.node == node && ev.port == port) ||
+                (ev.node == peer && ev.port == peer_port));
     };
-    side(node, port);
-    side(peer, peer_port);
+    for (const Shard& sh : shards_) {
+        sh.calendar.forEach([&](const WireEvent& ev) {
+            if (on_link(ev, WireKind::Flit))
+                affected.push_back(ev.flit.msg);
+        });
+    }
+    routers_[static_cast<std::size_t>(node)].collectPortMessages(
+        port, affected);
+    routers_[static_cast<std::size_t>(peer)].collectPortMessages(
+        peer_port, affected);
     // Purge in deterministic message-id order, never raw MsgRef
     // order: refs follow pool allocation order, which differs between
     // kernels (and with the shard/bank count under the parallel
@@ -1000,13 +894,15 @@ Network::applyDownEvent(NodeId node, PortId port)
     // Quarantine the dead channel: in-flight credits are lost with
     // the link, endpoint credit counters drop to zero (reset to full
     // at repair — by then both peer input buffers are empty).
-    credit_wires_.clear(wireIndex(node, port));
-    credit_wires_.clear(wireIndex(peer, peer_port));
+    for (Shard& sh : shards_) {
+        sh.calendar.removeIf([&](const WireEvent& ev) {
+            LAPSES_ASSERT(!on_link(ev, WireKind::Flit));
+            return on_link(ev, WireKind::Credit);
+        });
+    }
     routers_[static_cast<std::size_t>(node)].quarantineDeadPort(port);
     routers_[static_cast<std::size_t>(peer)].quarantineDeadPort(
         peer_port);
-    LAPSES_ASSERT(flit_wires_.empty(wireIndex(node, port)));
-    LAPSES_ASSERT(flit_wires_.empty(wireIndex(peer, peer_port)));
     ++fault_counters_.linkDownEvents;
 }
 
@@ -1098,27 +994,19 @@ Network::purgeMessage(MsgRef msg, bool allow_reinject)
     // the receiver's buffer — restore it straight to the sender. The
     // sender's port may itself be the dying link: restore anyway,
     // quarantine zeroes the counter afterwards.
-    for (NodeId id = 0; id < topo_.numNodes(); ++id) {
-        for (PortId p = 0; p < topo_.numPorts(); ++p) {
-            removed += flit_wires_.removeIf(
-                wireIndex(id, p), [&](const WireFlit& wf) {
-                    if (wf.flit.msg != msg)
-                        return false;
-                    if (p != kLocalPort) {
-                        routers_[static_cast<std::size_t>(id)]
-                            .acceptCredit(p, wf.vc);
-                    }
-                    return true;
-                });
-        }
-        removed += inject_wires_.removeIf(
-            static_cast<std::size_t>(id), [&](const WireFlit& wf) {
-                if (wf.flit.msg != msg)
-                    return false;
+    for (Shard& sh : shards_) {
+        removed += sh.calendar.removeIf([&](const WireEvent& ev) {
+            if (ev.kind == WireKind::Credit || ev.flit.msg != msg)
+                return false;
+            const auto id = static_cast<std::size_t>(ev.node);
+            if (ev.kind == WireKind::Inject) {
                 // The NIC spent a local-port credit on this flit.
-                nics_[static_cast<std::size_t>(id)].acceptCredit(wf.vc);
-                return true;
-            });
+                nics_[id].acceptCredit(ev.vc);
+            } else if (ev.port != kLocalPort) {
+                routers_[id].acceptCredit(ev.port, ev.vc);
+            }
+            return true;
+        });
     }
 
     occupancy_ -= removed;
@@ -1235,10 +1123,9 @@ Network::stepUntil(Cycle horizon)
             const Cycle advanced = target - now_;
             counters_.fastForwardedCycles += advanced;
             now_ = target;
-            const std::size_t slot = now_ % shards_[0].calendar.size();
             for (Shard& sh : shards_) {
                 sh.now = now_;
-                sh.slot = slot;
+                sh.calendar.seek(now_);
             }
             return advanced;
         }
@@ -1340,10 +1227,11 @@ Network::totalOccupancySlow() const
     std::size_t n = 0;
     for (const auto& r : routers_)
         n += r.occupancy();
-    for (std::size_t w = 0; w < flit_wires_.count(); ++w)
-        n += flit_wires_.size(w);
-    for (std::size_t w = 0; w < inject_wires_.count(); ++w)
-        n += inject_wires_.size(w);
+    for (const Shard& sh : shards_) {
+        sh.calendar.forEach([&](const WireEvent& ev) {
+            n += ev.kind != WireKind::Credit ? 1 : 0;
+        });
+    }
     return n;
 }
 

@@ -10,8 +10,7 @@
  * Two simulation kernels share this interface (see DESIGN.md):
  *
  *  - The sharded event kernel ("active", the default, and "parallel"):
- *    per-cycle work is O(active components + due wire events). Wire
- *    traffic sits in a calendar queue bucketed by due cycle, only
+ *    per-cycle work is O(active components + due wire events). Only
  *    routers/NICs with pending work are stepped, and when nothing is
  *    active the clock fast-forwards to the next wire event or
  *    injection-process wake. The nodes are cut into spatial shards
@@ -19,26 +18,26 @@
  *    --intra-jobs under "parallel". Wire events are classified at
  *    schedule time: intra-shard events are delivered by the owning
  *    shard's worker at the top of its stepping slice, while only
- *    boundary-crossing events go through the coordinator's canonical
- *    merge. When lookahead allows (no fault, telemetry or pending
- *    boundary event inside the window) shards run up to
+ *    boundary-crossing events are delivered by the coordinator at
+ *    the barrier. When lookahead allows (no fault, telemetry or
+ *    pending boundary event inside the window) shards run up to
  *    linkDelay + 1 cycles between barriers (DESIGN.md "Parallel
  *    kernel" spells out both contracts).
- *  - KernelKind::Scan: the original path that steps every component
- *    and scans every wire each cycle, kept as the differential oracle
+ *  - KernelKind::Scan: steps every NIC and router every cycle, kept
+ *    as the differential oracle of the activity tracking
  *    (LAPSES_KERNEL=scan).
  *
+ * Every kernel keeps wire traffic in the same WireCalendar, one per
+ * shard, and delivers each event at its due cycle in emission order.
  * Both kernels produce byte-identical statistics and trace streams:
- * wire events are delivered in the same (node, port, wire-kind) order
- * the scan uses within each owning domain, and components are only
- * put to sleep when stepping them is provably a no-op (no buffered
- * flits, no injection-process event due).
+ * the order of arrivals within a cycle reaches no result, and
+ * components are only put to sleep when stepping them is provably a
+ * no-op (no buffered flits, no injection-process event due).
  */
 
 #ifndef LAPSES_NETWORK_NETWORK_HPP
 #define LAPSES_NETWORK_NETWORK_HPP
 
-#include <bit>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -49,10 +48,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/fifo_set.hpp"
 #include "core/config.hpp"
 #include "network/nic.hpp"
 #include "network/tracer.hpp"
+#include "network/wire_calendar.hpp"
 #include "router/router.hpp"
 #include "tables/full_table.hpp"
 #include "telemetry/telemetry.hpp"
@@ -82,65 +81,6 @@ unsigned resolveIntraJobs(unsigned requested);
  *  batch can ever be safe. A bad environment value throws
  *  ConfigError. */
 Cycle resolveMaxBatchCycles(Cycle requested, Cycle linkDelay);
-
-/**
- * An ordered set of wire keys in [0, size): one bit per key plus one
- * summary bit per non-zero 64-bit word, so a drain skips empty words
- * 64 at a time. A calendar bucket keeps two of these; draining visits
- * keys in ascending order, which is the scan sweep's delivery order,
- * and a wire with several events due in one cycle is set only once.
- */
-class WireKeySet
-{
-  public:
-    explicit WireKeySet(std::size_t size = 0)
-        : words_((size + 63) / 64), summary_((words_.size() + 63) / 64)
-    {
-    }
-
-    void
-    insert(std::uint32_t key)
-    {
-        std::uint64_t& word = words_[key / 64];
-        if (word == 0) {
-            summary_[key / 4096] |= std::uint64_t{1} << (key / 64 % 64);
-            ++live_words_;
-        }
-        word |= std::uint64_t{1} << (key % 64);
-    }
-
-    bool empty() const { return live_words_ == 0; }
-
-    /** Call fn(key) for every key in ascending order; the set is
-     *  empty afterwards. */
-    template <typename Fn>
-    void
-    drain(Fn&& fn)
-    {
-        for (std::uint32_t s = 0; s < summary_.size() && live_words_ != 0;
-             ++s) {
-            std::uint64_t summary = std::exchange(summary_[s], 0);
-            while (summary != 0) {
-                const std::uint32_t w =
-                    s * 64 + static_cast<std::uint32_t>(
-                                 std::countr_zero(summary));
-                summary &= summary - 1;
-                std::uint64_t word = std::exchange(words_[w], 0);
-                --live_words_;
-                while (word != 0) {
-                    fn(w * 64 +
-                       static_cast<std::uint32_t>(std::countr_zero(word)));
-                    word &= word - 1;
-                }
-            }
-        }
-    }
-
-  private:
-    std::vector<std::uint64_t> words_;
-    std::vector<std::uint64_t> summary_; //!< bit w: words_[w] != 0
-    std::size_t live_words_ = 0;         //!< non-zero words
-};
 
 /** Routers and NICs on any port graph, with credit-based flow
  *  control. */
@@ -422,8 +362,8 @@ class Network : public DeliverySink
 
     /** Attach (or detach with nullptr) a flit-event tracer. Shards
      *  buffer their own deliveries' events; every barrier merge
-     *  replays them into the tracer in the scan kernel's global
-     *  order, so tracing never limits the batch size. */
+     *  replays them into the tracer sorted by (cycle, sending wire),
+     *  so tracing never limits the batch size. */
     void setTracer(FlitTracer* tracer) { tracer_ = tracer; }
 
     // --- Telemetry / profiling (pure observers) -----------------------
@@ -470,6 +410,12 @@ class Network : public DeliverySink
     void messageDelivered(MsgRef msg, Cycle now) override;
 
     const Topology& topology() const { return topo_; }
+    /** One node's NIC (tests / diagnostics). */
+    const Nic&
+    nic(NodeId id) const
+    {
+        return nics_[static_cast<std::size_t>(id)];
+    }
     Router& router(NodeId id)
     {
         return routers_[static_cast<std::size_t>(id)];
@@ -483,25 +429,10 @@ class Network : public DeliverySink
   private:
     struct Shard;
 
-    /** A flit in flight on a wire. */
-    struct WireFlit
-    {
-        Flit flit;
-        VcId vc;
-        Cycle due;
-    };
-
-    /** A credit in flight on a wire. */
-    struct WireCredit
-    {
-        VcId vc;
-        Cycle due;
-    };
-
     /** Adapter giving each router its link endpoints. The bound shard
-     *  supplies the sender-local clock and calendar cursor, so an
-     *  emission lands in the right bucket even mid-batch when shards'
-     *  local cycles differ. */
+     *  supplies the sender-local clock and calendar, so an emission
+     *  lands in the right bucket even mid-batch when shards' local
+     *  cycles differ. */
     class RouterEnv : public Router::Env
     {
       public:
@@ -555,41 +486,10 @@ class Network : public DeliverySink
                static_cast<std::size_t>(port);
     }
 
-    // --- Wire-event calendar (event kernel) ---------------------------
-    //
-    // Every wire event is pushed with due = push cycle + linkDelay + 1,
-    // so dues in flight always lie in (now, now + linkDelay + 1]. With
-    // linkDelay + 2 buckets indexed by due % width, each bucket holds
-    // events of exactly one due at a time, and bucket[now % width] is
-    // precisely the set of wires with traffic due this cycle. A bucket
-    // holds wire keys relative to the shard's first key; ascending key
-    // order is the scan kernel's delivery order (per node: flit wire,
-    // credit wire per port, then the injection wire).
-    //
-    // Wire key = (node << key_shift_) + slot. Slot 2 * port is the
-    // port's flit wire, 2 * port + 1 its credit wire and 2 * ports the
-    // node's injection wire, its last real slot. The per-node stride
-    // is 2 * ports + 1 rounded up to a power of two, so decoding a key
-    // is a shift and a mask; the slots above 2 * ports are never set,
-    // and the order of the real keys is the same as with a dense
-    // stride.
-
-    /** One calendar slot: the wires with traffic due at cycles
-     *  congruent to this slot. Events are split at schedule time by
-     *  the receiver's owning shard: `keys` stay within the sender's
-     *  shard and are drained by its own worker, `boundary_keys` cross
-     *  a shard cut and are drained by the coordinator's canonical
-     *  merge. Both halves of a slot always share the same due cycle. */
-    struct CalendarBucket
-    {
-        Cycle due = 0;
-        WireKeySet keys;
-        WireKeySet boundary_keys;
-    };
-
-    /** A traced delivery awaiting the barrier merge; the wire key
-     *  orders same-cycle events the way the scan sweep delivers
-     *  them. */
+    /** A traced delivery awaiting the barrier merge. The key is dense
+     *  in (sending node, port), with the injection wire after the
+     *  node's last port; sorting by (cycle, key) gives the merge one
+     *  order whatever the shard count, batch size or emission order. */
     struct TraceRecord
     {
         std::int32_t key;
@@ -601,22 +501,21 @@ class Network : public DeliverySink
      * single shard spanning all nodes; Parallel runs one shard per
      * worker over [begin, end). During the (parallel)
      * component-stepping phase a shard's thread touches only this
-     * struct, its own nodes' components, and the wires/calendar slots
-     * those nodes send on — all disjoint across shards — while the
-     * coordinator touches shards only in the sequential phases on the
-     * other side of the cycle barrier. Cache-line aligned so adjacent
-     * shards' hot cursors never false-share.
+     * struct and its own nodes' components — disjoint across shards —
+     * while the coordinator touches shards only in the sequential
+     * phases on the other side of the cycle barrier. Cache-line
+     * aligned so adjacent shards' hot cursors never false-share.
      */
     struct alignas(64) Shard
     {
         NodeId begin = 0; //!< first owned node
         NodeId end = 0;   //!< one past the last owned node
 
-        /** Calendar of wire events *sent by* this shard's nodes.
-         *  Concatenating the shards' due buckets in shard order
-         *  reproduces the global ascending-key delivery order because
-         *  shards are contiguous ascending node ranges. */
-        std::vector<CalendarBucket> calendar;
+        /** Wire events *sent by* this shard's nodes. During stepping
+         *  only this shard's thread pushes here and drains the intra
+         *  lists; the coordinator drains the boundary lists at the
+         *  top of each batch, before the workers start. */
+        WireCalendar calendar;
 
         std::vector<NodeId> active_routers;
         std::vector<NodeId> active_nics;
@@ -652,14 +551,12 @@ class Network : public DeliverySink
          *  subtracted from occupancy_ at the barrier. */
         std::size_t ejected_flits = 0;
 
-        /** Shard-local clock and calendar cursor. Between barriers a
-         *  shard's local cycle may run ahead of the global now_ by up
-         *  to batchCap - 1; the sequential phases see them re-synced
-         *  (sh.now == now_, sh.slot == now_ % width) on both sides of
-         *  every batch, so the coordinator needs no cursor of its
-         *  own. */
+        /** Shard-local clock, which the calendar's cursor follows.
+         *  Between barriers it may run ahead of the global now_ by up
+         *  to batchCap - 1; the sequential phases see it re-synced
+         *  (sh.now == now_) on both sides of every batch, so the
+         *  coordinator needs no clock of its own. */
         Cycle now = 0;
-        std::size_t slot = 0;
 
         /** Deliveries completed by this shard's worker this batch;
          *  folded into the global delivered counters at the barrier. */
@@ -676,34 +573,13 @@ class Network : public DeliverySink
         std::vector<TraceRecord> trace;
     };
 
-    std::int32_t
-    flitWireKey(NodeId node, PortId port) const
+    /** Append an event sent by `sh`'s node at its local cycle to its
+     *  calendar, due linkDelay + 1 cycles later. */
+    void
+    emit(Shard& sh, const WireEvent& ev, bool boundary)
     {
-        return (static_cast<std::int32_t>(node) << key_shift_) +
-               2 * static_cast<std::int32_t>(port);
+        sh.calendar.push(ev, sh.now + 1 + cfg_.linkDelay, boundary);
     }
-    std::int32_t
-    creditWireKey(NodeId node, PortId port) const
-    {
-        return flitWireKey(node, port) + 1;
-    }
-    std::int32_t
-    injectWireKey(NodeId node) const
-    {
-        return (static_cast<std::int32_t>(node) << key_shift_) +
-               injectSlot();
-    }
-    /** The injection wire's key slot: 2 * ports, after every port's
-     *  flit and credit slots. */
-    std::int32_t injectSlot() const { return 2 * topo_.numPorts(); }
-
-    /** Register a pushed wire event with the sender's shard calendar,
-     *  pre-classified as intra-shard or boundary-crossing (the env
-     *  adapters read boundary_wire_; no division on the hot path).
-     *  The slot is derived from the shard-local cursor, so emissions
-     *  mid-batch land correctly while shards' clocks differ. */
-    void scheduleWire(Shard& sh, std::int32_t key, Cycle due,
-                      bool boundary);
 
     /** Add a router/NIC to its shard's active set (idempotent). Safe
      *  from a stepping thread only for the shard's own nodes; the
@@ -724,35 +600,16 @@ class Network : public DeliverySink
      *  shard_cuts. */
     void buildShards(const std::vector<NodeId>& shard_cuts);
 
-    // Shared per-event delivery (trace record + hand-off +
-    // activation). `at` is the delivering domain's current cycle: the
-    // sender shard's local clock for intra-shard events, the global
-    // now_ for boundary events and scan sweeps. Side effects are
-    // charged to `sh` (the sender's shard), never to shared state.
-    void deliverFlitWire(Shard& sh, NodeId id, PortId p,
-                         const WireFlit& wf, Cycle at);
-    void deliverCreditWire(NodeId id, PortId p, const WireCredit& wc);
-    void deliverInjectWire(Shard& sh, NodeId id, const WireFlit& wf,
-                           Cycle at);
+    /** Hand one wire event to its receiver at cycle `at` (trace
+     *  record + hand-off + activation). Side effects are charged to
+     *  `sh`, the sender's shard, never to shared state. */
+    void deliver(Shard& sh, const WireEvent& ev, Cycle at);
 
-    /** Deliver every event due by `at` on the wire at key offset
-     *  `slot` (<= injectSlot()) of node `id`: the one per-wire pop loop
-     *  behind both the scan sweep and the calendar drains. */
-    void deliverWire(Shard& sh, NodeId id, std::int32_t slot, Cycle at);
-
-    /** Decode a shard-relative calendar key and deliver its wire. */
-    void deliverKey(Shard& sh, std::uint32_t key, Cycle at);
-
-    /** Deliver a shard's due intra-shard events in ascending key
-     *  order, the canonical order within the shard (their receivers
-     *  live in this shard only). Runs on the shard's own stepping
-     *  thread. */
-    void drainShardIntra(Shard& sh);
-
-    /** Deliver a shard's due boundary-crossing events. Coordinator
-     *  only, in ascending shard order — which is the global canonical
-     *  order restricted to boundary events. */
-    void drainShardBoundary(Shard& sh);
+    /** Deliver the intra-shard or the boundary events of `sh` due at
+     *  its local cycle. Intra lists drain on the shard's own thread
+     *  (their receivers live in the shard); boundary lists only on
+     *  the coordinator, when sh.now == now_. */
+    void drainCalendar(Shard& sh, bool boundary);
 
     void stepScan();
 
@@ -783,8 +640,8 @@ class Network : public DeliverySink
      *  global state after the barrier. */
     void mergeShardCycleState();
 
-    /** Replay the shards' trace records into the tracer in global
-     *  (cycle, wire key) order. */
+    /** Replay the shards' trace records into the tracer in
+     *  (cycle, trace key) order. */
     void flushTrace();
 
     /** The fixed top-of-cycle sequential work (fault events, telemetry
@@ -841,23 +698,8 @@ class Network : public DeliverySink
     std::vector<RouterEnv> router_envs_;
     std::vector<NicEnv> nic_envs_;
 
-    /** Router output wires, indexed by wireIndex(router, out port).
-     *  Port 0 wires deliver to the local NIC (ejection). */
-    FifoSet<WireFlit> flit_wires_;
-
-    /** Credit wires from (router, in port) back upstream, indexed by
-     *  wireIndex; in port 0 credits deliver to the local NIC. */
-    FifoSet<WireCredit> credit_wires_;
-
-    /** NIC -> router injection wires, one per node. */
-    FifoSet<WireFlit> inject_wires_;
-
-    // Event kernel state (Active = one shard, Parallel = one shard
-    // per worker; Scan keeps a single inert shard so observers and
-    // merge paths are uniform).
-    /** log2 of the wire keys per node: 2 * ports + 1 rounded up to a
-     *  power of two. */
-    int key_shift_ = 0;
+    // Shards (Active and Scan = one shard, Parallel = one shard per
+    // worker); every kernel keeps its wire events in their calendars.
     std::vector<Shard> shards_;
     /** Owning shard per node (all zero unless Parallel). */
     std::vector<std::uint32_t> shard_of_;
@@ -882,7 +724,7 @@ class Network : public DeliverySink
      *  order after the barrier; slots reset on throw). */
     std::vector<std::exception_ptr> shard_errors_;
     /** Activation marks. Activation is idempotent, so the delivery
-     *  paths set them under every kernel; only the event kernel reads
+     *  path sets them under every kernel; only the event kernel reads
      *  them. */
     std::vector<std::uint8_t> router_active_;
     std::vector<std::uint8_t> nic_active_;

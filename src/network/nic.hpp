@@ -124,6 +124,13 @@ class Nic
     /** Credit returned from the router's local input port. */
     void acceptCredit(VcId vc);
 
+    /** Credits held toward the router's local input port on `vc`. */
+    int
+    credits(VcId vc) const
+    {
+        return credits_[static_cast<std::size_t>(vc)];
+    }
+
     /** A flit ejected from the router's local output port arrives. */
     void acceptFlit(const Flit& flit, Cycle now, DeliverySink& sink);
 

@@ -52,6 +52,10 @@ Router::Router(NodeId id, const Topology& topo,
                               p == kLocalPort);
     }
     pending_request_.assign(vc_count, kInvalidPort);
+    vc_port_.reserve(vc_count);
+    for (PortId p = 0; p < num_ports_; ++p)
+        vc_port_.insert(vc_port_.end(),
+                        static_cast<std::size_t>(params_.vcsPerPort), p);
     in_vc_mask_.assign(static_cast<std::size_t>(num_ports_), 0);
     out_vc_mask_.assign(static_cast<std::size_t>(num_ports_), 0);
 }
@@ -268,9 +272,8 @@ Router::serveCrossbar(Cycle now, Env& env)
         if (winner < 0)
             continue;
         const auto i = static_cast<std::size_t>(winner);
-        const PortId ip = static_cast<PortId>(winner /
-                                              params_.vcsPerPort);
-        const VcId v = static_cast<VcId>(winner % params_.vcsPerPort);
+        const PortId ip = vc_port_[i];
+        const auto v = static_cast<VcId>(i - vcIndex(ip, 0));
         InputVc& ivc = in_vcs_[i];
         LAPSES_ASSERT(pending_request_[i] == op);
 

@@ -387,6 +387,10 @@ class Router
     /** Pending crossbar request per input VC this cycle. */
     std::vector<PortId> pending_request_;
 
+    /** Port of each flat VC index (vcIndex), so a crossbar grant
+     *  recovers its input port without a division. */
+    std::vector<PortId> vc_port_;
+
     // Occupied-VC lists, as bitmasks so insertion/removal are O(1) and
     // iteration follows ascending (port, VC) — the scan sweeps' order.
     std::vector<std::uint64_t> in_vc_mask_;  //!< per in port: VCs with flits

@@ -422,7 +422,11 @@ Topology::portName(PortId p) const
         return "L";
     if (p == kInvalidPort)
         return "?";
-    return "p" + std::to_string(static_cast<int>(p));
+    // Appending, not "p" + to_string(...): GCC 12 reports a false
+    // -Wrestrict overlap inside operator+(const char*, string&&).
+    std::string name = "p";
+    name += std::to_string(static_cast<int>(p));
+    return name;
 }
 
 } // namespace lapses

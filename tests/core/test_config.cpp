@@ -35,13 +35,14 @@ TEST(Config, DefaultsMatchPaperTable2)
 
 TEST(Config, ValidateRejectsBadValues)
 {
-    SimConfig cfg;
-    cfg.vcsPerPort = 0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
+    // A fresh default config per case.
+    SimConfig no_vcs;
+    no_vcs.vcsPerPort = 0;
+    EXPECT_THROW(no_vcs.validate(), ConfigError);
 
-    cfg = SimConfig{};
-    cfg.msgLen = 0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
+    SimConfig empty_msg;
+    empty_msg.msgLen = 0;
+    EXPECT_THROW(empty_msg.validate(), ConfigError);
 
     // A flit's 16-bit sequence number cannot count a longer message:
     // the NIC's counter wrapped and the message never ended.
@@ -51,9 +52,9 @@ TEST(Config, ValidateRejectsBadValues)
     long_msg.msgLen = 65535;
     EXPECT_NO_THROW(long_msg.validate());
 
-    cfg = SimConfig{};
-    cfg.normalizedLoad = 0.0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
+    SimConfig no_load;
+    no_load.normalizedLoad = 0.0;
+    EXPECT_THROW(no_load.validate(), ConfigError);
 
     // NaN compares false to every bound and used to slip through.
     const double inf = std::numeric_limits<double>::infinity();
@@ -64,32 +65,32 @@ TEST(Config, ValidateRejectsBadValues)
         EXPECT_THROW(load_cfg.validate(), ConfigError) << bad;
     }
 
-    cfg = SimConfig{};
-    cfg.bufferDepth = 0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
+    SimConfig no_buffer;
+    no_buffer.bufferDepth = 0;
+    EXPECT_THROW(no_buffer.validate(), ConfigError);
 
-    cfg = SimConfig{};
-    cfg.measureMessages = 0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
+    SimConfig no_measure;
+    no_measure.measureMessages = 0;
+    EXPECT_THROW(no_measure.validate(), ConfigError);
 
-    cfg = SimConfig{};
-    cfg.radices.clear();
-    EXPECT_THROW(cfg.validate(), ConfigError);
+    SimConfig no_radices;
+    no_radices.radices.clear();
+    EXPECT_THROW(no_radices.validate(), ConfigError);
 }
 
 TEST(Config, ValidateRejectsBadEscapeVcs)
 {
-    SimConfig cfg;
-    cfg.escapeVcs = 0;
-    EXPECT_THROW(cfg.validate(), ConfigError);
+    SimConfig no_escape;
+    no_escape.escapeVcs = 0;
+    EXPECT_THROW(no_escape.validate(), ConfigError);
 
-    cfg = SimConfig{};
-    cfg.escapeVcs = 4; // == vcsPerPort: no adaptive VC left
-    EXPECT_THROW(cfg.validate(), ConfigError);
+    SimConfig all_escape;
+    all_escape.escapeVcs = 4; // == vcsPerPort: no adaptive VC left
+    EXPECT_THROW(all_escape.validate(), ConfigError);
 
-    cfg = SimConfig{};
-    cfg.escapeVcs = 2;
-    EXPECT_NO_THROW(cfg.validate());
+    SimConfig two_escape;
+    two_escape.escapeVcs = 2;
+    EXPECT_NO_THROW(two_escape.validate());
 }
 
 TEST(Config, RouterModelNames)

@@ -171,10 +171,10 @@ diffCases()
         add("telemetry:window" + std::to_string(window), cfg);
     }
 
-    // 400 nodes x 16 wire keys (11 real slots padded to a power of
-    // two) = 6400 keys at one shard, so the calendar's key sets pass
-    // key 4096 into a second summary word; the 4x4 cases stop at 256
-    // keys.
+    // The one large mesh: 400 nodes, so a calendar bucket holds the
+    // events of many wires at once, and each of up to 8 shards fills
+    // its boundary lists over the ~21 links of every cut it borders.
+    // On the 4x4 cases a bucket holds a handful of events.
     SimConfig large = diffBase();
     large.radices = {20, 20};
     large.normalizedLoad = 0.05;
@@ -567,10 +567,10 @@ TEST(KernelDifferential, TracedStreamsIdentical)
 {
     // Deliveries run on every shard's thread, but the tracer is a
     // single-writer stream: each shard buffers its own records and the
-    // barrier merge replays them in (cycle, wire key) order. The event
-    // ring and the span JSONL must come out byte-identical under every
-    // kernel, shard count and batch size. Link delay 3 makes batches
-    // of up to 4 cycles possible while the tracer is attached.
+    // barrier merge replays them in (cycle, sending wire) order. The
+    // event ring and the span JSONL must come out byte-identical under
+    // every kernel, shard count and batch size. Link delay 3 makes
+    // batches of up to 4 cycles possible while the tracer is attached.
     const std::vector<KernelVariant> variants = {
         {"scan", KernelKind::Scan, 0},
         {"active", KernelKind::Active, 0},

@@ -115,8 +115,9 @@ TEST_F(NicTest, StepReportsActivityAndQuiescence)
         moved_any |= r.progressed > 0;
         pending_any |= r.pendingWork;
         // While a message streams, the NIC may never claim quiescence.
-        if (r.pendingWork)
+        if (r.pendingWork) {
             EXPECT_FALSE(nic.isQuiescent(now));
+        }
     }
     EXPECT_TRUE(moved_any);
     EXPECT_TRUE(pending_any);
