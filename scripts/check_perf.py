@@ -44,6 +44,12 @@ SCAN_ARG = "/2"    # KernelKind::Scan
 # member instead of active/scan.
 PARALLEL_REF_SUFFIXES = ("/0", "/0/0")
 
+# Google Benchmark appends this to the name of a case registered with
+# UseRealTime() (the multi-threaded parallel cases report wall time).
+# It is stripped before grouping, so such a case keeps its /0 reference
+# and its gate whichever clock either file was measured with.
+REAL_TIME_SUFFIX = "/real_time"
+
 
 def load_ratios(path):
     """(case -> active/scan items_per_second ratio, library build type).
@@ -55,7 +61,8 @@ def load_ratios(path):
     Families are grouped by the bare case name (everything before the
     first '/'), so benchmarks with any number of args — including the
     two-arg Args({jobs, batch}) batched-kernel cases — land in the
-    same family as their reference member.
+    same family as their reference member. A trailing /real_time is
+    dropped first.
     """
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
@@ -65,9 +72,11 @@ def load_ratios(path):
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             if bench.get("aggregate_name") == "median":
-                medians[bench["run_name"]] = bench["items_per_second"]
+                name = bench["run_name"].removesuffix(REAL_TIME_SUFFIX)
+                medians[name] = bench["items_per_second"]
             continue
-        rates.setdefault(bench["name"], bench["items_per_second"])
+        rates.setdefault(bench["name"].removesuffix(REAL_TIME_SUFFIX),
+                         bench["items_per_second"])
     rates.update(medians)
     families = {}
     for name, rate in rates.items():

@@ -119,7 +119,7 @@ Network::RouterEnv::flitOut(PortId out_port, VcId out_vc,
     // to its own time axis.
     Network& net = *net_;
     net.emit(*sh_, {flit, id_, out_port, out_vc, WireKind::Flit},
-             net.boundary_wire_[net.wireIndex(id_, out_port)] != 0);
+             net.receiver_shard_[net.wireIndex(id_, out_port)]);
 }
 
 void
@@ -127,7 +127,7 @@ Network::RouterEnv::creditOut(PortId in_port, VcId vc)
 {
     Network& net = *net_;
     net.emit(*sh_, {{}, id_, in_port, vc, WireKind::Credit},
-             net.boundary_wire_[net.wireIndex(id_, in_port)] != 0);
+             net.receiver_shard_[net.wireIndex(id_, in_port)]);
 }
 
 void
@@ -145,10 +145,10 @@ Network::RouterEnv::headUnroutable(PortId in_port, VcId vc)
 void
 Network::NicEnv::injectFlit(VcId vc, const Flit& flit)
 {
-    // Injection wires deliver to the sender's own router: always
-    // intra-shard.
+    // Injection wires deliver to the sender's own router, whose shard
+    // the port-0 entry names.
     net_->emit(*sh_, {flit, id_, kLocalPort, vc, WireKind::Inject},
-               /*boundary=*/false);
+               net_->receiver_shard_[net_->wireIndex(id_, kLocalPort)]);
     // The flit enters the tracked domain (wires + router FIFOs). The
     // global occupancy counter belongs to the sequential phases;
     // stepping threads record the delta shard-locally and the barrier
@@ -312,7 +312,7 @@ Network::buildShards(const std::vector<NodeId>& shard_cuts)
         Shard& sh = shards_[s];
         sh.begin = s == 0 ? 0 : bounds[s - 1];
         sh.end = s + 1 == s_count ? n : bounds[s];
-        sh.calendar = WireCalendar(cfg_.linkDelay);
+        sh.calendar = WireCalendar(cfg_.linkDelay, s_count);
         for (NodeId id = sh.begin; id < sh.end; ++id)
             shard_of_[static_cast<std::size_t>(id)] =
                 static_cast<std::uint32_t>(s);
@@ -329,24 +329,19 @@ Network::buildShards(const std::vector<NodeId>& shard_cuts)
     // arrival due at cycle 0. Routers start empty and asleep.
     for (NodeId id = 0; id < n; ++id)
         activateNic(id);
-    // Classify every wire once: flit and credit wires at (node, port)
-    // both connect to neighbor(node, port), so one table serves both
-    // kinds. Port 0 (ejection / NIC credit) and injection wires stay
-    // with their own node, hence intra-shard by construction.
-    boundary_wire_.assign(static_cast<std::size_t>(n) *
-                              static_cast<std::size_t>(
-                                  topo_.numPorts()),
-                          0);
-    if (s_count > 1) {
-        for (NodeId id = 0; id < n; ++id) {
-            for (PortId p = 1; p < topo_.numPorts(); ++p) {
-                const NodeId peer = topo_.neighbor(id, p);
-                if (peer != kInvalidNode &&
-                    shard_of_[static_cast<std::size_t>(peer)] !=
-                        shard_of_[static_cast<std::size_t>(id)]) {
-                    boundary_wire_[wireIndex(id, p)] = 1;
-                }
-            }
+    // Name every wire's receiving shard once: flit and credit wires
+    // at (node, port) both connect to neighbor(node, port), so one
+    // table serves both kinds. Port 0 (ejection / NIC credit) and
+    // injection wires stay with their own node.
+    receiver_shard_.resize(static_cast<std::size_t>(n) *
+                           static_cast<std::size_t>(topo_.numPorts()));
+    for (NodeId id = 0; id < n; ++id) {
+        for (PortId p = 0; p < topo_.numPorts(); ++p) {
+            const NodeId peer = p == kLocalPort ? kInvalidNode
+                                                : topo_.neighbor(id, p);
+            receiver_shard_[wireIndex(id, p)] = static_cast<std::uint8_t>(
+                shard_of_[static_cast<std::size_t>(
+                    peer != kInvalidNode ? peer : id)]);
         }
     }
     // Rebind the env adapters to their owning shards: emissions read
@@ -434,7 +429,7 @@ Network::nextEventCycle()
 {
     Cycle next = kNeverCycle;
     for (Shard& sh : shards_) {
-        next = std::min(next, sh.calendar.earliestDue(0, false));
+        next = std::min(next, sh.calendar.earliestDue());
         // Drop stale wake entries (NIC re-activated or rescheduled
         // since). Shards with nothing pending cost two empty checks —
         // the fast-forward hops straight over idle shards.
@@ -533,13 +528,21 @@ Network::deliver(Shard& sh, const WireEvent& ev, Cycle at)
 }
 
 void
-Network::drainCalendar(Shard& sh, bool boundary)
+Network::deliverDue(std::size_t to)
 {
-    // Emission order: which arrival of a cycle comes first reaches no
-    // result (DESIGN.md "Wire-event calendar").
-    sh.calendar.drain(sh.now, boundary, [&](const WireEvent& ev) {
-        deliver(sh, ev, sh.now);
-    });
+    // Every event drained here was emitted before the batch began, so
+    // the barrier published it, and the calendar's width keeps its
+    // sender writing other buckets meanwhile. The receiver's cursor
+    // indexes every calendar: cursors agree at equal cycles. Shard
+    // order, then emission order: which arrival of a cycle comes first
+    // reaches no result (DESIGN.md "Wire-event calendar").
+    Shard& sh = shards_[to];
+    const std::size_t slot = sh.calendar.slot();
+    for (Shard& from : shards_) {
+        from.calendar.drain(slot, to, sh.now, [&](const WireEvent& ev) {
+            deliver(sh, ev, sh.now);
+        });
+    }
 }
 
 void
@@ -547,9 +550,8 @@ Network::stepScan()
 {
     Shard& sh = shards_[0];
     {
-        // One shard owns every wire, so nothing is boundary.
-        ScopedPhaseTimer timer(profiling_, profile_.wireDrainSeconds);
-        drainCalendar(sh, /*boundary=*/false);
+        ScopedPhaseTimer timer(profiling_, profile_.deliverySeconds);
+        deliverDue(0);
     }
     const auto n = static_cast<std::size_t>(topo_.numNodes());
     counters_.nicSteps += n;
@@ -698,16 +700,16 @@ Network::flushTrace()
 }
 
 void
-Network::stepShardCycles(Shard& sh, Cycle cycles)
+Network::stepShardCycles(std::size_t s, Cycle cycles)
 {
+    Shard& sh = shards_[s];
     for (Cycle c = 0; c < cycles; ++c) {
-        // Intra-shard deliveries first (receivers join the active
-        // set), then the component slice — the same phase order the
-        // scan kernel uses.
+        // Deliveries first (receivers join the active set), then the
+        // component slice — the same phase order the scan kernel uses.
         {
             ScopedPhaseTimer timer(profiling_,
-                                   sh.profile.intraDeliverySeconds);
-            drainCalendar(sh, /*boundary=*/false);
+                                   sh.profile.deliverySeconds);
+            deliverDue(s);
         }
         stepShardComponents(sh);
         ++sh.now;
@@ -718,29 +720,17 @@ Network::stepShardCycles(Shard& sh, Cycle cycles)
 void
 Network::stepSharded(Cycle cycles)
 {
-    // Coordinator boundary drain, before any worker starts: boundary
-    // events touch only router ingress state of other shards. Everything
-    // else — intra-shard deliveries, stats hooks, descriptor releases,
-    // trace records — happens on the owning shard's thread inside
-    // stepShardCycles.
-    {
-        ScopedPhaseTimer timer(profiling_,
-                               profile_.boundaryDrainSeconds);
-        for (Shard& sh : shards_) {
-            LAPSES_ASSERT(sh.now == now_);
-            drainCalendar(sh, /*boundary=*/true);
-        }
-    }
-
     // Parallel stepping: one shard per thread, shard 0 on the
     // coordinator. Conservative lookahead — everything a shard emits
-    // at local cycle t is due t + linkDelay + 1 — plus the batch caps
-    // (batchCycles) means no stepping thread can ever consume another
-    // shard's output inside the batch, so the only synchronization is
-    // the join barrier itself.
+    // at local cycle t is due t + linkDelay + 1, and a batch spans at
+    // most linkDelay + 1 cycles — means no stepping thread can ever
+    // consume another shard's output inside the batch, so the only
+    // synchronization is the join barrier itself. Each shard delivers
+    // what is addressed to it, so delivery side effects (stats hooks,
+    // descriptor releases, trace records) stay on its own thread.
     if (intra_pool_ == nullptr) {
-        for (Shard& sh : shards_)
-            stepShardCycles(sh, cycles);
+        for (std::size_t s = 0; s < shards_.size(); ++s)
+            stepShardCycles(s, cycles);
     } else {
         {
             const std::lock_guard<std::mutex> lock(barrier_mutex_);
@@ -749,7 +739,7 @@ Network::stepSharded(Cycle cycles)
         for (std::size_t s = 1; s < shards_.size(); ++s) {
             intra_pool_->post([this, s, cycles] {
                 try {
-                    stepShardCycles(shards_[s], cycles);
+                    stepShardCycles(s, cycles);
                 } catch (...) {
                     shard_errors_[s] = std::current_exception();
                 }
@@ -760,7 +750,7 @@ Network::stepSharded(Cycle cycles)
             });
         }
         try {
-            stepShardCycles(shards_[0], cycles);
+            stepShardCycles(0, cycles);
         } catch (...) {
             shard_errors_[0] = std::current_exception();
         }
@@ -808,17 +798,6 @@ Network::batchCycles(Cycle horizon) const
         k = std::min(k, reconfig_due_[next_reconfig_] - now_);
     if (next_telemetry_at_ != kNeverCycle)
         k = std::min(k, next_telemetry_at_ - now_);
-    if (k <= 1)
-        return 1;
-    // A boundary-crossing event due mid-batch needs the coordinator's
-    // merge at exactly its cycle: end the batch there. Events due now_
-    // are about to be drained; events emitted inside the batch are due
-    // >= now_ + linkDelay + 1 >= now_ + k, after the batch.
-    for (const Shard& sh : shards_) {
-        const Cycle due = sh.calendar.earliestDue(now_ + 1, true);
-        if (due != kNeverCycle)
-            k = std::min(k, due - now_);
-    }
     return std::max<Cycle>(k, 1);
 }
 
@@ -1268,13 +1247,11 @@ Network::kernelProfile() const
 {
     KernelProfile merged = profile_;
     for (const Shard& sh : shards_) {
-        merged.wireDrainSeconds += sh.profile.wireDrainSeconds;
+        merged.deliverySeconds += sh.profile.deliverySeconds;
         merged.nicStepSeconds += sh.profile.nicStepSeconds;
         merged.routerStepSeconds += sh.profile.routerStepSeconds;
         merged.faultSeconds += sh.profile.faultSeconds;
         merged.telemetrySeconds += sh.profile.telemetrySeconds;
-        merged.boundaryDrainSeconds += sh.profile.boundaryDrainSeconds;
-        merged.intraDeliverySeconds += sh.profile.intraDeliverySeconds;
         merged.barrierWaitSeconds += sh.profile.barrierWaitSeconds;
     }
     return merged;

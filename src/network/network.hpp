@@ -15,20 +15,19 @@
  *    active the clock fast-forwards to the next wire event or
  *    injection-process wake. The nodes are cut into spatial shards
  *    (contiguous node ranges) — exactly one under "active",
- *    --intra-jobs under "parallel". Wire events are classified at
- *    schedule time: intra-shard events are delivered by the owning
- *    shard's worker at the top of its stepping slice, while only
- *    boundary-crossing events are delivered by the coordinator at
- *    the barrier. When lookahead allows (no fault, telemetry or
- *    pending boundary event inside the window) shards run up to
- *    linkDelay + 1 cycles between barriers (DESIGN.md "Parallel
- *    kernel" spells out both contracts).
+ *    --intra-jobs under "parallel". Each emission is filed under its
+ *    receiving shard, and every shard pulls the events addressed to
+ *    it at the top of each local cycle, on its own thread. When
+ *    lookahead allows (no fault or telemetry boundary inside the
+ *    window) shards run up to linkDelay + 1 cycles between barriers
+ *    (DESIGN.md "Parallel kernel" spells out both contracts).
  *  - KernelKind::Scan: steps every NIC and router every cycle, kept
  *    as the differential oracle of the activity tracking
  *    (LAPSES_KERNEL=scan).
  *
  * Every kernel keeps wire traffic in the same WireCalendar, one per
- * shard, and delivers each event at its due cycle in emission order.
+ * sending shard, and delivers each event at its due cycle through one
+ * Network::deliver, sender shard by sender shard in emission order.
  * Both kernels produce byte-identical statistics and trace streams:
  * the order of arrivals within a cycle reaches no result, and
  * components are only put to sleep when stepping them is provably a
@@ -212,13 +211,14 @@ class Network : public DeliverySink
     Cycle batchCap() const { return batch_cap_; }
 
     /** Work counters for perf tests and benches: the coordinator's
-     *  delivery/fast-forward counts merged with every shard's step
-     *  counts (each shard accumulates its own, so stepping threads
-     *  never write a shared counter). */
+     *  fast-forward counts merged with every shard's step and
+     *  delivery counts (each shard accumulates its own, so stepping
+     *  threads never write a shared counter). */
     KernelCounters kernelCounters() const;
 
-    /** One shard's own step/delivery counters (load-imbalance
-     *  diagnostics; --profile warns when max/min exceeds 2x). */
+    /** One shard's own counters: the components it stepped and the
+     *  wire events delivered to it (load-imbalance diagnostics;
+     *  --profile warns when max/min exceeds 2x). */
     const KernelCounters&
     shardCounters(std::size_t shard) const
     {
@@ -499,22 +499,24 @@ class Network : public DeliverySink
     /**
      * Everything one stepping thread owns: Active and Scan run a
      * single shard spanning all nodes; Parallel runs one shard per
-     * worker over [begin, end). During the (parallel)
-     * component-stepping phase a shard's thread touches only this
-     * struct and its own nodes' components — disjoint across shards —
-     * while the coordinator touches shards only in the sequential
-     * phases on the other side of the cycle barrier. Cache-line
-     * aligned so adjacent shards' hot cursors never false-share.
+     * worker over [begin, end). During the (parallel) stepping phase
+     * a shard's thread touches only this struct, its own nodes'
+     * components and the lists addressed to it in other shards'
+     * calendars — disjoint across shards — while the coordinator
+     * touches shards only in the sequential phases on the other side
+     * of the cycle barrier. Cache-line aligned so adjacent shards' hot
+     * cursors never false-share.
      */
     struct alignas(64) Shard
     {
         NodeId begin = 0; //!< first owned node
         NodeId end = 0;   //!< one past the last owned node
 
-        /** Wire events *sent by* this shard's nodes. During stepping
-         *  only this shard's thread pushes here and drains the intra
-         *  lists; the coordinator drains the boundary lists at the
-         *  top of each batch, before the workers start. */
+        /** Wire events *sent by* this shard's nodes, one list per
+         *  receiving shard. During stepping only this shard's thread
+         *  pushes here, and each receiving shard's thread drains its
+         *  own lists (the calendar's width keeps them in different
+         *  buckets). */
         WireCalendar calendar;
 
         std::vector<NodeId> active_routers;
@@ -574,11 +576,12 @@ class Network : public DeliverySink
     };
 
     /** Append an event sent by `sh`'s node at its local cycle to its
-     *  calendar, due linkDelay + 1 cycles later. */
+     *  calendar, due linkDelay + 1 cycles later, on receiving shard
+     *  `to`'s list. */
     void
-    emit(Shard& sh, const WireEvent& ev, bool boundary)
+    emit(Shard& sh, const WireEvent& ev, std::size_t to)
     {
-        sh.calendar.push(ev, sh.now + 1 + cfg_.linkDelay, boundary);
+        sh.calendar.push(ev, sh.now + 1 + cfg_.linkDelay, to);
     }
 
     /** Add a router/NIC to its shard's active set (idempotent). Safe
@@ -602,33 +605,30 @@ class Network : public DeliverySink
 
     /** Hand one wire event to its receiver at cycle `at` (trace
      *  record + hand-off + activation). Side effects are charged to
-     *  `sh`, the sender's shard, never to shared state. */
+     *  `sh`, the receiver's shard, never to shared state. */
     void deliver(Shard& sh, const WireEvent& ev, Cycle at);
 
-    /** Deliver the intra-shard or the boundary events of `sh` due at
-     *  its local cycle. Intra lists drain on the shard's own thread
-     *  (their receivers live in the shard); boundary lists only on
-     *  the coordinator, when sh.now == now_. */
-    void drainCalendar(Shard& sh, bool boundary);
+    /** Deliver every event addressed to shard `to` and due at its
+     *  local cycle, pulled from each shard's calendar in shard order
+     *  on `to`'s own thread. */
+    void deliverDue(std::size_t to);
 
     void stepScan();
 
     /** Advance the event kernel by `cycles` (>= 1) barrier-to-
-     *  barrier: coordinator boundary drain, worker fan-out of
-     *  stepShardCycles (inline on one shard), barrier, merge. */
+     *  barrier: worker fan-out of stepShardCycles (inline on one
+     *  shard), barrier, merge. */
     void stepSharded(Cycle cycles);
 
     /** Largest safe batch for the event kernel ending at or before
-     *  `horizon`: capped by the conservative lookahead (batchCap), the
-     *  next fault/reconfiguration/telemetry boundary, any pending
-     *  boundary event's due cycle, and forced to 1 while links are
-     *  down. */
+     *  `horizon`: capped by the conservative lookahead (batchCap) and
+     *  the next fault/reconfiguration/telemetry boundary, and forced
+     *  to 1 while links are down. */
     Cycle batchCycles(Cycle horizon) const;
 
-    /** A worker's whole batch: per cycle, drain own intra-shard
-     *  events, then run the per-shard component slice, then advance
-     *  the shard-local clock. */
-    void stepShardCycles(Shard& sh, Cycle cycles);
+    /** Shard `s`'s whole batch: per cycle, deliver the events due to
+     *  it, then run its component slice, then advance its clock. */
+    void stepShardCycles(std::size_t s, Cycle cycles);
 
     /** The per-shard slice of a cycle: process due NIC wakes, step
      *  active NICs, step active routers. Runs on the shard's stepping
@@ -703,11 +703,11 @@ class Network : public DeliverySink
     std::vector<Shard> shards_;
     /** Owning shard per node (all zero unless Parallel). */
     std::vector<std::uint32_t> shard_of_;
-    /** Per wire index: 1 iff the wire's receiver lives in a different
-     *  shard than its sender (injection and ejection/NIC-credit wires
-     *  are always intra-shard). Fixed at construction; read by the env
-     *  adapters to classify emissions with one table load. */
-    std::vector<std::uint8_t> boundary_wire_;
+    /** Per wire index: the shard that owns the wire's receiver (the
+     *  sender's own for ejection/NIC-credit wires). Fixed at
+     *  construction; read by the env adapters to file emissions with
+     *  one table load. */
+    std::vector<std::uint8_t> receiver_shard_;
     /** Resolved barrier batch cap (resolveMaxBatchCycles). */
     Cycle batch_cap_ = 1;
     /** Workers for shards 1..S-1 (the caller steps shard 0); owned by
@@ -733,8 +733,8 @@ class Network : public DeliverySink
      *  skipped. Only the owning shard's thread touches its nodes'
      *  entries during stepping. */
     std::vector<Cycle> nic_wake_at_;
-    /** Coordinator counters: wire deliveries and fast-forwards (the
-     *  sequential phases); scan-kernel step counts also land here. */
+    /** Coordinator counters: fast-forwards (a sequential phase);
+     *  scan-kernel step counts also land here. */
     KernelCounters counters_;
 
     // Fault-event state. fault_events_ is the validated schedule in

@@ -43,19 +43,25 @@ struct WireEvent
 };
 
 /**
- * The wire events one shard's nodes send. Every event is pushed with
- * due = send cycle + linkDelay + 1, so the dues in flight lie in
- * (now, now + linkDelay + 1]: linkDelay + 2 buckets indexed by
- * due % width hold one due each, and a cursor that moves with the
- * sender's clock names the bucket due now without a division. A
- * bucket keeps intra-shard and boundary-crossing events on separate
- * lists, each in emission order.
+ * The wire events one shard's nodes send, filed by due cycle and by
+ * receiving shard. Every event is pushed with due = send cycle +
+ * linkDelay + 1. Inside a barrier batch of at most linkDelay + 1
+ * cycles a sender runs up to linkDelay cycles ahead of a receiver, so
+ * the dues in flight lie in a window of 2 * (linkDelay + 1) cycles:
+ * that many buckets indexed by due % width hold one due each, and a
+ * sender never writes a bucket a receiver has yet to drain. A cursor
+ * that moves with the owning shard's clock names the bucket due now
+ * without a division; every calendar has the same width, so calendars
+ * at equal cycles have equal cursors. A bucket keeps one list per
+ * receiving shard, each in emission order.
  */
 class WireCalendar
 {
   public:
-    explicit WireCalendar(Cycle link_delay = 0)
-        : buckets_(static_cast<std::size_t>(link_delay) + 2)
+    explicit WireCalendar(Cycle link_delay = 0, std::size_t receivers = 1)
+        : half_(static_cast<std::size_t>(link_delay) + 1),
+          receivers_(receivers), dues_(2 * half_, 0),
+          lists_(2 * half_ * receivers)
     {
     }
 
@@ -63,58 +69,55 @@ class WireCalendar
     void
     seek(Cycle now)
     {
-        slot_ = static_cast<std::size_t>(now % buckets_.size());
+        slot_ = static_cast<std::size_t>(now % dues_.size());
     }
 
     /** Move the cursor on by one cycle. */
     void
     advance()
     {
-        if (++slot_ == buckets_.size())
+        if (++slot_ == dues_.size())
             slot_ = 0;
     }
 
-    /** Append an event sent in the cursor's cycle; `due` is that
-     *  cycle + linkDelay + 1, whose bucket sits just behind the
-     *  cursor. */
+    /** The bucket due at the cursor's cycle. */
+    std::size_t slot() const { return slot_; }
+
+    /** Append an event sent in the cursor's cycle to receiving shard
+     *  `to`'s list; `due` is that cycle + linkDelay + 1, whose bucket
+     *  sits half the ring ahead of the cursor. */
     void
-    push(const WireEvent& ev, Cycle due, bool boundary)
+    push(const WireEvent& ev, Cycle due, std::size_t to)
     {
-        Bucket& bucket =
-            buckets_[slot_ == 0 ? buckets_.size() - 1 : slot_ - 1];
-        bucket.due = due;
-        (boundary ? bucket.boundary : bucket.intra).push_back(ev);
+        const std::size_t slot =
+            slot_ < half_ ? slot_ + half_ : slot_ - half_;
+        dues_[slot] = due;
+        lists_[slot * receivers_ + to].push_back(ev);
     }
 
-    /** Hand every event of one list of the cursor's bucket, due `at`,
-     *  to fn in emission order, then clear the list. fn may push:
-     *  pushes land in another bucket. */
+    /** Hand every event of bucket `slot` addressed to shard `to`, due
+     *  `at`, to fn in emission order, then clear the list. */
     template <typename Fn>
     void
-    drain(Cycle at, bool boundary, Fn&& fn)
+    drain(std::size_t slot, std::size_t to, Cycle at, Fn&& fn)
     {
-        Bucket& bucket = buckets_[slot_];
-        std::vector<WireEvent>& list =
-            boundary ? bucket.boundary : bucket.intra;
+        std::vector<WireEvent>& list = lists_[slot * receivers_ + to];
         if (list.empty())
             return;
-        LAPSES_ASSERT(bucket.due == at);
+        LAPSES_ASSERT(dues_[slot] == at);
         for (const WireEvent& ev : list)
             fn(ev);
         list.clear();
     }
 
-    /** Earliest due at or after `from` with an event pending (boundary
-     *  events only when `boundary_only`); kNeverCycle when none. */
+    /** Earliest due with an event pending; kNeverCycle when none. */
     Cycle
-    earliestDue(Cycle from, bool boundary_only) const
+    earliestDue() const
     {
         Cycle next = kNeverCycle;
-        for (const Bucket& bucket : buckets_) {
-            const bool pending = !bucket.boundary.empty() ||
-                                 (!boundary_only && !bucket.intra.empty());
-            if (pending && bucket.due >= from)
-                next = std::min(next, bucket.due);
+        for (std::size_t i = 0; i < lists_.size(); ++i) {
+            if (!lists_[i].empty())
+                next = std::min(next, dues_[i / receivers_]);
         }
         return next;
     }
@@ -124,10 +127,8 @@ class WireCalendar
     void
     forEach(Fn&& fn) const
     {
-        for (const Bucket& bucket : buckets_) {
-            for (const WireEvent& ev : bucket.intra)
-                fn(ev);
-            for (const WireEvent& ev : bucket.boundary)
+        for (const std::vector<WireEvent>& list : lists_) {
+            for (const WireEvent& ev : list)
                 fn(ev);
         }
     }
@@ -140,23 +141,19 @@ class WireCalendar
     removeIf(Pred&& pred)
     {
         std::size_t removed = 0;
-        for (Bucket& bucket : buckets_) {
-            removed += std::erase_if(bucket.intra, pred);
-            removed += std::erase_if(bucket.boundary, pred);
-        }
+        for (std::vector<WireEvent>& list : lists_)
+            removed += std::erase_if(list, pred);
         return removed;
     }
 
   private:
-    struct Bucket
-    {
-        Cycle due = 0;
-        std::vector<WireEvent> intra;
-        std::vector<WireEvent> boundary;
-    };
-
-    std::vector<Bucket> buckets_;
-    std::size_t slot_ = 0; //!< bucket of the sender's current cycle
+    std::size_t half_;      //!< linkDelay + 1: the push offset
+    std::size_t receivers_; //!< lists per bucket
+    std::vector<Cycle> dues_;
+    /** Bucket `slot`'s list for receiving shard `to` is
+     *  lists_[slot * receivers_ + to]. */
+    std::vector<std::vector<WireEvent>> lists_;
+    std::size_t slot_ = 0; //!< bucket of the owner's current cycle
 };
 
 } // namespace lapses

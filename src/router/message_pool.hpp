@@ -16,14 +16,16 @@
  * Concurrency contract (parallel kernel, DESIGN.md "Parallel kernel"):
  * the pool is split into banks, one per shard, and a MsgRef encodes
  * (bank, slot). acquire(bank) is only ever called by the thread
- * stepping that bank's shard; release() and descriptor writes through
- * operator[] from *other* threads only happen in the sequential
- * wire-delivery / fault phases, which are separated from the stepping
- * phase by the cycle barrier. Storage is chunked with a pre-sized
- * chunk-pointer array so growing one bank never moves a descriptor
- * another thread may read, and the only cross-thread-visible scalar
- * (the bank's high-water size, read by bounds assertions) is a relaxed
- * atomic — every real happens-before edge comes from the barrier.
+ * stepping that bank's shard, and release() only in the sequential
+ * merge and fault phases, which the cycle barrier separates from
+ * stepping. While stepping, a descriptor is written only by its source
+ * NIC and by the router holding its message's head, each on its own
+ * shard's thread; wire delivery only reads. Storage is chunked with a
+ * pre-sized chunk-pointer array so growing one bank never moves a
+ * descriptor another thread may read, and the only cross-thread-
+ * visible scalar (the bank's high-water size, read by bounds
+ * assertions) is a relaxed atomic — every real happens-before edge
+ * comes from the barrier.
  * MsgRef values depend on allocation order and therefore on the shard
  * count; nothing observable may be ordered by raw MsgRef — sort by
  * MessageDescriptor::id (deterministic per-NIC) instead.

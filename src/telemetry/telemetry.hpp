@@ -127,19 +127,14 @@ class TelemetryBuffer
  */
 struct KernelProfile
 {
-    double wireDrainSeconds = 0.0;
+    /** Wire delivery: each shard delivers the events addressed to it
+     *  on its own thread (summed over shards, so it can exceed
+     *  wall-clock when shards overlap). */
+    double deliverySeconds = 0.0;
     double nicStepSeconds = 0.0;
     double routerStepSeconds = 0.0;
     double faultSeconds = 0.0;
     double telemetrySeconds = 0.0;
-
-    /** Coordinator time draining boundary-crossing wire events (the
-     *  serialized slice of the parallel kernel's delivery phase). */
-    double boundaryDrainSeconds = 0.0;
-
-    /** Worker time delivering intra-shard wire events (summed over
-     *  shards, so it can exceed wall-clock when shards overlap). */
-    double intraDeliverySeconds = 0.0;
 
     /** Coordinator time parked at the end-of-batch barrier waiting for
      *  the slowest shard worker. */
@@ -148,20 +143,17 @@ struct KernelProfile
     double
     totalSeconds() const
     {
-        return wireDrainSeconds + nicStepSeconds + routerStepSeconds +
-               faultSeconds + telemetrySeconds + boundaryDrainSeconds +
-               intraDeliverySeconds + barrierWaitSeconds;
+        return deliverySeconds + nicStepSeconds + routerStepSeconds +
+               faultSeconds + telemetrySeconds + barrierWaitSeconds;
     }
 
-    /** The event kernel's coordinator-only phases: boundary drain +
-     *  barrier wait + fault + telemetry, exactly the terms the
-     *  --profile serial fraction names. The scan kernel's wire drain
-     *  is not one: scan has no coordinator/worker split. */
+    /** The event kernel's coordinator-only phases: barrier wait +
+     *  fault + telemetry, exactly the terms the --profile serial
+     *  fraction names. */
     double
     serialSeconds() const
     {
-        return boundaryDrainSeconds + barrierWaitSeconds + faultSeconds +
-               telemetrySeconds;
+        return barrierWaitSeconds + faultSeconds + telemetrySeconds;
     }
 };
 

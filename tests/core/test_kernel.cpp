@@ -315,18 +315,16 @@ TEST(Kernel, ProfileSerialSecondsSumsTheLabelledTerms)
     // Distinct powers of two, so any missing or extra term shows as an
     // exact mismatch.
     KernelProfile prof;
-    prof.wireDrainSeconds = 1.0;
+    prof.deliverySeconds = 1.0;
     prof.nicStepSeconds = 2.0;
     prof.routerStepSeconds = 4.0;
     prof.faultSeconds = 8.0;
     prof.telemetrySeconds = 16.0;
-    prof.boundaryDrainSeconds = 32.0;
-    prof.intraDeliverySeconds = 64.0;
-    prof.barrierWaitSeconds = 128.0;
-    // boundary drain + barrier wait + fault + telemetry; the scan
-    // kernel's wire drain and the worker phases are not serial.
-    EXPECT_EQ(prof.serialSeconds(), 32.0 + 128.0 + 8.0 + 16.0);
-    EXPECT_EQ(prof.totalSeconds(), 255.0);
+    prof.barrierWaitSeconds = 32.0;
+    // barrier wait + fault + telemetry; delivery and stepping run on
+    // the shards' own threads, so they are not serial.
+    EXPECT_EQ(prof.serialSeconds(), 32.0 + 8.0 + 16.0);
+    EXPECT_EQ(prof.totalSeconds(), 63.0);
 }
 
 TEST(Kernel, StepUntilNeverPassesHorizon)

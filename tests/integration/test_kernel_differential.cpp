@@ -173,8 +173,8 @@ diffCases()
 
     // The one large mesh: 400 nodes, so a calendar bucket holds the
     // events of many wires at once, and each of up to 8 shards fills
-    // its boundary lists over the ~21 links of every cut it borders.
-    // On the 4x4 cases a bucket holds a handful of events.
+    // its lists for its neighbours over the ~21 links of every cut it
+    // borders. On the 4x4 cases a bucket holds a handful of events.
     SimConfig large = diffBase();
     large.radices = {20, 20};
     large.normalizedLoad = 0.05;
@@ -452,7 +452,7 @@ TEST(KernelDifferential, BatchSweepLockstepHealthyAndFaulted)
     // quantum): batch caps 1, 2 and 4 against both sequential oracles,
     // healthy and with live fault epochs plus telemetry windows that
     // force barriers mid-batch. Counter comparisons run at every
-    // stride boundary; the fault/telemetry/boundary caps must place
+    // stride boundary; the fault and telemetry caps must place
     // barriers so precisely that no counter ever drifts.
     for (const bool faulted : {false, true}) {
         SimConfig base = diffBase();

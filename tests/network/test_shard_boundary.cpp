@@ -3,21 +3,22 @@
  * Shard-boundary property tests for the parallel kernel. The sharding
  * contract (DESIGN.md "Parallel kernel") is that the cut points are
  * pure bookkeeping: for ANY strictly ascending set of interior cuts,
- * boundary-crossing wire events drain through the coordinator in the
- * sequential (node, port, wire-kind) order while each shard's worker
- * delivers its intra-shard events in the same per-shard order, so
- * every externally observable sequence — the per-destination
- * delivery-hook streams, occupancy, progress, the work counters — is
- * byte-identical to the single-shard active kernel and the scan
- * oracle. Deliveries eject on the destination's owning worker, so the
- * observable ordering contract is per destination node (a single
- * global stream across shards is not defined under worker delivery).
- * These tests build networks directly with explicit shard_cuts
- * constructor arguments to drive randomized and adversarial
- * cuts the balanced partition would never produce, including slivers
- * that spend most cycles with no active component (the idle-shard
- * fast-forward path) and multi-cycle batches that must break exactly
- * at fault and telemetry boundaries.
+ * each shard's worker pulls the wire events addressed to it from
+ * every shard's calendar, so every externally observable sequence —
+ * the per-destination delivery-hook streams, occupancy, progress, the
+ * work counters — is byte-identical to the single-shard active kernel
+ * and the scan oracle. The arrivals of a cycle come in a different
+ * order under each cut (shard order, then emission order), which
+ * reaches no result. Deliveries eject on the destination's owning
+ * worker, so the observable ordering contract is per destination node
+ * (a single global stream across shards is not defined under worker
+ * delivery). These tests build networks directly with explicit
+ * shard_cuts constructor arguments to drive randomized and
+ * adversarial cuts the balanced partition would never produce,
+ * including slivers that spend most cycles with no active component
+ * (the idle-shard fast-forward path), multi-cycle batches that must
+ * break exactly at fault and telemetry boundaries, and loaded cuts
+ * whose boundary traffic must not shorten a batch.
  */
 
 #include <gtest/gtest.h>
@@ -161,9 +162,10 @@ TEST(ShardBoundary, RandomizedCutsMatchSequentialDeliveryOrder)
 {
     // Property: for randomized shard cuts on a 5x5 mesh, the parallel
     // kernel's per-destination delivery streams and per-cycle counters
-    // equal the scan oracle's. Scan delivers wires by one global
-    // ascending (node, port, wire-kind) sweep, so equality here IS the
-    // two-tier (boundary + intra-shard) ordering contract.
+    // equal the scan oracle's. Scan's one shard delivers a cycle's
+    // events in the order its node-order stepping emitted them, while
+    // each parallel shard pulls its own sender shard by sender shard,
+    // so equality here IS the per-destination ordering contract.
     std::mt19937 rng(0xC0FFEEu);
     const std::vector<int> radices = {5, 5};
     for (int trial = 0; trial < 8; ++trial) {
@@ -450,6 +452,41 @@ TEST(ShardBoundary, TelemetryWindowsMidBatchStayByteIdentical)
     sharded_buf.writeJsonl(sharded_jsonl);
     EXPECT_EQ(sharded_jsonl.str(), oracle_jsonl.str());
     expectSameDeliveryStreams(sharded, oracle, "telemetry mid-batch");
+}
+
+TEST(ShardBoundary, LoadedCutsBatchAtTheFullCap)
+{
+    // Under load, boundary-crossing events fall due nearly every
+    // cycle. Each shard pulls its own, so they do not end a batch:
+    // past warm-up every 8-cycle checkpoint takes exactly two
+    // stepUntil calls of the full 4-cycle cap (linkDelay 3), and the
+    // delivery streams still equal the scan oracle's.
+    const std::vector<int> radices = {4, 4};
+    const std::vector<NodeId> cuts = {4, 8, 12};
+    RigOpts opts;
+    opts.linkDelay = 3;
+    NetRig oracle(radices, KernelKind::Scan, {}, 0.3, 777, opts);
+    NetRig sharded(radices, KernelKind::Parallel, cuts, 0.3, 777, opts);
+    ASSERT_EQ(sharded.net->batchCap(), 4u);
+
+    const Cycle warmup = 200;
+    for (Cycle cp = 8; cp <= 800; cp += 8) {
+        while (oracle.net->now() < cp)
+            oracle.net->stepUntil(cp);
+        int calls = 0;
+        while (sharded.net->now() < cp) {
+            sharded.net->stepUntil(cp);
+            ++calls;
+        }
+        ASSERT_EQ(sharded.net->totalOccupancy(),
+                  oracle.net->totalOccupancy())
+            << "at cycle " << cp;
+        if (cp > warmup) {
+            ASSERT_EQ(calls, 2) << "checkpoint " << cp;
+        }
+    }
+    expectSameDeliveryStreams(sharded, oracle, "full-cap batches");
+    EXPECT_GT(oracle.deliveredCount(), 0u);
 }
 
 TEST(ShardBoundary, InvalidBoundariesRefuse)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests of the wire-event calendar: each event arrives exactly once at
- * its due cycle, the intra-shard and boundary lists of a bucket drain
- * apart, removal takes exactly the events asked for, and the network's
- * purge and occupancy recount see the flits the calendar holds.
+ * its due cycle, even to a receiver that lags its sender by a whole
+ * lookahead, the per-receiver lists of a bucket drain apart, removal
+ * takes exactly the events asked for, and the network's purge and
+ * occupancy recount see the flits the calendar holds.
  */
 
 #include <gtest/gtest.h>
@@ -46,10 +47,10 @@ creditEvent()
 }
 
 std::vector<std::uint16_t>
-drainSeqs(WireCalendar& cal, Cycle at, bool boundary)
+drainSeqs(WireCalendar& cal, std::size_t to, Cycle at)
 {
     std::vector<std::uint16_t> seqs;
-    cal.drain(at, boundary,
+    cal.drain(cal.slot(), to, at,
               [&](const WireEvent& ev) { seqs.push_back(ev.flit.seq); });
     std::sort(seqs.begin(), seqs.end());
     return seqs;
@@ -65,7 +66,7 @@ TEST(WireCalendar, DeliversEachEventOnceAtItsDueCycle)
         WireCalendar cal(delay);
         std::vector<int> seen(2000, 0);
         for (Cycle now = 0; now < 60; ++now) {
-            cal.drain(now, false, [&](const WireEvent& ev) {
+            cal.drain(cal.slot(), 0, now, [&](const WireEvent& ev) {
                 const Cycle sent = ev.flit.seq % 1000;
                 EXPECT_EQ(now, sent + delay + 1)
                     << "delay " << delay << " seq " << ev.flit.seq;
@@ -74,16 +75,15 @@ TEST(WireCalendar, DeliversEachEventOnceAtItsDueCycle)
             if (now < 40) {
                 const Cycle due = now + delay + 1;
                 cal.push(flitEvent(1, static_cast<std::uint16_t>(now)),
-                         due, false);
+                         due, 0);
                 if (now % 3 == 0) {
                     cal.push(flitEvent(2, static_cast<std::uint16_t>(
                                               1000 + now)),
-                             due, false);
+                             due, 0);
                 }
                 // Everything due by now is drained; the oldest event
                 // left was sent at max(0, now - delay).
-                EXPECT_EQ(cal.earliestDue(0, false),
-                          std::max(now + 1, delay + 1))
+                EXPECT_EQ(cal.earliestDue(), std::max(now + 1, delay + 1))
                     << "delay " << delay << " cycle " << now;
             }
             cal.advance();
@@ -93,48 +93,115 @@ TEST(WireCalendar, DeliversEachEventOnceAtItsDueCycle)
             EXPECT_EQ(seen[1000 + sent], sent % 3 == 0 ? 1 : 0)
                 << "delay " << delay;
         }
-        EXPECT_EQ(cal.earliestDue(0, false), kNeverCycle);
+        EXPECT_EQ(cal.earliestDue(), kNeverCycle);
     }
 }
 
-TEST(WireCalendar, IntraAndBoundaryListsDrainSeparately)
+TEST(WireCalendar, PerReceiverListsDrainSeparately)
 {
-    WireCalendar cal(1);
-    cal.push(flitEvent(1, 10), 2, /*boundary=*/false);
-    cal.push(flitEvent(1, 11), 2, /*boundary=*/true);
-    cal.push(flitEvent(1, 12), 2, /*boundary=*/false);
-    EXPECT_EQ(cal.earliestDue(0, false), 2u);
-    EXPECT_EQ(cal.earliestDue(0, true), 2u);
-    EXPECT_EQ(cal.earliestDue(3, true), kNeverCycle);
+    WireCalendar cal(1, 3);
+    cal.push(flitEvent(1, 10), 2, 0);
+    cal.push(flitEvent(1, 11), 2, 2);
+    cal.push(flitEvent(1, 12), 2, 0);
+    cal.push(flitEvent(1, 13), 2, 1);
+    EXPECT_EQ(cal.earliestDue(), 2u);
     cal.advance();
     cal.advance();
 
-    EXPECT_EQ(drainSeqs(cal, 2, false),
-              (std::vector<std::uint16_t>{10, 12}));
-    // The boundary event waits for its own drain.
-    EXPECT_EQ(cal.earliestDue(0, true), 2u);
-    EXPECT_EQ(drainSeqs(cal, 2, false), std::vector<std::uint16_t>{});
-    EXPECT_EQ(drainSeqs(cal, 2, true), std::vector<std::uint16_t>{11});
-    EXPECT_EQ(cal.earliestDue(0, false), kNeverCycle);
+    EXPECT_EQ(drainSeqs(cal, 0, 2), (std::vector<std::uint16_t>{10, 12}));
+    // The other receivers' events wait for their own drains.
+    EXPECT_EQ(cal.earliestDue(), 2u);
+    EXPECT_EQ(drainSeqs(cal, 0, 2), std::vector<std::uint16_t>{});
+    EXPECT_EQ(drainSeqs(cal, 2, 2), std::vector<std::uint16_t>{11});
+    EXPECT_EQ(cal.earliestDue(), 2u);
+    EXPECT_EQ(drainSeqs(cal, 1, 2), std::vector<std::uint16_t>{13});
+    EXPECT_EQ(cal.earliestDue(), kNeverCycle);
 
-    // And the other way round: a boundary drain leaves intra events.
-    cal.push(flitEvent(1, 20), 4, /*boundary=*/false);
-    cal.push(flitEvent(1, 21), 4, /*boundary=*/true);
+    // A list that outlives another receiver's drain of the same
+    // bucket, and a later bucket, each keep their own due.
+    cal.push(flitEvent(1, 20), 4, 1);
+    cal.push(flitEvent(1, 21), 4, 2);
     cal.advance();
+    cal.push(flitEvent(1, 30), 5, 0);
     cal.advance();
-    EXPECT_EQ(drainSeqs(cal, 4, true), std::vector<std::uint16_t>{21});
-    EXPECT_EQ(cal.earliestDue(0, true), kNeverCycle);
-    EXPECT_EQ(cal.earliestDue(0, false), 4u);
-    EXPECT_EQ(drainSeqs(cal, 4, false), std::vector<std::uint16_t>{20});
+    EXPECT_EQ(drainSeqs(cal, 2, 4), std::vector<std::uint16_t>{21});
+    EXPECT_EQ(cal.earliestDue(), 4u);
+    EXPECT_EQ(drainSeqs(cal, 1, 4), std::vector<std::uint16_t>{20});
+    EXPECT_EQ(cal.earliestDue(), 5u);
+    cal.advance();
+    EXPECT_EQ(drainSeqs(cal, 0, 5), std::vector<std::uint16_t>{30});
+    EXPECT_EQ(cal.earliestDue(), kNeverCycle);
+}
+
+TEST(WireCalendar, SenderAheadOfALaggingReceiverDeliversOnce)
+{
+    // Two shards, each sending to both every cycle, step barrier
+    // batches of linkDelay + 1 cycles one after the other, taking
+    // turns to go first: inside a batch the first runs up to
+    // linkDelay cycles ahead of the second. Each shard pulls its own
+    // lists from both calendars with its own cursor. Every event must
+    // arrive exactly once, at its due cycle, at the shard it was
+    // addressed to. A seq is send cycle * 4 + sender * 2 + receiver.
+    for (const Cycle delay : {Cycle{1}, Cycle{3}}) {
+        const std::size_t shards = 2;
+        std::vector<WireCalendar> cals(shards,
+                                       WireCalendar(delay, shards));
+        std::vector<Cycle> clock(shards, 0);
+        std::vector<int> seen(4 * 64, 0);
+        const Cycle last_send = 40;
+        const auto step = [&](std::size_t s) {
+            const Cycle now = clock[s];
+            for (WireCalendar& from : cals) {
+                from.drain(cals[s].slot(), s, now,
+                           [&](const WireEvent& ev) {
+                               const std::uint16_t seq = ev.flit.seq;
+                               EXPECT_EQ(seq % 2, s)
+                                   << "delay " << delay << " seq " << seq;
+                               EXPECT_EQ(now, seq / 4 + delay + 1)
+                                   << "delay " << delay << " seq " << seq;
+                               ++seen[seq];
+                           });
+            }
+            if (now < last_send) {
+                for (std::size_t to = 0; to < shards; ++to) {
+                    const auto seq =
+                        static_cast<std::uint16_t>(now * 4 + s * 2 + to);
+                    cals[s].push(flitEvent(1, seq), now + delay + 1, to);
+                }
+            }
+            cals[s].advance();
+            ++clock[s];
+        };
+        const Cycle batch = delay + 1;
+        for (Cycle b = 0; b * batch < last_send + 2 * batch; ++b) {
+            const auto first = static_cast<std::size_t>(b % 2);
+            for (const std::size_t s : {first, 1 - first}) {
+                for (Cycle c = 0; c < batch; ++c)
+                    step(s);
+            }
+            ASSERT_EQ(clock[0], clock[1]);
+        }
+        for (Cycle sent = 0; sent < last_send; ++sent) {
+            for (std::size_t k = 0; k < 4; ++k) {
+                EXPECT_EQ(seen[sent * 4 + k], 1)
+                    << "delay " << delay << " sent " << sent << " k "
+                    << k;
+            }
+        }
+        for (const WireCalendar& cal : cals)
+            EXPECT_EQ(cal.earliestDue(), kNeverCycle) << "delay " << delay;
+    }
 }
 
 TEST(WireCalendar, RemoveIfTakesOnlyTheChosenMessage)
 {
     // Flits of messages 1 and 2 plus credits spread over every bucket
-    // and both lists; removing message 1 must take exactly its flits,
-    // show each to the predicate once, and leave the rest due as sent.
+    // and three receivers' lists; removing message 1 must take exactly
+    // its flits, show each to the predicate once, and leave the rest
+    // due as sent on the lists they were sent to.
     const Cycle delay = 2;
-    WireCalendar cal(delay);
+    const std::size_t receivers = 3;
+    WireCalendar cal(delay, receivers);
     int sent_msg1 = 0;
     for (Cycle now = 0; now <= delay; ++now) {
         const Cycle due = now + delay + 1;
@@ -143,8 +210,8 @@ TEST(WireCalendar, RemoveIfTakesOnlyTheChosenMessage)
             const MsgRef msg = k % 2 == 0 ? 1 : 2;
             sent_msg1 += msg == 1 ? 1 : 0;
             cal.push(flitEvent(msg, seq, /*inject=*/k == 2), due,
-                     /*boundary=*/k == 3);
-            cal.push(creditEvent(), due, /*boundary=*/k == 1);
+                     k % receivers);
+            cal.push(creditEvent(), due, (k + 1) % receivers);
         }
         cal.advance();
     }
@@ -163,13 +230,14 @@ TEST(WireCalendar, RemoveIfTakesOnlyTheChosenMessage)
     int credits = 0;
     for (Cycle now = delay + 1; now <= 2 * delay + 1; ++now) {
         std::vector<std::uint16_t> seqs;
-        for (const bool boundary : {false, true}) {
-            cal.drain(now, boundary, [&](const WireEvent& ev) {
+        for (std::size_t to = 0; to < receivers; ++to) {
+            cal.drain(cal.slot(), to, now, [&](const WireEvent& ev) {
                 if (ev.kind == WireKind::Credit) {
                     ++credits;
                     return;
                 }
                 EXPECT_EQ(ev.flit.msg, 2u);
+                EXPECT_EQ(ev.flit.seq % 10 % receivers, to);
                 seqs.push_back(ev.flit.seq);
             });
         }
@@ -182,6 +250,7 @@ TEST(WireCalendar, RemoveIfTakesOnlyTheChosenMessage)
         cal.advance();
     }
     EXPECT_EQ(credits, 4 * static_cast<int>(delay + 1));
+    EXPECT_EQ(cal.earliestDue(), kNeverCycle);
 }
 
 /** A loaded 4x4 mesh whose links die and come back mid-run. */

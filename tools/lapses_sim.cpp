@@ -204,9 +204,8 @@ main(int argc, char** argv)
                     sim.network().kernelCounters();
                 std::printf(
                     "kernel profile (%s kernel, wall-clock):\n"
-                    "  wire drain    %9.3f ms  (%llu events)\n"
-                    "  boundary drain%9.3f ms  (coordinator, serial)\n"
-                    "  intra deliver %9.3f ms  (summed over shards)\n"
+                    "  wire delivery %9.3f ms  (%llu events, summed "
+                    "over shards)\n"
                     "  NIC stepping  %9.3f ms  (%llu steps)\n"
                     "  router steps  %9.3f ms  (%llu steps)\n"
                     "  barrier wait  %9.3f ms  (coordinator)\n"
@@ -215,11 +214,9 @@ main(int argc, char** argv)
                     "  total timed   %9.3f ms  (%llu cycles "
                     "fast-forwarded)\n",
                     kernelKindName(sim.network().kernel()),
-                    prof.wireDrainSeconds * 1e3,
+                    prof.deliverySeconds * 1e3,
                     static_cast<unsigned long long>(
                         kc.wireEventsDelivered),
-                    prof.boundaryDrainSeconds * 1e3,
-                    prof.intraDeliverySeconds * 1e3,
                     prof.nicStepSeconds * 1e3,
                     static_cast<unsigned long long>(kc.nicSteps),
                     prof.routerStepSeconds * 1e3,
@@ -231,16 +228,16 @@ main(int argc, char** argv)
                     static_cast<unsigned long long>(
                         kc.fastForwardedCycles));
                 // Amdahl view: phases the coordinator runs alone vs
-                // the timed total. NIC/router stepping and intra
-                // delivery are the parallel portion (their seconds sum
-                // worker CPU time across shards). Scan steps everything
+                // the timed total. Wire delivery and NIC/router stepping
+                // are the parallel portion (their seconds sum worker
+                // CPU time across shards). Scan steps everything
                 // on one thread, so it has no serial fraction.
                 const double total = prof.totalSeconds();
                 if (sim.network().kernel() != KernelKind::Scan &&
                     total > 0.0) {
                     std::printf(
-                        "  serial fraction %.1f%% (boundary drain + "
-                        "barrier wait + fault + telemetry)\n",
+                        "  serial fraction %.1f%% (barrier wait + fault "
+                        "+ telemetry)\n",
                         100.0 * prof.serialSeconds() / total);
                 }
                 const std::size_t shards =
