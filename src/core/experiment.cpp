@@ -66,6 +66,15 @@ benchModeFromEnv()
 }
 
 unsigned
+resolveJobs(unsigned requested)
+{
+    if (requested != 0)
+        return requested;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw != 0 ? hw : 1;
+}
+
+unsigned
 benchJobsFromEnv()
 {
     const char* env = std::getenv("LAPSES_JOBS");
@@ -74,12 +83,7 @@ benchJobsFromEnv()
         jobs = static_cast<unsigned>(parseCheckedInt(
             "LAPSES_JOBS", env, 0, std::numeric_limits<int>::max()));
     }
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    return jobs;
+    return resolveJobs(jobs);
 }
 
 ShardSpec

@@ -84,6 +84,11 @@ std::vector<double> parseLoadRange(const std::string& flag,
 std::vector<int> parseMeshRadices(const std::string& flag,
                                   const std::string& spec);
 
+/** A thread count as every jobs option reads it: `requested`, or
+ *  std::thread::hardware_concurrency() when it is 0, and 1 when
+ *  that is unknown. */
+unsigned resolveJobs(unsigned requested);
+
 /**
  * Worker-thread count for campaign-driven benches: LAPSES_JOBS if set
  * (0 = hardware concurrency), otherwise all hardware threads. Results

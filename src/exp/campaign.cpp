@@ -1,19 +1,21 @@
 #include "exp/campaign.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
-#include <future>
 #include <map>
 #include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "core/experiment.hpp"
 #include "core/simulation.hpp"
 #include "exp/config_fields.hpp"
 #include "exp/result_sink.hpp"
-#include "exp/thread_pool.hpp"
 
 namespace lapses
 {
@@ -353,29 +355,24 @@ runCampaign(const std::vector<CampaignRun>& runs,
         }
     };
 
-    std::size_t jobs = opts.jobs;
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    // A series runs on one thread, so more workers would only idle.
-    jobs = std::min(jobs, series_runs.size());
-
-    if (jobs == 1 || series_runs.size() <= 1) {
-        for (const auto& [series, members] : series_runs)
-            run_series(members);
-    } else {
-        ThreadPool pool(static_cast<unsigned>(jobs));
-        std::vector<std::future<void>> futures;
-        futures.reserve(series_runs.size());
-        for (const auto& [series, members] : series_runs) {
-            futures.push_back(pool.submit(
-                [&run_series, &members]() { run_series(members); }));
-        }
-        for (auto& f : futures)
-            f.get(); // run_series traps run errors; this cannot throw
-    }
+    // The caller and campaignThreads() - 1 workers each take the next
+    // series, in ascending order, until none is left. run_series traps
+    // run errors, so no thread throws.
+    std::vector<const std::vector<std::size_t>*> queue;
+    for (const auto& [series, members] : series_runs)
+        queue.push_back(&members);
+    std::atomic<std::size_t> next{0};
+    auto take_series = [&] {
+        for (std::size_t i = next++; i < queue.size(); i = next++)
+            run_series(*queue[i]);
+    };
+    {
+        const std::size_t threads = campaignThreads(runs, opts.jobs);
+        std::vector<std::jthread> workers;
+        for (std::size_t t = 1; t < threads; ++t)
+            workers.emplace_back(take_series);
+        take_series();
+    } // joins the workers
 
     for (ResultSink* sink : sinks)
         sink->flush();
@@ -383,6 +380,15 @@ runCampaign(const std::vector<CampaignRun>& runs,
     if (first_error)
         std::rethrow_exception(first_error);
     return results;
+}
+
+std::size_t
+campaignThreads(const std::vector<CampaignRun>& runs, unsigned jobs)
+{
+    std::set<std::size_t> series;
+    for (const CampaignRun& run : runs)
+        series.insert(run.series);
+    return std::min<std::size_t>(resolveJobs(jobs), series.size());
 }
 
 } // namespace lapses

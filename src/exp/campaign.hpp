@@ -1,8 +1,8 @@
 /**
  * @file
  * Declarative experiment campaigns: a cross-product of configuration
- * axes expanded into independent simulation runs, executed across a
- * thread pool with deterministic per-run seeding.
+ * axes expanded into independent simulation runs, executed on --jobs
+ * threads with deterministic per-run seeding.
  *
  * Every result in the paper (Fig. 5/6, Tables 3-5) is such a grid —
  * router model x routing algorithm x table x selector x traffic x
@@ -193,8 +193,9 @@ struct ResumeState
 /** Execution knobs for runCampaign(). */
 struct CampaignOptions
 {
-    /** Worker threads; 0 means hardware concurrency. Never more than
-     *  the campaign's series count are started. */
+    /** Threads, the caller's included; 0 means hardware concurrency.
+     *  Never more than the campaign's series count run (see
+     *  campaignThreads). */
     unsigned jobs = 1;
 
     /** Mark heavier loads of a saturated series without simulating. */
@@ -238,6 +239,12 @@ std::vector<RunResult>
 runCampaign(const std::vector<CampaignRun>& runs,
             const CampaignOptions& opts,
             const std::vector<ResultSink*>& sinks = {});
+
+/** Threads runCampaign() runs `runs` on, the caller's included: `jobs`
+ *  through resolveJobs(), capped at the series count, since a series
+ *  runs on one thread. */
+std::size_t campaignThreads(const std::vector<CampaignRun>& runs,
+                            unsigned jobs);
 
 } // namespace lapses
 

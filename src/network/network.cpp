@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "core/experiment.hpp"
-#include "exp/thread_pool.hpp"
 #include "selection/selector_factory.hpp"
 
 namespace lapses
@@ -82,12 +81,7 @@ resolveIntraJobs(unsigned requested)
         jobs = static_cast<unsigned>(parseCheckedInt(
             "LAPSES_INTRA_JOBS", env, 1, std::numeric_limits<int>::max()));
     }
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    return std::min(jobs, MessagePool::kMaxBanks);
+    return std::min(resolveJobs(jobs), MessagePool::kMaxBanks);
 }
 
 Cycle
@@ -265,9 +259,13 @@ Network::Network(const SimConfig& cfg, const Topology& topo,
         }
         next_telemetry_at_ = cfg.telemetryWindow;
     }
+    startShardThreads();
 }
 
-Network::~Network() = default;
+Network::~Network()
+{
+    stopShardThreads();
+}
 
 void
 Network::buildShards(const std::vector<NodeId>& shard_cuts)
@@ -355,13 +353,55 @@ Network::buildShards(const std::vector<NodeId>& shard_cuts)
                      ? 1
                      : resolveMaxBatchCycles(cfg_.maxBatchCycles,
                                              cfg_.linkDelay);
-    // Workers for shards 1..S-1; the caller thread steps shard 0.
-    // The pool is per-network, so campaign workers that each own a
-    // parallel network can never deadlock on a shared pool.
     shard_errors_.resize(s_count);
-    if (s_count > 1) {
-        intra_pool_ = std::make_unique<ThreadPool>(
-            static_cast<unsigned>(s_count - 1));
+}
+
+void
+Network::startShardThreads()
+{
+    if (shards_.size() == 1)
+        return;
+    shard_barrier_.emplace(static_cast<std::ptrdiff_t>(shards_.size()));
+    try {
+        for (std::size_t s = 1; s < shards_.size(); ++s) {
+            shard_threads_.emplace_back(
+                [this, s](std::stop_token stop) {
+                    shardThreadLoop(stop, s);
+                });
+        }
+    } catch (...) {
+        stopShardThreads();
+        throw;
+    }
+}
+
+void
+Network::stopShardThreads()
+{
+    if (shard_threads_.empty())
+        return;
+    for (std::jthread& t : shard_threads_)
+        t.request_stop();
+    // The caller's arrival, plus one for each shard whose thread
+    // failed to start, completes the start phase the threads wait in.
+    static_cast<void>(shard_barrier_->arrive(static_cast<std::ptrdiff_t>(
+        shards_.size() - shard_threads_.size())));
+    shard_threads_.clear(); // joins
+}
+
+void
+Network::shardThreadLoop(std::stop_token stop, std::size_t s)
+{
+    for (;;) {
+        shard_barrier_->arrive_and_wait(); // start: shard_batch_ is set
+        if (stop.stop_requested())
+            return;
+        try {
+            stepShardCycles(s, shard_batch_);
+        } catch (...) {
+            shard_errors_[s] = std::current_exception();
+        }
+        shard_barrier_->arrive_and_wait(); // end
     }
 }
 
@@ -725,30 +765,16 @@ Network::stepSharded(Cycle cycles)
     // at local cycle t is due t + linkDelay + 1, and a batch spans at
     // most linkDelay + 1 cycles — means no stepping thread can ever
     // consume another shard's output inside the batch, so the only
-    // synchronization is the join barrier itself. Each shard delivers
-    // what is addressed to it, so delivery side effects (stats hooks,
-    // descriptor releases, trace records) stay on its own thread.
-    if (intra_pool_ == nullptr) {
+    // synchronization is the barrier at either end of the batch. Each
+    // shard delivers what is addressed to it, so delivery side effects
+    // (stats hooks, descriptor releases, trace records) stay on its
+    // own thread.
+    if (shard_threads_.empty()) {
         for (std::size_t s = 0; s < shards_.size(); ++s)
             stepShardCycles(s, cycles);
     } else {
-        {
-            const std::lock_guard<std::mutex> lock(barrier_mutex_);
-            barrier_pending_ = shards_.size() - 1;
-        }
-        for (std::size_t s = 1; s < shards_.size(); ++s) {
-            intra_pool_->post([this, s, cycles] {
-                try {
-                    stepShardCycles(s, cycles);
-                } catch (...) {
-                    shard_errors_[s] = std::current_exception();
-                }
-                const std::lock_guard<std::mutex> lock(
-                    barrier_mutex_);
-                if (--barrier_pending_ == 0)
-                    barrier_cv_.notify_one();
-            });
-        }
+        shard_batch_ = cycles;
+        shard_barrier_->arrive_and_wait(); // start
         try {
             stepShardCycles(0, cycles);
         } catch (...) {
@@ -760,9 +786,7 @@ Network::stepSharded(Cycle cycles)
         {
             ScopedPhaseTimer timer(profiling_,
                                    profile_.barrierWaitSeconds);
-            std::unique_lock<std::mutex> lock(barrier_mutex_);
-            barrier_cv_.wait(
-                lock, [this] { return barrier_pending_ == 0; });
+            shard_barrier_->arrive_and_wait(); // end
         }
         for (std::size_t s = 0; s < shards_.size(); ++s) {
             if (shard_errors_[s] != nullptr) {

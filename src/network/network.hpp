@@ -37,12 +37,13 @@
 #ifndef LAPSES_NETWORK_NETWORK_HPP
 #define LAPSES_NETWORK_NETWORK_HPP
 
-#include <condition_variable>
+#include <barrier>
 #include <cstdint>
 #include <exception>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <queue>
+#include <stop_token>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -57,8 +58,6 @@
 
 namespace lapses
 {
-
-class ThreadPool;
 
 /** Resolve KernelKind::Auto through LAPSES_KERNEL
  *  ("scan"/"active"/"parallel"); unset resolves to Active, anything
@@ -170,6 +169,10 @@ class Network : public DeliverySink
             std::vector<NodeId> shard_cuts = {});
 
     ~Network();
+
+    // Shard threads hold `this`.
+    Network(const Network&) = delete;
+    Network& operator=(const Network&) = delete;
 
     /** Advance the whole network by one cycle. */
     void step();
@@ -598,10 +601,21 @@ class Network : public DeliverySink
     /** True while any shard holds an active router or NIC. */
     bool anyComponentActive() const;
 
-    /** Build the shard partition (and, for Parallel, the worker pool
-     *  and pool banks) at construction; see the constructor's
-     *  shard_cuts. */
+    /** Build the shard partition and its descriptor banks at
+     *  construction; see the constructor's shard_cuts. */
     void buildShards(const std::vector<NodeId>& shard_cuts);
+
+    /** Start one thread per shard 1..S-1 (none at S = 1). The last
+     *  step of construction: no later throw may leave a thread parked
+     *  at the barrier with no destructor to release it. */
+    void startShardThreads();
+
+    /** Release the shard threads from the barrier and join them. */
+    void stopShardThreads();
+
+    /** Shard thread s: per batch, arrive at the start, step shard s,
+     *  arrive at the end; leaves when a start finds a stop request. */
+    void shardThreadLoop(std::stop_token stop, std::size_t s);
 
     /** Hand one wire event to its receiver at cycle `at` (trace
      *  record + hand-off + activation). Side effects are charged to
@@ -616,8 +630,9 @@ class Network : public DeliverySink
     void stepScan();
 
     /** Advance the event kernel by `cycles` (>= 1) barrier-to-
-     *  barrier: worker fan-out of stepShardCycles (inline on one
-     *  shard), barrier, merge. */
+     *  barrier: every shard thread runs stepShardCycles on its own
+     *  shard (the caller on shard 0, inline at S = 1), then the
+     *  merge. */
     void stepSharded(Cycle cycles);
 
     /** Largest safe batch for the event kernel ending at or before
@@ -710,16 +725,6 @@ class Network : public DeliverySink
     std::vector<std::uint8_t> receiver_shard_;
     /** Resolved barrier batch cap (resolveMaxBatchCycles). */
     Cycle batch_cap_ = 1;
-    /** Workers for shards 1..S-1 (the caller steps shard 0); owned by
-     *  the network so nested campaign parallelism can never deadlock
-     *  on a shared pool — each network fans out on its own. */
-    std::unique_ptr<ThreadPool> intra_pool_;
-    /** End-of-batch barrier: workers decrement pending under the
-     *  mutex, the coordinator waits for zero. A plain counter (no
-     *  futures) so the per-batch fan-out allocates nothing. */
-    std::mutex barrier_mutex_;
-    std::condition_variable barrier_cv_;
-    std::size_t barrier_pending_ = 0;
     /** First exception each shard's batch raised (rethrown in shard
      *  order after the barrier; slots reset on throw). */
     std::vector<std::exception_ptr> shard_errors_;
@@ -788,6 +793,18 @@ class Network : public DeliverySink
     // Wall-clock phase profiling (setProfiling / kernelProfile).
     bool profiling_ = false;
     KernelProfile profile_;
+
+    // Shard threads (S > 1 only), declared after everything they use.
+    /** S participants, each arriving at the start and at the end of
+     *  every batch. The start arrival publishes shard_batch_, which
+     *  the caller writes before it. */
+    std::optional<std::barrier<>> shard_barrier_;
+    /** Cycles in the current batch. */
+    Cycle shard_batch_ = 0;
+    /** One thread per shard 1..S-1; the caller steps shard 0. Owned
+     *  by the network, so campaign threads that each own a parallel
+     *  network never wait on one another's shards. */
+    std::vector<std::jthread> shard_threads_;
 };
 
 } // namespace lapses

@@ -64,6 +64,15 @@ TEST(CampaignRunner, JsonByteIdenticalAcrossJobCounts)
     EXPECT_EQ(serial, parallel);
     EXPECT_EQ(std::count(serial.begin(), serial.end(), '\n'),
               static_cast<long>(runs.size()));
+
+    // Campaign threads that each step a two-shard parallel network:
+    // both kinds of thread at once, and still the serial bytes.
+    auto sharded = runs;
+    for (CampaignRun& run : sharded) {
+        run.config.kernel = KernelKind::Parallel;
+        run.config.intraJobs = 2;
+    }
+    EXPECT_EQ(runToJsonl(sharded, 4), serial);
 }
 
 TEST(CampaignRunner, ResultsComeBackInRunIndexOrder)
@@ -190,9 +199,17 @@ TEST(CampaignRunner, RunErrorsPropagateToTheCaller)
     grid.base.hotspot.hotspots = {NodeId(10'000)};
     grid.base.warmupMessages = 5;
     grid.base.measureMessages = 20;
+    grid.axes.models = {RouterModel::Proud, RouterModel::LaProud};
     grid.axes.loads = {0.1, 0.2};
     const auto runs = grid.expand();
-    EXPECT_THROW(runCampaign(runs, CampaignOptions{}), ConfigError);
+    // Two series, so jobs 4 starts a second thread: an error on
+    // either thread must still reach the caller.
+    for (unsigned jobs : {1u, 4u}) {
+        CampaignOptions opts;
+        opts.jobs = jobs;
+        EXPECT_THROW(runCampaign(runs, opts), ConfigError)
+            << "jobs " << jobs;
+    }
 }
 
 TEST(CampaignRunner, ResumeRejectsAMismatchedCampaign)

@@ -197,12 +197,16 @@ TEST(TopologyFabrics, TopologyAxisShardSplitByteIdentical)
 
 /** The irregular test fabric: a 6-ring with two spurs and a chord.
  *  The chord (1:3 <-> 4:3) is redundant, so failing it never cuts the
- *  graph. */
+ *  graph. The file is named after the running test: ctest runs each
+ *  test as its own process, and a shared name would let one test
+ *  truncate the file while another reads it. */
 std::string
 writeIrregularTopo()
 {
     const std::string path =
-        ::testing::TempDir() + "lapses_irregular.topo";
+        ::testing::TempDir() + "lapses_irregular_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".topo";
     std::ofstream os(path);
     os << "nodes 10\n"
           "ports 5\n"

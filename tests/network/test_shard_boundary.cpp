@@ -17,8 +17,9 @@
  * adversarial cuts the balanced partition would never produce,
  * including slivers that spend most cycles with no active component
  * (the idle-shard fast-forward path), multi-cycle batches that must
- * break exactly at fault and telemetry boundaries, and loaded cuts
- * whose boundary traffic must not shorten a batch.
+ * break exactly at fault and telemetry boundaries, loaded cuts
+ * whose boundary traffic must not shorten a batch, and a shard's error
+ * reaching the caller.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include <memory>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -501,6 +503,36 @@ TEST(ShardBoundary, InvalidBoundariesRefuse)
     EXPECT_THROW(build({4, 4}), ConfigError);     // duplicate
     EXPECT_THROW(build({9, 3}), ConfigError);     // not ascending
     EXPECT_NO_THROW(build({1, 15}));              // extremes are legal
+}
+
+TEST(ShardBoundary, ShardErrorsReachTheCallerAndTheNetworkStillStops)
+{
+    // A delivery hook throws for one destination: node 1 ejects on
+    // shard 0 (the caller's thread), node 13 on shard 3 (a shard
+    // thread). Either way stepUntil must rethrow the error on the
+    // caller once every shard has reached the end barrier, and the
+    // destructor must still release and join the shard threads.
+    auto throw_for = [](void* ctx, const MessageDescriptor& msg, Cycle) {
+        if (msg.dest == *static_cast<const NodeId*>(ctx))
+            throw std::runtime_error("delivery to node " +
+                                     std::to_string(msg.dest));
+    };
+    for (NodeId dest : {NodeId{1}, NodeId{13}}) {
+        const std::string name = "dest " + std::to_string(dest);
+        NetRig rig({4, 4}, KernelKind::Parallel, {4, 8, 12}, 0.3, 777);
+        ASSERT_EQ(rig.net->shardCount(), 4u) << name;
+        rig.net->setDeliveryHook(throw_for, &dest);
+        try {
+            for (Cycle t = 0; t < 2000; ++t)
+                rig.net->stepUntil(rig.net->now() + 1);
+            ADD_FAILURE() << name << ": no delivery error surfaced";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), "delivery to node " +
+                                                 std::to_string(dest))
+                << name;
+        }
+        rig.net.reset();
+    }
 }
 
 TEST(ShardBoundary, ParallelSaturationSoakCountersExactEveryBarrier)

@@ -36,7 +36,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/lapses.hpp"
@@ -289,29 +288,23 @@ main(int argc, char** argv)
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
 
-        // Mirror runCampaign's jobs resolution for the summary line.
-        unsigned effective_jobs = jobs;
-        if (effective_jobs == 0) {
-            effective_jobs = std::thread::hardware_concurrency();
-            if (effective_jobs == 0)
-                effective_jobs = 1;
-        }
+        const std::size_t threads = campaignThreads(runs, jobs);
         if (shard.isAll()) {
             std::fprintf(stderr,
                          "campaign done: %zu runs (%zu executed, %zu "
-                         "resumed, %zu saturated) in %.2fs with %u "
-                         "jobs\n",
+                         "resumed, %zu saturated) in %.2fs on %zu "
+                         "thread%s\n",
                          runs.size(), executed, resumed, saturated,
-                         secs, effective_jobs);
+                         secs, threads, threads == 1 ? "" : "s");
         } else {
             std::fprintf(stderr,
                          "shard %s done: %zu of %zu runs (%zu "
                          "executed, %zu resumed, %zu saturated) in "
-                         "%.2fs with %u jobs; combine the shards with "
-                         "lapses-merge\n",
+                         "%.2fs on %zu thread%s; combine the shards "
+                         "with lapses-merge\n",
                          shard.str().c_str(), owned_total, runs.size(),
-                         executed, resumed, saturated, secs,
-                         effective_jobs);
+                         executed, resumed, saturated, secs, threads,
+                         threads == 1 ? "" : "s");
         }
     } catch (const ConfigError& e) {
         std::fprintf(stderr, "lapses-campaign: %s\n", e.what());
