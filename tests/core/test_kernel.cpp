@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
 
+#include "core/experiment.hpp"
 #include "core/simulation.hpp"
 
 namespace lapses
@@ -339,6 +342,44 @@ TEST(Kernel, StepUntilNeverPassesHorizon)
         sim.stepCycles(n);
         expect_now += n;
         EXPECT_EQ(sim.network().now(), expect_now);
+    }
+}
+
+TEST(Kernel, IntraJobsZeroMeansEveryHardwareThreadUpToTheBanks)
+{
+    // With LAPSES_INTRA_JOBS unset, --intra-jobs 0 takes the fallback
+    // every jobs option shares, and no request passes the descriptor
+    // pool's bank count: each shard owns one bank.
+    ::unsetenv("LAPSES_INTRA_JOBS");
+    EXPECT_EQ(resolveIntraJobs(0),
+              std::min(resolveJobs(0), MessagePool::kMaxBanks));
+    EXPECT_EQ(resolveIntraJobs(1), 1u);
+    EXPECT_EQ(resolveIntraJobs(3), 3u);
+    EXPECT_EQ(resolveIntraJobs(MessagePool::kMaxBanks),
+              MessagePool::kMaxBanks);
+    EXPECT_EQ(resolveIntraJobs(MessagePool::kMaxBanks + 1),
+              MessagePool::kMaxBanks);
+}
+
+TEST(Kernel, ShardedProfileTimesTheEndBarrier)
+{
+    // The caller times its arrival at the barrier that ends each
+    // batch. One shard runs inline with no barrier to wait at; four
+    // shards meet at one every batch.
+    for (const unsigned shards : {1u, 4u}) {
+        SimConfig cfg = kernelBase();
+        cfg.kernel = KernelKind::Parallel;
+        cfg.intraJobs = shards;
+        Simulation sim(cfg);
+        ASSERT_EQ(sim.network().shardCount(), shards);
+        sim.network().setProfiling(true);
+        sim.run();
+        const KernelProfile prof = sim.network().kernelProfile();
+        EXPECT_GT(prof.routerStepSeconds, 0.0) << shards << " shards";
+        if (shards == 1)
+            EXPECT_EQ(prof.barrierWaitSeconds, 0.0);
+        else
+            EXPECT_GT(prof.barrierWaitSeconds, 0.0);
     }
 }
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <thread>
+
 #include "core/experiment.hpp"
 #include "core/simulation.hpp"
 
@@ -169,6 +172,19 @@ TEST(Experiment, BenchModesScaleBudgets)
     // Paper scale per Section 2.2.
     EXPECT_EQ(cfg.measureMessages, 400000u);
     EXPECT_EQ(cfg.warmupMessages, 10000u);
+}
+
+TEST(Experiment, ResolveJobsTakesZeroAsEveryHardwareThread)
+{
+    // The one fallback every jobs option shares (--jobs, --intra-jobs,
+    // LAPSES_JOBS): 0 asks for every hardware thread, and an unknown
+    // hardware count still leaves one thread to run on.
+    const unsigned hw = std::thread::hardware_concurrency();
+    EXPECT_EQ(resolveJobs(0), hw != 0 ? hw : 1u);
+    // Any other request is taken as given; callers do their own caps.
+    for (const unsigned n :
+         {1u, 2u, 7u, std::numeric_limits<unsigned>::max()})
+        EXPECT_EQ(resolveJobs(n), n) << n;
 }
 
 TEST(Simulation, SeedMakesRunsReproducible)

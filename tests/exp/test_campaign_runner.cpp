@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "exp/campaign.hpp"
@@ -38,6 +41,30 @@ smallCampaign()
                           TrafficKind::Transpose};
     grid.axes.loads = {0.05, 0.08, 0.11, 0.14, 0.17, 0.2, 0.23,
                        0.26, 0.29, 0.32, 0.35, 0.38, 0.41};
+    return grid.expand();
+}
+
+/** Sixteen one-run series on a 4x4 mesh (2 models x 8 traffics, one
+ *  load): cheap runs, many series for the campaign threads to share.
+ *  With `bad_hotspot`, the Hotspot series fail at construction. */
+std::vector<CampaignRun>
+manySeriesCampaign(bool bad_hotspot = false)
+{
+    CampaignGrid grid;
+    grid.base.radices = {4, 4};
+    grid.base.msgLen = 4;
+    grid.base.warmupMessages = 5;
+    grid.base.measureMessages = 30;
+    grid.campaignSeed = 7;
+    if (bad_hotspot)
+        grid.base.hotspot.hotspots = {NodeId(10'000)};
+    grid.axes.models = {RouterModel::Proud, RouterModel::LaProud};
+    grid.axes.traffics = {
+        TrafficKind::Uniform,       TrafficKind::Transpose,
+        TrafficKind::BitReversal,   TrafficKind::PerfectShuffle,
+        TrafficKind::BitComplement, TrafficKind::Tornado,
+        TrafficKind::Neighbor,      TrafficKind::Hotspot};
+    grid.axes.loads = {0.1};
     return grid.expand();
 }
 
@@ -209,6 +236,89 @@ TEST(CampaignRunner, RunErrorsPropagateToTheCaller)
         opts.jobs = jobs;
         EXPECT_THROW(runCampaign(runs, opts), ConfigError)
             << "jobs " << jobs;
+    }
+}
+
+TEST(CampaignRunner, AnErrorInOneSeriesOfManyReachesTheCaller)
+{
+    // Only the Proud model's Hotspot series (series 7) fails, among
+    // fifteen healthy ones. At jobs 16 it most likely runs on a worker
+    // thread, not the caller's: the error must still reach the caller,
+    // and only after every thread is done and the sinks are flushed.
+    const auto runs = manySeriesCampaign(true);
+    ASSERT_EQ(runs.size(), 16u);
+    ASSERT_EQ(runs[7].config.traffic, TrafficKind::Hotspot);
+    ASSERT_EQ(runs[15].config.traffic, TrafficKind::Hotspot);
+    std::vector<CampaignRun> one_bad = runs;
+    one_bad[15].config.hotspot.hotspots.clear(); // the mesh center
+
+    struct FlushCounter : ResultSink
+    {
+        int flushes = 0;
+        void write(const RunResult&) override {}
+        void flush() override { ++flushes; }
+    };
+    for (unsigned jobs : {1u, 2u, 16u}) {
+        CampaignOptions opts;
+        opts.jobs = jobs;
+        FlushCounter sink;
+        try {
+            runCampaign(one_bad, opts, {&sink});
+            ADD_FAILURE() << "jobs " << jobs << ": no error surfaced";
+        } catch (const ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find("hotspot"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(sink.flushes, 1) << "jobs " << jobs;
+    }
+}
+
+TEST(CampaignRunner, CampaignThreadsCountsTheThreadsThatRun)
+{
+    // The caller plus one thread per further job, never more than the
+    // series: a series runs on one thread. lapses-campaign prints this
+    // count in its summary.
+    const auto runs = smallCampaign();
+    ASSERT_EQ(runs.back().series, 7u);
+    EXPECT_EQ(campaignThreads(runs, 1), 1u);
+    EXPECT_EQ(campaignThreads(runs, 3), 3u);
+    EXPECT_EQ(campaignThreads(runs, 8), 8u);
+    EXPECT_EQ(campaignThreads(runs, 9), 8u);
+    EXPECT_EQ(campaignThreads(runs, 4294967295u), 8u);
+    EXPECT_EQ(campaignThreads(runs, 0),
+              std::min<std::size_t>(resolveJobs(0), 8));
+
+    // One load sweep is one series, so one thread at any job count.
+    const std::vector<CampaignRun> sweep(runs.begin(), runs.begin() + 13);
+    ASSERT_EQ(sweep.back().series, 0u);
+    EXPECT_EQ(campaignThreads(sweep, 8), 1u);
+}
+
+TEST(CampaignRunner, EverySeriesRunsOnceWhateverTheThreadCount)
+{
+    // Threads take series from one counter until none is left. Thread
+    // counts that do not divide the sixteen series make some threads
+    // take more than others; jobs 0 takes every hardware thread. Each
+    // run must still be emitted exactly once, in run-index order, with
+    // the serial bytes.
+    const auto runs = manySeriesCampaign();
+    ASSERT_EQ(runs.back().series, 15u);
+    const std::string serial = runToJsonl(runs, 1);
+    for (unsigned jobs : {0u, 2u, 3u, 5u, 7u, 16u}) {
+        std::ostringstream os;
+        JsonlSink sink(os);
+        CampaignOptions opts;
+        opts.jobs = jobs;
+        std::vector<std::size_t> seen;
+        opts.progress = [&seen](const RunResult& r) {
+            seen.push_back(r.run.index);
+        };
+        runCampaign(runs, opts, {&sink});
+        ASSERT_EQ(seen.size(), runs.size()) << "jobs " << jobs;
+        for (std::size_t i = 0; i < seen.size(); ++i)
+            EXPECT_EQ(seen[i], i) << "jobs " << jobs;
+        EXPECT_EQ(os.str(), serial) << "jobs " << jobs;
     }
 }
 

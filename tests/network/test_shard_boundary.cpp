@@ -18,8 +18,10 @@
  * including slivers that spend most cycles with no active component
  * (the idle-shard fast-forward path), multi-cycle batches that must
  * break exactly at fault and telemetry boundaries, loaded cuts
- * whose boundary traffic must not shorten a batch, and a shard's error
- * reaching the caller.
+ * whose boundary traffic must not shorten a batch, shard errors
+ * reaching the caller in shard order, and the shard threads' life:
+ * batch lengths that change at every barrier, networks destroyed at
+ * any cycle, and several networks stepping at once.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -532,6 +535,130 @@ TEST(ShardBoundary, ShardErrorsReachTheCallerAndTheNetworkStillStops)
                 << name;
         }
         rig.net.reset();
+    }
+}
+
+TEST(ShardBoundary, ErrorsOnSeveralShardsRethrowTheLowestShard)
+{
+    // Every delivery throws, so the first batch that ejects anything
+    // fails on each shard that ejects in it, and each failing shard
+    // stops at its first error. A shard notes its failure in its own
+    // slot, on its own thread; the end barrier orders that write
+    // before the caller reads it. The caller must rethrow the error of
+    // the lowest shard that failed.
+    auto throw_always = [](void* ctx, const MessageDescriptor& msg,
+                           Cycle) {
+        const std::size_t shard = msg.dest / 4; // cuts {4, 8, 12}
+        (*static_cast<std::vector<char>*>(ctx))[shard] = 1;
+        throw std::runtime_error("shard " + std::to_string(shard));
+    };
+    RigOpts opts;
+    opts.linkDelay = 3;
+    opts.maxBatch = 4;
+    NetRig rig({4, 4}, KernelKind::Parallel, {4, 8, 12}, 0.8, 4242,
+               opts);
+    ASSERT_EQ(rig.net->shardCount(), 4u);
+    std::vector<char> failed(4, 0);
+    rig.net->setDeliveryHook(throw_always, &failed);
+    std::string caught;
+    try {
+        for (Cycle t = 0; t < 2000; ++t)
+            rig.net->stepUntil(rig.net->now() + 4);
+    } catch (const std::runtime_error& e) {
+        caught = e.what();
+    }
+    ASSERT_FALSE(caught.empty()) << "no delivery error surfaced";
+    // Several shards failed in that batch, so the order is on trial.
+    EXPECT_GE(std::count(failed.begin(), failed.end(), char{1}), 2);
+    const auto lowest = static_cast<std::size_t>(
+        std::find(failed.begin(), failed.end(), char{1}) -
+        failed.begin());
+    EXPECT_EQ(caught, "shard " + std::to_string(lowest));
+}
+
+TEST(ShardBoundary, NetworksDestroyedAtAnyCycleJoinTheirThreads)
+{
+    // Between batches the shard threads wait at the start barrier. A
+    // network destroyed before its first batch, or after any number of
+    // them, must release and join every one of its threads: two, four
+    // and sixteen shards (one per node), destroyed after 0 to 3
+    // cycles, over and over.
+    std::vector<NodeId> every_node;
+    for (NodeId n = 1; n < 16; ++n)
+        every_node.push_back(n);
+    for (const std::vector<NodeId>& cuts :
+         {std::vector<NodeId>{8}, std::vector<NodeId>{4, 8, 12},
+          every_node}) {
+        for (int round = 0; round < 20; ++round) {
+            const auto cycles = static_cast<Cycle>(round % 4);
+            NetRig rig({4, 4}, KernelKind::Parallel, cuts, 0.3,
+                       500 + static_cast<std::uint64_t>(round));
+            ASSERT_EQ(rig.net->shardCount(), cuts.size() + 1);
+            for (Cycle t = 0; t < cycles; ++t)
+                rig.net->stepUntil(rig.net->now() + 1);
+            ASSERT_EQ(rig.net->now(), cycles) << describeCuts(cuts);
+        }
+    }
+}
+
+TEST(ShardBoundary, ChangingBatchLengthsReachEveryShardThread)
+{
+    // The caller writes each batch's length before the start barrier,
+    // which publishes it to the shard threads. Horizons one to four
+    // cycles ahead, in a pattern that changes the length from one
+    // batch to the next, must step every shard by the caller's count:
+    // the deliveries match the one-shard kernel's after every batch.
+    RigOpts opts;
+    opts.linkDelay = 3;
+    opts.maxBatch = 4;
+    NetRig active({4, 4}, KernelKind::Active, {}, 0.4, 31, opts);
+    NetRig sharded({4, 4}, KernelKind::Parallel, {4, 8, 12}, 0.4, 31,
+                   opts);
+    const Cycle lengths[] = {1, 4, 2, 3, 4, 1, 3};
+    for (std::size_t i = 0; i < 300; ++i) {
+        const Cycle target = sharded.net->now() + lengths[i % 7];
+        while (sharded.net->now() < target)
+            sharded.net->stepUntil(target);
+        while (active.net->now() < target)
+            active.net->stepUntil(target);
+        ASSERT_EQ(sharded.deliveredCount(), active.deliveredCount())
+            << "at cycle " << target;
+    }
+    EXPECT_GT(active.deliveredCount(), 0u);
+    expectSameDeliveryStreams(sharded, active, "changing batch lengths");
+}
+
+TEST(ShardBoundary, ConcurrentNetworksEachStepTheirOwnShards)
+{
+    // Campaign threads that each own a parallel network: four callers
+    // at once, each with three shard threads of its own. No network
+    // may wait on another's shards, and each must deliver exactly what
+    // the one-shard kernel delivers for its seed.
+    constexpr std::size_t kNetworks = 4;
+    constexpr Cycle kHorizon = 600;
+    auto seed = [](std::size_t i) { return 900 + std::uint64_t{i}; };
+    std::vector<std::unique_ptr<NetRig>> sharded(kNetworks);
+    {
+        std::vector<std::jthread> callers;
+        for (std::size_t i = 0; i < kNetworks; ++i) {
+            callers.emplace_back([&sharded, &seed, i] {
+                auto rig = std::make_unique<NetRig>(
+                    std::vector<int>{4, 4}, KernelKind::Parallel,
+                    std::vector<NodeId>{4, 8, 12}, 0.3, seed(i));
+                while (rig->net->now() < kHorizon)
+                    rig->net->stepUntil(kHorizon);
+                sharded[i] = std::move(rig);
+            });
+        }
+    } // joins the callers
+    for (std::size_t i = 0; i < kNetworks; ++i) {
+        ASSERT_NE(sharded[i], nullptr);
+        NetRig active({4, 4}, KernelKind::Active, {}, 0.3, seed(i));
+        while (active.net->now() < kHorizon)
+            active.net->stepUntil(kHorizon);
+        EXPECT_GT(active.deliveredCount(), 0u);
+        expectSameDeliveryStreams(*sharded[i], active,
+                                  "network " + std::to_string(i));
     }
 }
 
