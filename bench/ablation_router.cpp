@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "core/experiment.hpp"
-#include "core/names.hpp"
 #include "core/simulation.hpp"
 #include "exp/campaign.hpp"
 
@@ -95,7 +94,7 @@ main()
 
     std::printf("=== Router design ablations (16x16 mesh, mode: %s) "
                 "===\n\n",
-                benchModeName(mode).c_str());
+                enumName(mode).c_str());
 
     CampaignOptions opts;
     opts.jobs = benchJobsFromEnv();
@@ -143,7 +142,7 @@ main()
     std::printf("\n--- Injection process (uniform 0.5) ---\n");
     for (std::size_t i = 0; i < injections.size(); ++i) {
         std::printf("%-12s %12s\n",
-                    injectionKindName(injections[i]).c_str(),
+                    enumName(injections[i]).c_str(),
                     latencyCell(results[offset + i].stats).c_str());
     }
     return 0;

@@ -99,7 +99,7 @@ main()
 
     std::printf("=== Figure 5: look-ahead and adaptivity on a 16x16 "
                 "mesh (mode: %s) ===\n",
-                benchModeName(mode).c_str());
+                enumName(mode).c_str());
     std::printf("20-flit messages, 4 VCs/PC, Duato adaptive vs "
                 "dimension-order XY, static path selection\n\n");
 
@@ -123,7 +123,7 @@ main()
 
         std::printf("--- %s traffic: %% latency increase over "
                     "LA,ADAPT ---\n",
-                    trafficKindName(spec.traffic).c_str());
+                    enumName(spec.traffic).c_str());
         std::printf("%-14s", "Load");
         for (double load : spec.loads)
             std::printf("%9.1f", load);

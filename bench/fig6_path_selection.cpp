@@ -86,7 +86,7 @@ main()
 
     std::printf("=== Figure 6: path-selection heuristics on a 16x16 "
                 "mesh (mode: %s) ===\n",
-                benchModeName(mode).c_str());
+                enumName(mode).c_str());
     std::printf("LA-PROUD, Duato fully adaptive, 20-flit messages\n\n");
 
     CampaignOptions opts;
@@ -102,14 +102,14 @@ main()
     for (const PatternSpec& spec : specs) {
         const std::size_t n_loads = spec.loads.size();
         std::printf("--- %s traffic: average latency ---\n",
-                    trafficKindName(spec.traffic).c_str());
+                    enumName(spec.traffic).c_str());
         std::printf("%-12s", "Load");
         for (double load : spec.loads)
             std::printf("%9.1f", load);
         std::printf("\n");
         for (std::size_t s = 0; s < std::size(kSelectors); ++s) {
             std::printf("%-12s",
-                        selectorKindName(kSelectors[s]).c_str());
+                        enumName(kSelectors[s]).c_str());
             for (std::size_t i = 0; i < n_loads; ++i) {
                 const SimStats& st =
                     results[offset + s * n_loads + i].stats;

@@ -54,7 +54,7 @@ main()
 
     std::printf("=== Table 3: impact of message length (uniform "
                 "traffic, load 0.2, mode: %s) ===\n\n",
-                benchModeName(mode).c_str());
+                enumName(mode).c_str());
     std::printf("%-10s %-12s %-14s %-10s\n", "Mesg. Len", "Look Ahead",
                 "No Look Ahead", "% Improv.");
 

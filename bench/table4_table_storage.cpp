@@ -84,7 +84,7 @@ main()
 
     std::printf("=== Table 4: table-storage schemes on a 16x16 mesh "
                 "(mode: %s) ===\n",
-                benchModeName(mode).c_str());
+                enumName(mode).c_str());
     std::printf("LA-PROUD, Duato fully adaptive, static path "
                 "selection. \"Sat.\" = network saturated.\n");
     std::printf("The paper folds Full-Tbl and Econ. Storage into one "
@@ -111,7 +111,7 @@ main()
         const std::size_t n_loads = spec.loads.size();
         for (std::size_t i = 0; i < n_loads; ++i) {
             std::printf("%-10s %-6.1f",
-                        i == 0 ? trafficKindName(spec.traffic).c_str()
+                        i == 0 ? enumName(spec.traffic).c_str()
                                : "",
                         spec.loads[i]);
             for (std::size_t c = 0; c < n_cols; ++c) {

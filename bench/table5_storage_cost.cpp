@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/names.hpp"
 #include "exp/campaign.hpp"
 #include "routing/algorithm_factory.hpp"
 #include "tables/interval_table.hpp"
@@ -145,12 +144,12 @@ main()
     };
     std::printf("\n--- Storage cost vs measured latency (16x16, "
                 "uniform 0.2, mode: %s) ---\n",
-                benchModeName(mode).c_str());
+                enumName(mode).c_str());
     std::printf("%-20s %12s %12s\n", "Scheme", "Bits/router",
                 "Latency");
     for (std::size_t i = 0; i < kinds.size(); ++i) {
         std::printf("%-20s %12zu %12s\n",
-                    tableKindName(kinds[i]).c_str(),
+                    enumName(kinds[i]).c_str(),
                     kind_costs[i].bitsPerRouter(),
                     latencyCell(results[i].stats).c_str());
     }

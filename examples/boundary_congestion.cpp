@@ -130,10 +130,10 @@ main()
     for (TableKind table :
          {TableKind::EconomicalStorage, TableKind::MetaBlockMaximal}) {
         std::fprintf(stderr, "running %s ...\n",
-                     tableKindName(table).c_str());
+                     enumName(table).c_str());
         const LinkStats ls = measure(table, 0.2);
         std::printf("%-22s %10.3f %10.3f %10.3f %10.3f\n",
-                    tableKindName(table).c_str(), ls.meanInterior,
+                    enumName(table).c_str(), ls.meanInterior,
                     ls.meanBoundary, ls.maxInterior, ls.maxBoundary);
     }
     std::printf("\nUnits: flits/cycle per unidirectional link. The "

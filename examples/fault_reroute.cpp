@@ -109,7 +109,7 @@ main()
                           s.postFaultLatency.mean());
         }
         std::printf("%-20s %6d %9s %9llu %9llu %9llu %9s\n",
-                    tableKindName(r.run.config.table).c_str(),
+                    enumName(r.run.config.table).c_str(),
                     r.run.config.faultCount,
                     latencyCell(s).c_str(),
                     static_cast<unsigned long long>(s.reroutedHeads),

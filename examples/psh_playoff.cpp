@@ -48,9 +48,9 @@ main()
         cfg.warmupMessages = 400;
         cfg.measureMessages = 5000;
         std::fprintf(stderr, "running %s ...\n",
-                     selectorKindName(kind).c_str());
+                     enumName(kind).c_str());
         Simulation sim(cfg);
-        rows.push_back({selectorKindName(kind), sim.run()});
+        rows.push_back({enumName(kind), sim.run()});
     }
 
     std::sort(rows.begin(), rows.end(),

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "common/enum_names.hpp"
+
 namespace lapses
 {
 
@@ -75,21 +77,16 @@ enum class KernelKind : std::uint8_t
     Parallel,
 };
 
-/** Short identifier ("active", "scan", "parallel", "auto"). */
-constexpr const char*
-kernelKindName(KernelKind k)
+/** Names of the kernels LAPSES_KERNEL selects. Auto has no row: it
+ *  is what an unset variable means, never a value to name. */
+constexpr auto
+enumNames(KernelKind)
 {
-    switch (k) {
-    case KernelKind::Active:
-        return "active";
-    case KernelKind::Scan:
-        return "scan";
-    case KernelKind::Parallel:
-        return "parallel";
-    case KernelKind::Auto:
-        break;
-    }
-    return "auto";
+    return std::to_array<EnumName<KernelKind>>({
+        {KernelKind::Active, "active"},
+        {KernelKind::Scan, "scan"},
+        {KernelKind::Parallel, "parallel"},
+    });
 }
 
 /**

@@ -10,12 +10,6 @@
 namespace lapses
 {
 
-std::string
-routerModelName(RouterModel m)
-{
-    return m == RouterModel::LaProud ? "la-proud" : "proud";
-}
-
 int
 contentionFreeHopCycles(RouterModel m)
 {
@@ -149,11 +143,11 @@ SimConfig::describe() const
     } else {
         s += topology.str();
     }
-    s += ", " + routerModelName(model);
-    s += ", " + routingAlgoName(routing);
-    s += ", " + tableKindName(table);
-    s += ", sel " + selectorKindName(selector);
-    s += ", " + trafficKindName(traffic);
+    s += ", " + enumName(model);
+    s += ", " + enumName(routing);
+    s += ", " + enumName(table);
+    s += ", sel " + enumName(selector);
+    s += ", " + enumName(traffic);
     if (closedLoop()) {
         s += ", request-reply (" + std::to_string(servers) +
              " servers, window " + std::to_string(inflightWindow) +
@@ -172,7 +166,7 @@ SimConfig::describe() const
             s += "+" + std::to_string(faultEvents.size()) +
                  " explicit";
         }
-        s += " (" + faultPolicyName(faultPolicy) + ")";
+        s += " (" + enumName(faultPolicy) + ")";
     }
     if (telemetryWindow > 0)
         s += ", telem " + std::to_string(telemetryWindow);

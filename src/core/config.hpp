@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "fault/fault_schedule.hpp"
 #include "routing/algorithm_factory.hpp"
 #include "selection/selector_factory.hpp"
@@ -29,8 +30,15 @@ enum class RouterModel
     LaProud, //!< 4-stage pipe, look-ahead routing
 };
 
-/** Short identifier, e.g. "la-proud". */
-std::string routerModelName(RouterModel m);
+/** Names for flags, grid axes and records (common/enum_names.hpp). */
+constexpr auto
+enumNames(RouterModel)
+{
+    return std::to_array<EnumName<RouterModel>>({
+        {RouterModel::Proud, "proud"},
+        {RouterModel::LaProud, "la-proud"},
+    });
+}
 
 /** Contention-free per-hop latency in cycles (pipeline stages + unit
  *  link delay): Table 2's 5 for LA-PROUD, 6 for PROUD. Feeds the span

@@ -62,7 +62,7 @@ benchModeFromEnv()
     // A typo ("Paper", "papers") would silently run default scale
     // while the user believes they got the paper's 10k/400k; reject
     // like LAPSES_KERNEL does.
-    return parseBenchModeName(env);
+    return parseEnum<BenchMode>("LAPSES_BENCH_MODE", env);
 }
 
 unsigned
@@ -86,6 +86,11 @@ benchJobsFromEnv()
     return resolveJobs(jobs);
 }
 
+namespace
+{
+
+/** Campaign shard for grid-driven benches, from LAPSES_SHARD="k/M"
+ *  (unset -> the whole campaign); ConfigError on a malformed value. */
 ShardSpec
 benchShardFromEnv()
 {
@@ -94,6 +99,8 @@ benchShardFromEnv()
         return {};
     return parseShardSpec(env);
 }
+
+} // namespace
 
 bool
 runBenchShardFromEnv(const std::vector<CampaignGrid>& grids,
@@ -125,19 +132,6 @@ runBenchShardFromEnv(const std::vector<CampaignGrid>& grids,
                  "lapses-merge\n",
                  tag, shard.str().c_str());
     return true;
-}
-
-BenchMode
-parseBenchModeName(const std::string& name)
-{
-    if (name == "quick")
-        return BenchMode::Quick;
-    if (name == "default")
-        return BenchMode::Default;
-    if (name == "paper")
-        return BenchMode::Paper;
-    throw ConfigError("bad mode '" + name +
-                      "' (want quick|default|paper)");
 }
 
 double
@@ -258,20 +252,6 @@ parseMeshRadices(const std::string& flag, const std::string& spec)
             return radices;
         pos = next + 1;
     }
-}
-
-std::string
-benchModeName(BenchMode mode)
-{
-    switch (mode) {
-      case BenchMode::Quick:
-        return "quick";
-      case BenchMode::Default:
-        return "default";
-      case BenchMode::Paper:
-        return "paper";
-    }
-    return "?";
 }
 
 void

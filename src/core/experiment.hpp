@@ -45,12 +45,19 @@ enum class BenchMode
     Paper,   //!< the paper's 10k warm-up / 400k measured messages
 };
 
+/** Names for --mode and LAPSES_BENCH_MODE (common/enum_names.hpp). */
+constexpr auto
+enumNames(BenchMode)
+{
+    return std::to_array<EnumName<BenchMode>>({
+        {BenchMode::Quick, "quick"},
+        {BenchMode::Default, "default"},
+        {BenchMode::Paper, "paper"},
+    });
+}
+
 /** Parse LAPSES_BENCH_MODE (quick|default|paper); Default if unset. */
 BenchMode benchModeFromEnv();
-
-/** Parse "quick"/"default"/"paper"; ConfigError otherwise. Shared by
- *  the lapses-sim and lapses-campaign --mode flags. */
-BenchMode parseBenchModeName(const std::string& name);
 
 /**
  * Checked numeric parsers for CLI value flags (same contract as the
@@ -98,13 +105,6 @@ unsigned resolveJobs(unsigned requested);
 unsigned benchJobsFromEnv();
 
 /**
- * Campaign shard for grid-driven benches, from LAPSES_SHARD="k/M"
- * (unset -> the whole campaign). Throws ConfigError on a malformed
- * value.
- */
-ShardSpec benchShardFromEnv();
-
-/**
  * Distributed-bench escape hatch. When LAPSES_SHARD=k/M is set,
  * execute only that shard of the bench's grids (LAPSES_JOBS workers)
  * and stream the owned records as JSON Lines on stdout — reassemble
@@ -115,9 +115,6 @@ ShardSpec benchShardFromEnv();
  */
 bool runBenchShardFromEnv(const std::vector<CampaignGrid>& grids,
                           const char* tag);
-
-/** Human-readable mode name. */
-std::string benchModeName(BenchMode mode);
 
 /** Apply a mode's warm-up and measurement message budgets. */
 void applyBenchMode(SimConfig& cfg, BenchMode mode);

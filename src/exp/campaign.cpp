@@ -277,6 +277,7 @@ runCampaign(const std::vector<CampaignRun>& runs,
 
     std::mutex error_mutex;
     std::exception_ptr first_error;
+    std::atomic<bool> failed{false}; // stops threads taking new series
 
     auto run_series = [&](const std::vector<std::size_t>& members) {
         // This shard's last pending member: beyond it nothing in the
@@ -342,6 +343,7 @@ runCampaign(const std::vector<CampaignRun>& runs,
                 if (!first_error)
                     first_error = std::current_exception();
             }
+            failed = true;
             // Unblock the emitter for every owed (owned, unresumed)
             // member this series can no longer deliver.
             std::vector<std::size_t> lost;
@@ -356,14 +358,15 @@ runCampaign(const std::vector<CampaignRun>& runs,
     };
 
     // The caller and campaignThreads() - 1 workers each take the next
-    // series, in ascending order, until none is left. run_series traps
-    // run errors, so no thread throws.
+    // series, in ascending order, until none is left or a run has
+    // failed. run_series traps run errors, so no thread throws.
     std::vector<const std::vector<std::size_t>*> queue;
     for (const auto& [series, members] : series_runs)
         queue.push_back(&members);
     std::atomic<std::size_t> next{0};
     auto take_series = [&] {
-        for (std::size_t i = next++; i < queue.size(); i = next++)
+        for (std::size_t i = next++; i < queue.size() && !failed;
+             i = next++)
             run_series(*queue[i]);
     };
     {

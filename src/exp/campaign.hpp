@@ -232,8 +232,9 @@ struct CampaignOptions
  * run-index order as they become available, and the full result vector
  * (run-index order; resumed and non-owned runs included with
  * executed=false) is returned at the end. Exceptions thrown by a run
- * (e.g. SimulationError from the deadlock watchdog) abort the campaign
- * and are rethrown after in-flight series finish.
+ * (e.g. SimulationError from the deadlock watchdog) abort the campaign:
+ * no further series starts, and the first error is rethrown after
+ * in-flight series finish and the sinks are flushed.
  */
 std::vector<RunResult>
 runCampaign(const std::vector<CampaignRun>& runs,

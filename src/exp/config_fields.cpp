@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <type_traits>
 
 #include "common/assert.hpp"
+#include "common/enum_names.hpp"
 #include "core/experiment.hpp"
-#include "core/names.hpp"
 #include "exp/result_sink.hpp"
 #include "router/flit.hpp"
 
@@ -81,19 +82,35 @@ swept(ConfigField row)
     return row;
 }
 
-/** A swept enum knob, parsed and printed (quoted) by name. */
-template <auto Field, auto Values, auto Parse, auto Name>
+template <auto Field>
+using FieldType = std::remove_cvref_t<decltype(SimConfig{}.*Field)>;
+
+/** An enum knob: parsed and listed in help by its name table, with
+ *  SimConfig's value as the help default. */
+template <auto Field>
+constexpr ConfigField
+enumFlag(ConfigField row)
+{
+    row.parse = set<Field, parseEnum<FieldType<Field>>>;
+    row.enumHelp = [](const char* note) {
+        static const SimConfig defaults;
+        return enumNameList<FieldType<Field>>() +
+               (note != nullptr ? std::string(" ") + note : "") + " [" +
+               enumName(defaults.*Field) + "]";
+    };
+    return row;
+}
+
+/** A swept enum knob, also printed (quoted) by name. */
+template <auto Field, auto Values>
 constexpr ConfigField
 enumAxis(ConfigField row)
 {
     row.quoted = true;
-    return swept<Field, Values,
-                 [](const std::string&, const std::string& token) {
-                     return Parse(token);
-                 },
-                 [](const CampaignRun& run) -> std::string {
-                     return Name(run.config.*Field);
-                 }>(row);
+    return swept<Field, Values, parseEnum<FieldType<Field>>,
+                 [](const CampaignRun& run) {
+                     return enumName(run.config.*Field);
+                 }>(enumFlag<Field>(row));
 }
 
 /** Mesh kinds carry the torus flag in the spec as well. */
@@ -145,39 +162,23 @@ const ConfigField kFields[] = {
     {.flag = "--torus", .section = kTopology,
      .help = "wrap links (use --routing torus-adaptive)",
      .parse = [](SimConfig& c, Args, Args) { c.torus = true; }},
-    enumAxis<&SimConfig::model, &CampaignAxes::models, parseRouterModel,
-             routerModelName>(
+    enumAxis<&SimConfig::model, &CampaignAxes::models>(
         {.flag = "--model", .metavar = "M", .section = kTopology,
-         .help = "proud|la-proud [la-proud]", .column = "model",
-         .axis = "model", .nest = 1}),
-    enumAxis<&SimConfig::routing, &CampaignAxes::routings, parseRoutingAlgo,
-             routingAlgoName>(
+         .column = "model", .axis = "model", .nest = 1}),
+    enumAxis<&SimConfig::routing, &CampaignAxes::routings>(
         {.flag = "--routing", .metavar = "A", .section = kRouting,
-         .help = "xy|yx|duato|north-last|west-first|negative-first|\n"
-                 "torus-adaptive|up-down|up-down-adaptive [duato]",
          .column = "routing", .axis = "routing", .nest = 2}),
-    enumAxis<&SimConfig::table, &CampaignAxes::tables, parseTableKind,
-             tableKindName>(
+    enumAxis<&SimConfig::table, &CampaignAxes::tables>(
         {.flag = "--table", .metavar = "T", .section = kRouting,
-         .help = "full-table|meta-row|meta-block|\n"
-                 "economical-storage|interval [economical-storage]",
          .column = "table", .axis = "table", .nest = 3}),
-    enumAxis<&SimConfig::selector, &CampaignAxes::selectors,
-             parseSelectorKind, selectorKindName>(
+    enumAxis<&SimConfig::selector, &CampaignAxes::selectors>(
         {.flag = "--selector", .metavar = "S", .section = kRouting,
-         .help = "static-xy|first-free|random|min-mux|\n"
-                 "lfu|lru|max-credit [static-xy]",
          .column = "selector", .axis = "selector", .nest = 4}),
-    enumAxis<&SimConfig::traffic, &CampaignAxes::traffics, parseTrafficKind,
-             trafficKindName>(
+    enumAxis<&SimConfig::traffic, &CampaignAxes::traffics>(
         {.flag = "--traffic", .metavar = "P", .section = kWorkload,
-         .help = "uniform|transpose|bit-reversal|perfect-shuffle|\n"
-                 "bit-complement|tornado|neighbor|hotspot [uniform]",
          .column = "traffic", .axis = "traffic", .nest = 5}),
-    enumAxis<&SimConfig::injection, &CampaignAxes::injections,
-             parseInjectionKind, injectionKindName>(
+    enumAxis<&SimConfig::injection, &CampaignAxes::injections>(
         {.flag = "--injection", .metavar = "I", .section = kWorkload,
-         .help = "exponential|bernoulli|bursty [exponential]",
          .column = "injection", .axis = "injection", .nest = 7}),
     swept<&SimConfig::msgLen, &CampaignAxes::msgLens,
           intInRange<1, kMaxMsgLen>>(
@@ -228,16 +229,16 @@ const ConfigField kFields[] = {
     {.flag = "--reconfig-latency", .metavar = "N", .section = kFaults,
      .help = "cycles before tables reprogram [200]",
      .parse = set<&SimConfig::reconfigLatency, parseCheckedU64>},
-    {.flag = "--fault-policy", .metavar = "P", .section = kFaults,
-     .help = "drop|reinject cut messages [reinject]",
-     .parse = [](SimConfig& c, Args, Args v) {
-         c.faultPolicy = parseFaultPolicy(v);
-     }},
+    enumFlag<&SimConfig::faultPolicy>(
+        {.flag = "--fault-policy", .metavar = "P", .section = kFaults,
+         .help = "cut messages"}),
     {.flag = "--mode", .metavar = "M", .section = kMeasurement,
-     .help = "quick|default|paper preset (paper = Section\n"
-             "2.2's 10k warm-up / 400k measured)",
-     .parse = [](SimConfig& c, Args, Args v) {
-         applyBenchMode(c, parseBenchModeName(v));
+     .help = "preset (paper = Section 2.2's 10k warm-up / 400k measured)",
+     .enumHelp = [](const char* note) {
+         return enumNameList<BenchMode>() + ' ' + note;
+     },
+     .parse = [](SimConfig& c, Args f, Args v) {
+         applyBenchMode(c, parseEnum<BenchMode>(f, v));
      }},
     swept<&SimConfig::telemetryWindow, &CampaignAxes::telemetryWindows,
           parseCheckedU64>(
@@ -247,11 +248,9 @@ const ConfigField kFields[] = {
                  "never changes results) [0]",
          .column = "telemetry_window", .axis = "telemetry-window",
          .nest = 13}),
-    enumAxis<&SimConfig::workload, &CampaignAxes::workloads,
-             parseWorkloadKind, workloadKindName>(
+    enumAxis<&SimConfig::workload, &CampaignAxes::workloads>(
         {.flag = "--workload", .metavar = "W", .section = kService,
-         .help = "open|request-reply [open]", .column = "workload",
-         .axis = "workload", .nest = 14}),
+         .column = "workload", .axis = "workload", .nest = 14}),
     {.flag = "--servers", .metavar = "N", .section = kService,
      .help = "server nodes (ids 0..N-1) [8]",
      .parse = set<&SimConfig::servers, intAtLeast<1>>},
@@ -330,6 +329,36 @@ const ConfigField kFields[] = {
 /** Help descriptions start at this column; lists wrap before 72. */
 constexpr std::size_t kHelpColumn = 23;
 constexpr std::size_t kHelpWidth = 72;
+
+/**
+ * Help text that starts at kHelpColumn, broken after a '|' or at a
+ * space where it would pass kHelpWidth, and at every '\n'. Each
+ * continuation line is indented to kHelpColumn.
+ */
+std::string
+wrapHelpText(const std::string& text)
+{
+    std::string out;
+    std::size_t width = kHelpColumn;
+    for (std::size_t pos = 0; pos < text.size();) {
+        // A piece runs through the next '|', or up to the next space
+        // or newline, which a break replaces.
+        std::size_t end = text.find_first_of("| \n", pos + 1);
+        end = end == std::string::npos ? text.size()
+                                       : end + (text[end] == '|');
+        const bool forced = text[pos] == '\n';
+        if (forced || (width > kHelpColumn &&
+                       width + (end - pos) > kHelpWidth)) {
+            out += '\n' + std::string(kHelpColumn, ' ');
+            width = kHelpColumn;
+            pos += forced || text[pos] == ' ';
+        }
+        out.append(text, pos, end - pos);
+        width += end - pos;
+        pos = end;
+    }
+    return out;
+}
 
 } // namespace
 
@@ -428,12 +457,10 @@ configFlagHelp(FlagSet set)
             if (f.metavar != nullptr)
                 line += std::string(" ") + f.metavar;
             line.resize(std::max(line.size() + 1, kHelpColumn), ' ');
-            for (const char* c = f.help; *c != '\0'; ++c) {
-                line += *c;
-                if (*c == '\n')
-                    line.append(kHelpColumn, ' ');
-            }
-            help += line + '\n';
+            help += line +
+                    wrapHelpText(f.enumHelp != nullptr ? f.enumHelp(f.help)
+                                                       : f.help) +
+                    '\n';
         }
     }
     return help;
@@ -442,21 +469,7 @@ configFlagHelp(FlagSet set)
 std::string
 wrapHelpList(const std::string& names)
 {
-    const std::string indent(kHelpColumn, ' ');
-    std::string out = indent;
-    std::size_t width = kHelpColumn;
-    for (std::size_t pos = 0; pos < names.size();) {
-        const std::size_t end = std::min(names.find('|', pos), names.size());
-        const std::size_t len = end + 1 - pos; // with the '|'
-        if (width > kHelpColumn && width + len > kHelpWidth) {
-            out += '\n' + indent;
-            width = kHelpColumn;
-        }
-        out.append(names, pos, len);
-        width += len;
-        pos = end + 1;
-    }
-    return out + '\n';
+    return std::string(kHelpColumn, ' ') + wrapHelpText(names) + '\n';
 }
 
 } // namespace lapses

@@ -53,6 +53,9 @@ struct ConfigField
     const char* metavar = nullptr; //!< value placeholder; null: a switch
     const char* section = nullptr; //!< help section title
     const char* help = nullptr;    //!< '\n' starts a continuation line
+    /** An enum row's help, built from its name table: the names, then
+     *  `help` as a note, then the default; wrapped to fit. */
+    std::string (*enumHelp)(const char* note) = nullptr;
     bool simOnly = false;          //!< only lapses-sim takes the flag
     const char* column = nullptr;  //!< record column; null: not recorded
     bool quoted = false;           //!< a string column, escaped per format

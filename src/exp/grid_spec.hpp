@@ -6,7 +6,7 @@
  *   load=0.1:0.8:0.1; msglen=4,20
  *
  * Semicolon-separated `axis=value[,value...]` clauses; values use the
- * identifiers core/names.hpp parses. The load axis additionally
+ * identifiers the axis's flag takes. The load axis additionally
  * accepts LO:HI:STEP ranges (parseLoadRange; mixable with plain
  * values). Whitespace around clauses, keys and values is ignored.
  */

@@ -11,23 +11,6 @@ namespace lapses
 {
 
 std::string
-faultPolicyName(FaultPolicy policy)
-{
-    return policy == FaultPolicy::Drop ? "drop" : "reinject";
-}
-
-FaultPolicy
-parseFaultPolicy(const std::string& name)
-{
-    if (name == "drop")
-        return FaultPolicy::Drop;
-    if (name == "reinject")
-        return FaultPolicy::Reinject;
-    throw ConfigError("bad fault policy '" + name +
-                      "' (want drop|reinject)");
-}
-
-std::string
 FaultEvent::str() const
 {
     char buf[64];

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "tables/fault_aware.hpp"
 
 namespace lapses
@@ -53,11 +54,15 @@ enum class FaultPolicy : std::uint8_t
     Reinject,
 };
 
-/** Short identifier, "drop" / "reinject". */
-std::string faultPolicyName(FaultPolicy policy);
-
-/** Parse "drop" / "reinject"; throws ConfigError otherwise. */
-FaultPolicy parseFaultPolicy(const std::string& name);
+/** Names for flags, grid axes and records (common/enum_names.hpp). */
+constexpr auto
+enumNames(FaultPolicy)
+{
+    return std::to_array<EnumName<FaultPolicy>>({
+        {FaultPolicy::Drop, "drop"},
+        {FaultPolicy::Reinject, "reinject"},
+    });
+}
 
 /** One link state change at a fixed cycle. */
 struct FaultEvent

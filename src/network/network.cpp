@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <thread>
 
@@ -58,18 +57,11 @@ resolveKernelKind(KernelKind requested)
     if (requested != KernelKind::Auto)
         return requested;
     const char* env = std::getenv("LAPSES_KERNEL");
-    if (env == nullptr || *env == '\0' ||
-        std::strcmp(env, "active") == 0) {
+    if (env == nullptr || *env == '\0')
         return KernelKind::Active;
-    }
-    if (std::strcmp(env, "scan") == 0)
-        return KernelKind::Scan;
-    if (std::strcmp(env, "parallel") == 0)
-        return KernelKind::Parallel;
     // A typo here would silently bend a differential run back to the
     // default kernel; refuse instead.
-    throw ConfigError("bad LAPSES_KERNEL value '" + std::string(env) +
-                      "' (want scan, active or parallel)");
+    return parseEnum<KernelKind>("LAPSES_KERNEL", env);
 }
 
 unsigned

@@ -278,12 +278,6 @@ class Network : public DeliverySink
         return workload_opts_.kind == WorkloadKind::RequestReply;
     }
 
-    /** The workload options built from the config. */
-    const WorkloadOptions& workloadOptions() const
-    {
-        return workload_opts_;
-    }
-
     /** Reliability counters summed over all engines in node order. */
     WorkloadCounters workloadCounters() const;
 
@@ -383,20 +377,6 @@ class Network : public DeliverySink
 
     /** The configured telemetry window (0 = off). */
     Cycle telemetryWindow() const { return cfg_.telemetryWindow; }
-
-    /** This node's cumulative telemetry counters (telemetry must be
-     *  configured; tests and the buffer snapshot read through here). */
-    const RouterTelemetry& routerTelemetry(NodeId id) const
-    {
-        return router_telemetry_[static_cast<std::size_t>(id)];
-    }
-
-    /** NIC injection-queue depth (source backlog) at `id`. */
-    std::size_t
-    nicBacklog(NodeId id) const
-    {
-        return nics_[static_cast<std::size_t>(id)].backlog();
-    }
 
     /** Enable per-phase wall-clock timers (off by default; they read
      *  the host clock, never simulated state). */

@@ -48,13 +48,6 @@ FlitTracer::enableSpanExport(std::ostream& os,
 }
 
 void
-FlitTracer::disableSpanExport()
-{
-    span_os_ = nullptr;
-    pending_spans_.clear();
-}
-
-void
 FlitTracer::recordSpan(const TraceEvent& ev)
 {
     if (ev.msg % span_sample_every_ != 0)

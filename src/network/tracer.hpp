@@ -92,14 +92,11 @@ class FlitTracer
      * Span assembly observes the event stream only — it reads no
      * network state, consumes no RNG, and messages still in flight
      * when the run ends are simply never emitted. `os` must outlive
-     * the tracer or be detached with disableSpanExport().
+     * the tracer.
      */
     void enableSpanExport(std::ostream& os,
                           std::uint64_t sample_every,
                           Cycle min_hop_cycles);
-
-    /** Stop streaming spans and drop partially assembled ones. */
-    void disableSpanExport();
 
     /** Completed spans written so far. */
     std::uint64_t spansExported() const { return spans_exported_; }

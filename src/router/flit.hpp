@@ -45,9 +45,6 @@ isTail(FlitType t)
     return t == FlitType::Tail || t == FlitType::HeadTail;
 }
 
-/** Name of a flit type for diagnostics. */
-const char* flitTypeName(FlitType t);
-
 /**
  * One flow-control unit travelling through the network: a 16-byte wire
  * token. Everything shared by the whole message is reached through

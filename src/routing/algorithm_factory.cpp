@@ -66,30 +66,4 @@ makeRoutingAlgorithm(RoutingAlgo algo, const Topology& topo)
     throw ConfigError("unknown routing algorithm");
 }
 
-std::string
-routingAlgoName(RoutingAlgo algo)
-{
-    switch (algo) {
-      case RoutingAlgo::DeterministicXY:
-        return "xy";
-      case RoutingAlgo::DeterministicYX:
-        return "yx";
-      case RoutingAlgo::DuatoFullyAdaptive:
-        return "duato";
-      case RoutingAlgo::NorthLast:
-        return "north-last";
-      case RoutingAlgo::WestFirst:
-        return "west-first";
-      case RoutingAlgo::NegativeFirst:
-        return "negative-first";
-      case RoutingAlgo::TorusAdaptive:
-        return "torus-adaptive";
-      case RoutingAlgo::UpDown:
-        return "up-down";
-      case RoutingAlgo::UpDownAdaptive:
-        return "up-down-adaptive";
-    }
-    return "?";
-}
-
 } // namespace lapses

@@ -6,8 +6,7 @@
 #ifndef LAPSES_ROUTING_ALGORITHM_FACTORY_HPP
 #define LAPSES_ROUTING_ALGORITHM_FACTORY_HPP
 
-#include <string>
-
+#include "common/enum_names.hpp"
 #include "routing/routing_algorithm.hpp"
 
 namespace lapses
@@ -32,8 +31,22 @@ enum class RoutingAlgo
 RoutingAlgorithmPtr makeRoutingAlgorithm(RoutingAlgo algo,
                                          const Topology& topo);
 
-/** Short identifier, e.g. "duato". */
-std::string routingAlgoName(RoutingAlgo algo);
+/** Names for flags, grid axes and records (common/enum_names.hpp). */
+constexpr auto
+enumNames(RoutingAlgo)
+{
+    return std::to_array<EnumName<RoutingAlgo>>({
+        {RoutingAlgo::DeterministicXY, "xy"},
+        {RoutingAlgo::DeterministicYX, "yx"},
+        {RoutingAlgo::DuatoFullyAdaptive, "duato"},
+        {RoutingAlgo::NorthLast, "north-last"},
+        {RoutingAlgo::WestFirst, "west-first"},
+        {RoutingAlgo::NegativeFirst, "negative-first"},
+        {RoutingAlgo::TorusAdaptive, "torus-adaptive"},
+        {RoutingAlgo::UpDown, "up-down"},
+        {RoutingAlgo::UpDownAdaptive, "up-down-adaptive"},
+    });
+}
 
 } // namespace lapses
 

@@ -14,7 +14,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -53,9 +52,6 @@ class PathSelector
   public:
     virtual ~PathSelector() = default;
 
-    /** Policy identifier, e.g. "lru". */
-    virtual std::string name() const = 0;
-
     /**
      * Pick one port among the candidates. Candidates are listed in
      * table order (dimension order) and are all currently allocatable.
@@ -71,7 +67,6 @@ using PathSelectorPtr = std::unique_ptr<PathSelector>;
 class StaticXySelector : public PathSelector
 {
   public:
-    std::string name() const override { return "static-xy"; }
     PortId select(std::span<const PortStatus> candidates) override;
 };
 
@@ -82,7 +77,6 @@ class StaticXySelector : public PathSelector
 class FirstFreeSelector : public PathSelector
 {
   public:
-    std::string name() const override { return "first-free"; }
     PortId select(std::span<const PortStatus> candidates) override;
 };
 
@@ -91,7 +85,6 @@ class RandomSelector : public PathSelector
 {
   public:
     explicit RandomSelector(Rng rng) : rng_(rng) {}
-    std::string name() const override { return "random"; }
     PortId select(std::span<const PortStatus> candidates) override;
 
   private:
@@ -102,7 +95,6 @@ class RandomSelector : public PathSelector
 class MinMuxSelector : public PathSelector
 {
   public:
-    std::string name() const override { return "min-mux"; }
     PortId select(std::span<const PortStatus> candidates) override;
 };
 
@@ -110,7 +102,6 @@ class MinMuxSelector : public PathSelector
 class LfuSelector : public PathSelector
 {
   public:
-    std::string name() const override { return "lfu"; }
     PortId select(std::span<const PortStatus> candidates) override;
 };
 
@@ -118,7 +109,6 @@ class LfuSelector : public PathSelector
 class LruSelector : public PathSelector
 {
   public:
-    std::string name() const override { return "lru"; }
     PortId select(std::span<const PortStatus> candidates) override;
 };
 
@@ -126,7 +116,6 @@ class LruSelector : public PathSelector
 class MaxCreditSelector : public PathSelector
 {
   public:
-    std::string name() const override { return "max-credit"; }
     PortId select(std::span<const PortStatus> candidates) override;
 };
 

@@ -27,26 +27,4 @@ makePathSelector(SelectorKind kind, Rng rng)
     throw ConfigError("unknown path selector");
 }
 
-std::string
-selectorKindName(SelectorKind kind)
-{
-    switch (kind) {
-      case SelectorKind::StaticXY:
-        return "static-xy";
-      case SelectorKind::FirstFree:
-        return "first-free";
-      case SelectorKind::Random:
-        return "random";
-      case SelectorKind::MinMux:
-        return "min-mux";
-      case SelectorKind::Lfu:
-        return "lfu";
-      case SelectorKind::Lru:
-        return "lru";
-      case SelectorKind::MaxCredit:
-        return "max-credit";
-    }
-    return "?";
-}
-
 } // namespace lapses

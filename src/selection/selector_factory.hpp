@@ -6,8 +6,7 @@
 #ifndef LAPSES_SELECTION_SELECTOR_FACTORY_HPP
 #define LAPSES_SELECTION_SELECTOR_FACTORY_HPP
 
-#include <string>
-
+#include "common/enum_names.hpp"
 #include "selection/path_selector.hpp"
 
 namespace lapses
@@ -28,8 +27,20 @@ enum class SelectorKind
 /** Instantiate a selector; rng seeds the Random policy's stream. */
 PathSelectorPtr makePathSelector(SelectorKind kind, Rng rng);
 
-/** Short identifier, e.g. "max-credit". */
-std::string selectorKindName(SelectorKind kind);
+/** Names for flags, grid axes and records (common/enum_names.hpp). */
+constexpr auto
+enumNames(SelectorKind)
+{
+    return std::to_array<EnumName<SelectorKind>>({
+        {SelectorKind::StaticXY, "static-xy"},
+        {SelectorKind::FirstFree, "first-free"},
+        {SelectorKind::Random, "random"},
+        {SelectorKind::MinMux, "min-mux"},
+        {SelectorKind::Lfu, "lfu"},
+        {SelectorKind::Lru, "lru"},
+        {SelectorKind::MaxCredit, "max-credit"},
+    });
+}
 
 } // namespace lapses
 

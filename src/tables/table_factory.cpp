@@ -86,22 +86,4 @@ makeRoutingTable(TableKind kind, const Topology& topo,
     throw ConfigError("unknown table kind");
 }
 
-std::string
-tableKindName(TableKind kind)
-{
-    switch (kind) {
-      case TableKind::Full:
-        return "full-table";
-      case TableKind::MetaRowMinimal:
-        return "meta-row";
-      case TableKind::MetaBlockMaximal:
-        return "meta-block";
-      case TableKind::EconomicalStorage:
-        return "economical-storage";
-      case TableKind::Interval:
-        return "interval";
-    }
-    return "?";
-}
-
 } // namespace lapses

@@ -6,8 +6,7 @@
 #ifndef LAPSES_TABLES_TABLE_FACTORY_HPP
 #define LAPSES_TABLES_TABLE_FACTORY_HPP
 
-#include <string>
-
+#include "common/enum_names.hpp"
 #include "routing/routing_algorithm.hpp"
 #include "tables/routing_table.hpp"
 
@@ -33,8 +32,18 @@ enum class TableKind
 RoutingTablePtr makeRoutingTable(TableKind kind, const Topology& topo,
                                  const RoutingAlgorithm& algo);
 
-/** Short identifier, e.g. "economical-storage". */
-std::string tableKindName(TableKind kind);
+/** Names for flags, grid axes and records (common/enum_names.hpp). */
+constexpr auto
+enumNames(TableKind)
+{
+    return std::to_array<EnumName<TableKind>>({
+        {TableKind::Full, "full-table"},
+        {TableKind::MetaRowMinimal, "meta-row"},
+        {TableKind::MetaBlockMaximal, "meta-block"},
+        {TableKind::EconomicalStorage, "economical-storage"},
+        {TableKind::Interval, "interval"},
+    });
+}
 
 } // namespace lapses
 

@@ -11,6 +11,7 @@
 #ifndef LAPSES_TRAFFIC_INJECTION_HPP
 #define LAPSES_TRAFFIC_INJECTION_HPP
 
+#include "common/enum_names.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "topology/mesh.hpp"
@@ -27,6 +28,17 @@ enum class InjectionKind
                  //!< delivered in bursts — the "high and fluctuating"
                  //!< SAN workload of the paper's introduction
 };
+
+/** Names for flags, grid axes and records (common/enum_names.hpp). */
+constexpr auto
+enumNames(InjectionKind)
+{
+    return std::to_array<EnumName<InjectionKind>>({
+        {InjectionKind::Exponential, "exponential"},
+        {InjectionKind::Bernoulli, "bernoulli"},
+        {InjectionKind::Bursty, "bursty"},
+    });
+}
 
 /** Shape of the Bursty process. */
 struct BurstOptions

@@ -51,8 +51,6 @@ class UniformTraffic : public TrafficPattern
   public:
     using TrafficPattern::TrafficPattern;
 
-    std::string name() const override { return "uniform"; }
-
     NodeId
     pick(NodeId src, Rng& rng) const override
     {
@@ -77,8 +75,6 @@ class TransposeTraffic : public TrafficPattern
             throw ConfigError("transpose needs a square 2-D mesh");
     }
 
-    std::string name() const override { return "transpose"; }
-
     NodeId
     pick(NodeId src, Rng&) const override
     {
@@ -98,8 +94,6 @@ class BitReversalTraffic : public TrafficPattern
     explicit BitReversalTraffic(const Topology& topo)
         : TrafficPattern(topo), bits_(addressBits(topo, "bit-reversal"))
     {}
-
-    std::string name() const override { return "bit-reversal"; }
 
     NodeId
     pick(NodeId src, Rng&) const override
@@ -126,8 +120,6 @@ class PerfectShuffleTraffic : public TrafficPattern
           bits_(addressBits(topo, "perfect-shuffle"))
     {}
 
-    std::string name() const override { return "perfect-shuffle"; }
-
     NodeId
     pick(NodeId src, Rng&) const override
     {
@@ -151,8 +143,6 @@ class BitComplementTraffic : public TrafficPattern
           bits_(addressBits(topo, "bit-complement"))
     {}
 
-    std::string name() const override { return "bit-complement"; }
-
     NodeId
     pick(NodeId src, Rng&) const override
     {
@@ -173,8 +163,6 @@ class TornadoTraffic : public TrafficPattern
     explicit TornadoTraffic(const Topology& topo)
         : TrafficPattern(topo), mesh_(requireMesh(topo, "tornado"))
     {}
-
-    std::string name() const override { return "tornado"; }
 
     NodeId
     pick(NodeId src, Rng&) const override
@@ -198,8 +186,6 @@ class NeighborTraffic : public TrafficPattern
     explicit NeighborTraffic(const Topology& topo)
         : TrafficPattern(topo), mesh_(requireMesh(topo, "neighbor"))
     {}
-
-    std::string name() const override { return "neighbor"; }
 
     NodeId
     pick(NodeId src, Rng&) const override
@@ -245,8 +231,6 @@ class HotspotTraffic : public TrafficPattern
             throw ConfigError("hotspot fraction must be in [0,1]");
     }
 
-    std::string name() const override { return "hotspot"; }
-
     NodeId
     pick(NodeId src, Rng& rng) const override
     {
@@ -289,30 +273,6 @@ makeTrafficPattern(TrafficKind kind, const Topology& topo,
         return std::make_unique<HotspotTraffic>(topo, hs);
     }
     throw ConfigError("unknown traffic pattern");
-}
-
-std::string
-trafficKindName(TrafficKind kind)
-{
-    switch (kind) {
-      case TrafficKind::Uniform:
-        return "uniform";
-      case TrafficKind::Transpose:
-        return "transpose";
-      case TrafficKind::BitReversal:
-        return "bit-reversal";
-      case TrafficKind::PerfectShuffle:
-        return "perfect-shuffle";
-      case TrafficKind::BitComplement:
-        return "bit-complement";
-      case TrafficKind::Tornado:
-        return "tornado";
-      case TrafficKind::Neighbor:
-        return "neighbor";
-      case TrafficKind::Hotspot:
-        return "hotspot";
-    }
-    return "?";
 }
 
 } // namespace lapses

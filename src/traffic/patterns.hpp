@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "topology/mesh.hpp"
@@ -31,9 +32,6 @@ class TrafficPattern
 
     TrafficPattern(const TrafficPattern&) = delete;
     TrafficPattern& operator=(const TrafficPattern&) = delete;
-
-    /** Pattern identifier, e.g. "transpose". */
-    virtual std::string name() const = 0;
 
     /**
      * Destination of a message from src, or kInvalidNode when the node
@@ -79,8 +77,21 @@ TrafficPatternPtr makeTrafficPattern(TrafficKind kind,
                                      const Topology& topo,
                                      const HotspotOptions& hs = {});
 
-/** Short identifier, e.g. "bit-reversal". */
-std::string trafficKindName(TrafficKind kind);
+/** Names for flags, grid axes and records (common/enum_names.hpp). */
+constexpr auto
+enumNames(TrafficKind)
+{
+    return std::to_array<EnumName<TrafficKind>>({
+        {TrafficKind::Uniform, "uniform"},
+        {TrafficKind::Transpose, "transpose"},
+        {TrafficKind::BitReversal, "bit-reversal"},
+        {TrafficKind::PerfectShuffle, "perfect-shuffle"},
+        {TrafficKind::BitComplement, "bit-complement"},
+        {TrafficKind::Tornado, "tornado"},
+        {TrafficKind::Neighbor, "neighbor"},
+        {TrafficKind::Hotspot, "hotspot"},
+    });
+}
 
 } // namespace lapses
 

@@ -30,6 +30,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/types.hpp"
 
 namespace lapses
@@ -45,17 +46,14 @@ enum class WorkloadKind : std::uint8_t
     RequestReply,
 };
 
-/** Short identifier ("open", "request-reply"). */
-constexpr const char*
-workloadKindName(WorkloadKind k)
+/** Names for flags, grid axes and records (common/enum_names.hpp). */
+constexpr auto
+enumNames(WorkloadKind)
 {
-    switch (k) {
-    case WorkloadKind::RequestReply:
-        return "request-reply";
-    case WorkloadKind::Open:
-        break;
-    }
-    return "open";
+    return std::to_array<EnumName<WorkloadKind>>({
+        {WorkloadKind::Open, "open"},
+        {WorkloadKind::RequestReply, "request-reply"},
+    });
 }
 
 /** Closed-loop knobs shared by every client/server engine. */

@@ -95,8 +95,8 @@ TEST(Config, ValidateRejectsBadEscapeVcs)
 
 TEST(Config, RouterModelNames)
 {
-    EXPECT_EQ(routerModelName(RouterModel::Proud), "proud");
-    EXPECT_EQ(routerModelName(RouterModel::LaProud), "la-proud");
+    EXPECT_EQ(enumName(RouterModel::Proud), "proud");
+    EXPECT_EQ(enumName(RouterModel::LaProud), "la-proud");
 }
 
 TEST(Config, DescribeMentionsKeyChoices)
@@ -117,11 +117,11 @@ TEST(Config, DescribeMentionsKeyChoices)
 TEST(Config, EnumNamesAreStable)
 {
     // Bench output and EXPERIMENTS.md rely on these identifiers.
-    EXPECT_EQ(routingAlgoName(RoutingAlgo::DuatoFullyAdaptive), "duato");
-    EXPECT_EQ(tableKindName(TableKind::EconomicalStorage),
+    EXPECT_EQ(enumName(RoutingAlgo::DuatoFullyAdaptive), "duato");
+    EXPECT_EQ(enumName(TableKind::EconomicalStorage),
               "economical-storage");
-    EXPECT_EQ(selectorKindName(SelectorKind::MaxCredit), "max-credit");
-    EXPECT_EQ(trafficKindName(TrafficKind::PerfectShuffle),
+    EXPECT_EQ(enumName(SelectorKind::MaxCredit), "max-credit");
+    EXPECT_EQ(enumName(TrafficKind::PerfectShuffle),
               "perfect-shuffle");
 }
 

@@ -149,10 +149,13 @@ TEST(Kernel, ActiveIsOneShardAndBatchesLikeParallel)
 
 TEST(Kernel, KernelKindNamesRoundTrip)
 {
-    EXPECT_STREQ(kernelKindName(KernelKind::Active), "active");
-    EXPECT_STREQ(kernelKindName(KernelKind::Scan), "scan");
-    EXPECT_STREQ(kernelKindName(KernelKind::Parallel), "parallel");
-    EXPECT_STREQ(kernelKindName(KernelKind::Auto), "auto");
+    EXPECT_EQ(enumName(KernelKind::Active), "active");
+    EXPECT_EQ(enumName(KernelKind::Scan), "scan");
+    EXPECT_EQ(enumName(KernelKind::Parallel), "parallel");
+    // Auto is what an unset LAPSES_KERNEL means, never a name.
+    EXPECT_EQ(enumName(KernelKind::Auto), "?");
+    EXPECT_THROW(parseEnum<KernelKind>("LAPSES_KERNEL", "auto"),
+                 ConfigError);
 }
 
 TEST(Kernel, IdleNetworkFastForwards)
@@ -308,8 +311,8 @@ TEST(Kernel, OneShardProfileNeverExceedsWallTime)
                                 .count();
         const KernelProfile prof = sim.network().kernelProfile();
         EXPECT_GT(prof.routerStepSeconds, 0.0)
-            << kernelKindName(kernel);
-        EXPECT_LE(prof.totalSeconds(), wall) << kernelKindName(kernel);
+            << enumName(kernel);
+        EXPECT_LE(prof.totalSeconds(), wall) << enumName(kernel);
     }
 }
 

@@ -245,6 +245,8 @@ TEST(CampaignRunner, AnErrorInOneSeriesOfManyReachesTheCaller)
     // fifteen healthy ones. At jobs 16 it most likely runs on a worker
     // thread, not the caller's: the error must still reach the caller,
     // and only after every thread is done and the sinks are flushed.
+    // The failure stops the campaign: at jobs 1 series 8-15 never
+    // start, so the sink sees runs 0-6 only.
     const auto runs = manySeriesCampaign(true);
     ASSERT_EQ(runs.size(), 16u);
     ASSERT_EQ(runs[7].config.traffic, TrafficKind::Hotspot);
@@ -254,8 +256,12 @@ TEST(CampaignRunner, AnErrorInOneSeriesOfManyReachesTheCaller)
 
     struct FlushCounter : ResultSink
     {
+        std::vector<std::size_t> written;
         int flushes = 0;
-        void write(const RunResult&) override {}
+        void write(const RunResult& r) override
+        {
+            written.push_back(r.run.index);
+        }
         void flush() override { ++flushes; }
     };
     for (unsigned jobs : {1u, 2u, 16u}) {
@@ -271,6 +277,10 @@ TEST(CampaignRunner, AnErrorInOneSeriesOfManyReachesTheCaller)
                 << e.what();
         }
         EXPECT_EQ(sink.flushes, 1) << "jobs " << jobs;
+        if (jobs == 1) {
+            EXPECT_EQ(sink.written,
+                      (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6}));
+        }
     }
 }
 

@@ -50,11 +50,14 @@ TEST(FaultEvent, RejectsMalformedSpecs)
 
 TEST(FaultPolicyNames, RoundTrip)
 {
-    EXPECT_EQ(parseFaultPolicy("drop"), FaultPolicy::Drop);
-    EXPECT_EQ(parseFaultPolicy("reinject"), FaultPolicy::Reinject);
-    EXPECT_EQ(faultPolicyName(FaultPolicy::Drop), "drop");
-    EXPECT_EQ(faultPolicyName(FaultPolicy::Reinject), "reinject");
-    EXPECT_THROW(parseFaultPolicy("retry"), ConfigError);
+    EXPECT_EQ(parseEnum<FaultPolicy>("--fault-policy", "drop"),
+              FaultPolicy::Drop);
+    EXPECT_EQ(parseEnum<FaultPolicy>("--fault-policy", "reinject"),
+              FaultPolicy::Reinject);
+    EXPECT_EQ(enumName(FaultPolicy::Drop), "drop");
+    EXPECT_EQ(enumName(FaultPolicy::Reinject), "reinject");
+    EXPECT_THROW(parseEnum<FaultPolicy>("--fault-policy", "retry"),
+                 ConfigError);
 }
 
 TEST(FaultScheduleRandom, DeterministicInSeed)

@@ -135,7 +135,7 @@ TEST(DeadlockFreedom, TorusAdaptiveSurvivesOverload)
         cfg.maxCycles = 150000;
         cfg.deadlockCycles = 8000;
         Simulation sim(cfg);
-        EXPECT_NO_THROW((void)sim.run()) << trafficKindName(traffic);
+        EXPECT_NO_THROW((void)sim.run()) << enumName(traffic);
     }
 }
 

@@ -166,7 +166,7 @@ TEST(EndToEndExtra, EveryTrafficPatternRuns)
         Simulation sim(cfg);
         const SimStats st = sim.run();
         EXPECT_EQ(st.deliveredMessages, st.injectedMessages)
-            << trafficKindName(kind);
+            << enumName(kind);
     }
 }
 

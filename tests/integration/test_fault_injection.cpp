@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/names.hpp"
 #include "core/simulation.hpp"
 #include "exp/campaign.hpp"
 #include "exp/result_sink.hpp"
@@ -63,8 +62,8 @@ faultCases()
             cfg.faultPolicy = policy;
             if (table == TableKind::Interval) // deterministic-only
                 cfg.routing = RoutingAlgo::DeterministicXY;
-            cases.emplace_back("faults:" + tableKindName(table) + '+' +
-                                   faultPolicyName(policy),
+            cases.emplace_back("faults:" + enumName(table) + '+' +
+                                   enumName(policy),
                                std::move(cfg));
         }
     }

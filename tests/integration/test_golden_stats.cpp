@@ -68,7 +68,7 @@ goldenCases()
          {RouterModel::Proud, RouterModel::LaProud}) {
         SimConfig cfg = goldenBase();
         cfg.model = model;
-        add("model:" + routerModelName(model), cfg);
+        add("model:" + enumName(model), cfg);
     }
 
     for (RoutingAlgo routing :
@@ -82,7 +82,7 @@ goldenCases()
             cfg.torus = true;
             cfg.table = TableKind::Full; // economical is mesh-only
         }
-        add("routing:" + routingAlgoName(routing), cfg);
+        add("routing:" + enumName(routing), cfg);
     }
 
     for (TableKind table :
@@ -93,7 +93,7 @@ goldenCases()
         cfg.table = table;
         if (table == TableKind::Interval) // deterministic-only scheme
             cfg.routing = RoutingAlgo::DeterministicXY;
-        add("table:" + tableKindName(table), cfg);
+        add("table:" + enumName(table), cfg);
     }
 
     for (SelectorKind selector :
@@ -103,7 +103,7 @@ goldenCases()
           SelectorKind::MaxCredit}) {
         SimConfig cfg = goldenBase();
         cfg.selector = selector;
-        add("selector:" + selectorKindName(selector), cfg);
+        add("selector:" + enumName(selector), cfg);
     }
     return cases;
 }

@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/names.hpp"
 #include "core/simulation.hpp"
 #include "network/tracer.hpp"
 #include "topology/spec.hpp"
@@ -106,7 +105,7 @@ diffCases()
          {RouterModel::Proud, RouterModel::LaProud}) {
         SimConfig cfg = diffBase();
         cfg.model = model;
-        add("model:" + routerModelName(model), cfg);
+        add("model:" + enumName(model), cfg);
     }
 
     for (RoutingAlgo routing :
@@ -120,7 +119,7 @@ diffCases()
             cfg.torus = true;
             cfg.table = TableKind::Full; // economical is mesh-only
         }
-        add("routing:" + routingAlgoName(routing), cfg);
+        add("routing:" + enumName(routing), cfg);
     }
 
     for (TableKind table :
@@ -131,7 +130,7 @@ diffCases()
         cfg.table = table;
         if (table == TableKind::Interval) // deterministic-only scheme
             cfg.routing = RoutingAlgo::DeterministicXY;
-        add("table:" + tableKindName(table), cfg);
+        add("table:" + enumName(table), cfg);
     }
 
     for (SelectorKind selector :
@@ -141,7 +140,7 @@ diffCases()
           SelectorKind::MaxCredit}) {
         SimConfig cfg = diffBase();
         cfg.selector = selector;
-        add("selector:" + selectorKindName(selector), cfg);
+        add("selector:" + enumName(selector), cfg);
     }
 
     for (InjectionKind injection :
@@ -149,7 +148,7 @@ diffCases()
           InjectionKind::Bursty}) {
         SimConfig cfg = diffBase();
         cfg.injection = injection;
-        add("injection:" + injectionKindName(injection), cfg);
+        add("injection:" + enumName(injection), cfg);
     }
 
     for (FaultPolicy policy :
@@ -402,8 +401,8 @@ TEST(KernelDifferential, SaturationLockstepOverTablesAndTraffic)
             if (table == TableKind::Interval) // deterministic-only
                 base.routing = RoutingAlgo::DeterministicXY;
             const std::string name =
-                "saturation:" + tableKindName(table) + '+' +
-                trafficKindName(traffic);
+                "saturation:" + enumName(table) + '+' +
+                enumName(traffic);
 
             auto sims = buildVariants(base, variants, name);
             // Let the network fill well past the knee, then lockstep.
@@ -515,7 +514,7 @@ TEST(KernelDifferential, SaturatedRunsAgree)
         SimConfig cfg = base;
         cfg.selector = selector;
         const std::string name =
-            "saturated:" + selectorKindName(selector);
+            "saturated:" + enumName(selector);
         auto sims = buildVariants(cfg, variants, name);
         std::vector<SimStats> stats;
         for (auto& sim : sims)

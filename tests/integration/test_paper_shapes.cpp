@@ -123,7 +123,7 @@ TEST(PaperShapes, Fig6DynamicSelectionBeatsStaticOnTranspose)
             RouterModel::LaProud, RoutingAlgo::DuatoFullyAdaptive,
             TableKind::Full, dyn, TrafficKind::Transpose, 0.4);
         EXPECT_LT(s.meanLatency(), stat.meanLatency())
-            << selectorKindName(dyn);
+            << enumName(dyn);
     }
 }
 
@@ -143,7 +143,7 @@ TEST(PaperShapes, Fig6StaticIsFineForUniform)
         EXPECT_LT(std::abs(s.meanLatency() - stat.meanLatency()) /
                       stat.meanLatency(),
                   0.10)
-            << selectorKindName(dyn);
+            << enumName(dyn);
     }
 }
 
@@ -163,7 +163,7 @@ TEST(PaperShapes, Table4EconomicalStorageIdenticalToFullTable)
             TableKind::EconomicalStorage, SelectorKind::StaticXY,
             traffic, 0.3);
         EXPECT_DOUBLE_EQ(full.meanLatency(), es.meanLatency())
-            << trafficKindName(traffic);
+            << enumName(traffic);
         EXPECT_EQ(full.deliveredFlits, es.deliveredFlits);
     }
 }

@@ -250,8 +250,8 @@ TEST(TopologyFabrics, AllTableKindsRouteAndReprogramOnIrregularGraph)
                 FaultEvent{900, 1, 3, false}}; // chord repaired
             cfg.reconfigLatency = 100;
             const std::string name = "irregular:" +
-                                     tableKindName(table) + '+' +
-                                     routingAlgoName(routing);
+                                     enumName(table) + '+' +
+                                     enumName(routing);
 
             Simulation sim(cfg);
             const SimStats stats = sim.run();

@@ -65,7 +65,6 @@ class NicTest : public ::testing::Test
     {
       public:
         using TrafficPattern::TrafficPattern;
-        std::string name() const override { return "fixed"; }
         NodeId
         pick(NodeId src, Rng&) const override
         {

@@ -243,7 +243,7 @@ TEST(AlgorithmFactory, CreatesEveryAlgorithm)
           RoutingAlgo::WestFirst, RoutingAlgo::NegativeFirst}) {
         const RoutingAlgorithmPtr algo = makeRoutingAlgorithm(a, m);
         ASSERT_NE(algo, nullptr);
-        EXPECT_EQ(algo->name(), routingAlgoName(a));
+        EXPECT_EQ(algo->name(), enumName(a));
         EXPECT_FALSE(algo->route(0, 5).empty());
     }
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "selection/selector_factory.hpp"
@@ -140,7 +142,7 @@ TEST(Selectors, SingleCandidateAlwaysWins)
           SelectorKind::Random, SelectorKind::MinMux, SelectorKind::Lfu,
           SelectorKind::Lru, SelectorKind::MaxCredit}) {
         const PathSelectorPtr sel = makePathSelector(kind, Rng{1});
-        EXPECT_EQ(sel->select(one), 4) << selectorKindName(kind);
+        EXPECT_EQ(sel->select(one), 4) << enumName(kind);
     }
 }
 
@@ -165,14 +167,21 @@ TEST(Selectors, DynamicPoliciesDisagreeWhenStateConflicts)
     EXPECT_EQ(MaxCreditSelector{}.select(c), 3); // more credits
 }
 
-TEST(SelectorFactory, NamesRoundTrip)
+TEST(SelectorFactory, BuildsTheClassOfEachKind)
 {
-    for (SelectorKind kind :
-         {SelectorKind::StaticXY, SelectorKind::FirstFree,
-          SelectorKind::Random, SelectorKind::MinMux, SelectorKind::Lfu,
-          SelectorKind::Lru, SelectorKind::MaxCredit}) {
+    const std::pair<SelectorKind, const std::type_info*> cases[] = {
+        {SelectorKind::StaticXY, &typeid(StaticXySelector)},
+        {SelectorKind::FirstFree, &typeid(FirstFreeSelector)},
+        {SelectorKind::Random, &typeid(RandomSelector)},
+        {SelectorKind::MinMux, &typeid(MinMuxSelector)},
+        {SelectorKind::Lfu, &typeid(LfuSelector)},
+        {SelectorKind::Lru, &typeid(LruSelector)},
+        {SelectorKind::MaxCredit, &typeid(MaxCreditSelector)},
+    };
+    for (const auto& [kind, type] : cases) {
         const PathSelectorPtr sel = makePathSelector(kind, Rng{1});
-        EXPECT_EQ(sel->name(), selectorKindName(kind));
+        const PathSelector& built = *sel;
+        EXPECT_TRUE(typeid(built) == *type) << enumName(kind);
     }
 }
 

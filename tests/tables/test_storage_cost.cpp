@@ -110,8 +110,8 @@ TEST(TableFactory, BuildsEveryKindForDuato)
         const RoutingTablePtr table = makeRoutingTable(kind, m, *duato);
         ASSERT_NE(table, nullptr);
         // Concrete names may refine the kind (e.g. "meta-block2").
-        EXPECT_EQ(table->name().rfind(tableKindName(kind), 0), 0u)
-            << table->name() << " vs " << tableKindName(kind);
+        EXPECT_EQ(table->name().rfind(enumName(kind), 0), 0u)
+            << table->name() << " vs " << enumName(kind);
         EXPECT_FALSE(table->lookup(0, 9).empty());
     }
 }

@@ -146,18 +146,6 @@ TEST_F(PatternTest, HotspotDefaultsToMeshCenter)
     EXPECT_GT(hits, 800); // ~10% + uniform share
 }
 
-TEST_F(PatternTest, NamesMatchFactoryKinds)
-{
-    for (TrafficKind kind :
-         {TrafficKind::Uniform, TrafficKind::Transpose,
-          TrafficKind::BitReversal, TrafficKind::PerfectShuffle,
-          TrafficKind::BitComplement, TrafficKind::Tornado,
-          TrafficKind::Neighbor, TrafficKind::Hotspot}) {
-        EXPECT_EQ(makeTrafficPattern(kind, mesh)->name(),
-                  trafficKindName(kind));
-    }
-}
-
 TEST(PatternErrors, TransposeNeedsSquareMesh)
 {
     const Topology rect = makeMeshTopology({8, 4}, false);
@@ -206,7 +194,7 @@ TEST(PatternPermutation, AllBitPatternsArePermutations)
             if (d == kInvalidNode)
                 continue;
             for (const auto& [s2, d2] : dest_of)
-                EXPECT_NE(d, d2) << trafficKindName(kind);
+                EXPECT_NE(d, d2) << enumName(kind);
             dest_of[s] = d;
         }
     }

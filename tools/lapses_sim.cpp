@@ -213,7 +213,7 @@ main(int argc, char** argv)
                     "  telemetry     %9.3f ms\n"
                     "  total timed   %9.3f ms  (%llu cycles "
                     "fast-forwarded)\n",
-                    kernelKindName(sim.network().kernel()),
+                    enumName(sim.network().kernel()).c_str(),
                     prof.deliverySeconds * 1e3,
                     static_cast<unsigned long long>(
                         kc.wireEventsDelivered),
