@@ -1,15 +1,16 @@
 /**
  * @file
  * Unit tests for the configuration enums' name tables
- * (common/enum_names.hpp): every row round-trips, help lists every
- * name and default, and every parse error names its flag, grid axis
- * or environment variable.
+ * (common/enum_names.hpp): every row round-trips, every value keeps
+ * its spelling, help lists every name and default, and every parse
+ * error names its flag, grid axis or environment variable.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <vector>
@@ -85,6 +86,108 @@ TEST(Names, EveryTableRoundTrips)
     checkTable<FaultPolicy>("--fault-policy");
     checkTable<BenchMode>("LAPSES_BENCH_MODE");
     checkTable<KernelKind>("LAPSES_KERNEL");
+}
+
+/** E's table holds exactly `spelled`, in that order: each value
+ *  prints as its spelling and the spelling parses back to it. The
+ *  spellings are what records, flags and grid axes print and accept,
+ *  so they are written out here rather than read from the table. */
+template <typename E>
+void
+expectSpellings(const std::string& what,
+                std::initializer_list<EnumName<E>> spelled)
+{
+    SCOPED_TRACE(what);
+    const auto& table = enumNames(E{});
+    ASSERT_EQ(table.size(), spelled.size());
+    std::size_t i = 0;
+    for (const EnumName<E>& want : spelled) {
+        EXPECT_EQ(table[i].value, want.value) << want.name;
+        EXPECT_STREQ(table[i].name, want.name);
+        EXPECT_EQ(enumName(want.value), want.name);
+        EXPECT_EQ(parseEnum<E>(what, want.name), want.value) << want.name;
+        ++i;
+    }
+}
+
+TEST(Names, RouterModelRoundTrip)
+{
+    expectSpellings<RouterModel>("--model",
+                                 {{RouterModel::Proud, "proud"},
+                                  {RouterModel::LaProud, "la-proud"}});
+}
+
+TEST(Names, RoutingAlgoRoundTrip)
+{
+    expectSpellings<RoutingAlgo>(
+        "--routing",
+        {{RoutingAlgo::DeterministicXY, "xy"},
+         {RoutingAlgo::DeterministicYX, "yx"},
+         {RoutingAlgo::DuatoFullyAdaptive, "duato"},
+         {RoutingAlgo::NorthLast, "north-last"},
+         {RoutingAlgo::WestFirst, "west-first"},
+         {RoutingAlgo::NegativeFirst, "negative-first"},
+         {RoutingAlgo::TorusAdaptive, "torus-adaptive"},
+         {RoutingAlgo::UpDown, "up-down"},
+         {RoutingAlgo::UpDownAdaptive, "up-down-adaptive"}});
+}
+
+TEST(Names, TableKindRoundTrip)
+{
+    expectSpellings<TableKind>(
+        "--table", {{TableKind::Full, "full-table"},
+                    {TableKind::MetaRowMinimal, "meta-row"},
+                    {TableKind::MetaBlockMaximal, "meta-block"},
+                    {TableKind::EconomicalStorage, "economical-storage"},
+                    {TableKind::Interval, "interval"}});
+}
+
+TEST(Names, SelectorKindRoundTrip)
+{
+    expectSpellings<SelectorKind>("--selector",
+                                  {{SelectorKind::StaticXY, "static-xy"},
+                                   {SelectorKind::FirstFree, "first-free"},
+                                   {SelectorKind::Random, "random"},
+                                   {SelectorKind::MinMux, "min-mux"},
+                                   {SelectorKind::Lfu, "lfu"},
+                                   {SelectorKind::Lru, "lru"},
+                                   {SelectorKind::MaxCredit, "max-credit"}});
+}
+
+TEST(Names, TrafficKindRoundTrip)
+{
+    expectSpellings<TrafficKind>(
+        "--traffic", {{TrafficKind::Uniform, "uniform"},
+                      {TrafficKind::Transpose, "transpose"},
+                      {TrafficKind::BitReversal, "bit-reversal"},
+                      {TrafficKind::PerfectShuffle, "perfect-shuffle"},
+                      {TrafficKind::BitComplement, "bit-complement"},
+                      {TrafficKind::Tornado, "tornado"},
+                      {TrafficKind::Neighbor, "neighbor"},
+                      {TrafficKind::Hotspot, "hotspot"}});
+}
+
+TEST(Names, InjectionKindRoundTrip)
+{
+    expectSpellings<InjectionKind>(
+        "--injection", {{InjectionKind::Exponential, "exponential"},
+                        {InjectionKind::Bernoulli, "bernoulli"},
+                        {InjectionKind::Bursty, "bursty"}});
+}
+
+TEST(Names, WorkloadKindRoundTrip)
+{
+    expectSpellings<WorkloadKind>(
+        "--workload", {{WorkloadKind::Open, "open"},
+                       {WorkloadKind::RequestReply, "request-reply"}});
+}
+
+TEST(Names, BenchModeRoundTrip)
+{
+    expectSpellings<BenchMode>("LAPSES_BENCH_MODE",
+                               {{BenchMode::Quick, "quick"},
+                                {BenchMode::Default, "default"},
+                                {BenchMode::Paper, "paper"}});
 }
 
 TEST(Names, UnknownNamesListAccepted)
