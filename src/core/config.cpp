@@ -33,22 +33,6 @@ buildTopology(const SimConfig& cfg)
     return makeTopology(cfg.resolvedTopology(), cfg.radices);
 }
 
-FaultSchedule
-buildFaultSchedule(const SimConfig& cfg, const Topology& topo)
-{
-    FaultSchedule faults;
-    for (const FaultEvent& event : cfg.faultEvents)
-        faults.add(event);
-    if (cfg.faultCount > 0) {
-        faults.appendRandom(topo, cfg.faultCount,
-                            cfg.faultSeed != 0 ? cfg.faultSeed
-                                               : deriveFaultSeed(cfg.seed),
-                            cfg.faultStart, cfg.faultSpacing);
-    }
-    faults.validate(topo);
-    return faults;
-}
-
 int
 resolveEscapeVcs(const SimConfig& cfg, const RoutingAlgorithm& algo)
 {

@@ -198,13 +198,6 @@ struct SimConfig
 /** Build the run's port graph from the resolved topology spec. */
 Topology buildTopology(const SimConfig& cfg);
 
-/** Merge the explicit fault events with the seeded random schedule
- *  and validate the whole sequence against `topo` (range checks,
- *  legal transitions, connectivity after every down event); throws
- *  ConfigError. */
-FaultSchedule buildFaultSchedule(const SimConfig& cfg,
-                                 const Topology& topo);
-
 /** Escape VCs per port (DESIGN.md "Escape-VC discipline"): explicit
  *  cfg.escapeVcs wins; otherwise max(algo.escapeClasses(), 2 for
  *  meta-tables else 1). 1 (unused) when the algorithm has no escape

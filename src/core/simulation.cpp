@@ -109,7 +109,7 @@ Simulation::recordDelivery(const MessageDescriptor& msg, Cycle now)
     // Runs on the thread that ejected the message (a shard worker
     // under the parallel kernel): only the per-destination lane and
     // the owning shard's tally may be touched here. measuring_window_
-    // and lastFaultCycle() are written in sequential phases only.
+    // and the last fault cycle are written in sequential phases only.
     ShardTally& tally = tallies_[net_->shardOf(msg.dest)];
     if (measuring_window_)
         tally.windowFlits += msg.msgLen;
@@ -117,7 +117,7 @@ Simulation::recordDelivery(const MessageDescriptor& msg, Cycle now)
         return;
     const auto total = static_cast<double>(now - msg.createdAt);
     DeliveryLane& lane = lanes_[msg.dest];
-    lane.total.add(total, now, net_->lastFaultCycle());
+    lane.total.add(total, now, net_->faults().lastFaultCycle());
     lane.network.add(static_cast<double>(now - msg.injectedAt));
     lane.hops.add(static_cast<double>(msg.hops));
     tally.latencyHist.add(total);
@@ -140,7 +140,7 @@ Simulation::requestHook(void* ctx, NodeId client, Cycle issuedAt,
     auto& sim = *static_cast<Simulation*>(ctx);
     const auto latency = static_cast<double>(completedAt - issuedAt);
     sim.request_lanes_[client].add(latency, completedAt,
-                                   sim.net_->lastFaultCycle());
+                                   sim.net_->faults().lastFaultCycle());
     sim.tallies_[sim.net_->shardOf(client)].requestLatencyHist.add(
         latency);
 }
@@ -185,7 +185,7 @@ Simulation::reduceStats()
         stats_.duplicateRequests = wc.duplicateRequests;
         stats_.duplicateReplies = wc.duplicateReplies;
         stats_.suppressedReinjects =
-            net_->faultCounters().suppressedReinjects;
+            net_->faults().counters().suppressedReinjects;
     }
 }
 
@@ -312,7 +312,7 @@ Simulation::phaseCounts() const
     // Measured messages a fault permanently dropped never deliver;
     // they count as resolved.
     return {net.createdTotal(), net.createdMeasured(),
-            net.deliveredMeasured() + net.droppedMeasured()};
+            net.deliveredMeasured() + net.faults().droppedMeasured()};
 }
 
 void
@@ -383,7 +383,7 @@ Simulation::run()
     reduceStats();
     // Resilience counters accumulate in the network across all
     // phases; every exit path (including saturation) reports them.
-    const Network::FaultCounters& fc = net_->faultCounters();
+    const LinkFaults::Counters& fc = net_->faults().counters();
     stats_.linkDownEvents = fc.linkDownEvents;
     stats_.linkUpEvents = fc.linkUpEvents;
     stats_.reconfigurations = fc.reconfigurations;

@@ -123,8 +123,8 @@ Network::RouterEnv::headUnroutable(PortId in_port, VcId vc)
     // but unobservable) stepping orders observable through cross-
     // router state surgery — and, under the parallel kernel, would be
     // a cross-shard write from a stepping thread. Each shard collects
-    // its own reports; processPendingUnroutable() merges and sorts
-    // them after the step loops, identically under every kernel.
+    // its own reports; after the step loops processPendingUnroutable()
+    // hands them to the link faults, identically under every kernel.
     sh_->pending_unroutable.emplace_back(id_, in_port, vc);
 }
 
@@ -152,14 +152,6 @@ Network::Network(const SimConfig& cfg, const Topology& topo,
     const NodeId n = topo.numNodes();
     const int ports = topo.numPorts();
     Rng master(cfg.seed);
-
-    // Validated before any component exists. Online reconfiguration
-    // reprograms full tables only; other storage schemes cannot
-    // express fault-aware entries (the Table 5 flexibility trade-off)
-    // and fall back to dead-port masking.
-    fault_events_ = buildFaultSchedule(cfg, topo).events();
-    if (cfg.hasFaults())
-        reprogram_table_ = dynamic_cast<FullTable*>(&table);
 
     // Closed-loop workload: the NICs' engines hash everything off the
     // run seed and all read this one copy of the options.
@@ -238,6 +230,17 @@ Network::Network(const SimConfig& cfg, const Topology& topo,
     nic_active_.assign(static_cast<std::size_t>(n), 0);
     nic_wake_at_.assign(static_cast<std::size_t>(n), kNeverCycle);
     buildShards(shard_cuts);
+
+    // The link faults validate the schedule, then reach the components,
+    // wires and pool through references bound once here.
+    std::vector<WireCalendar*> calendars;
+    for (Shard& sh : shards_)
+        calendars.push_back(&sh.calendar);
+    faults_.emplace(cfg_, topo, table,
+                    LinkFaults::Live{routers_, nics_, pool_,
+                                     std::move(calendars), occupancy_,
+                                     [this](NodeId id) { activateRouter(id); },
+                                     [this](NodeId id) { activateNic(id); }});
 
     // Telemetry: one counter block per router, allocated once so the
     // pointers handed to the routers stay stable, and the first window
@@ -475,17 +478,9 @@ Network::nextEventCycle()
             sh.nic_wakes.pop();
         }
     }
-    // Fault events and reconfigurations are wake-up sources too: the
-    // idle fast-forward must stop exactly at their cycles.
-    if (next_fault_ < fault_events_.size())
-        next = std::min(next, fault_events_[next_fault_].cycle);
-    if (next_reconfig_ < reconfig_due_.size())
-        next = std::min(next, reconfig_due_[next_reconfig_]);
-    // So is every telemetry window boundary (kNeverCycle when off):
-    // the snapshot at the top of step() must run at the exact boundary
-    // cycle under every kernel.
-    next = std::min(next, next_telemetry_at_);
-    return next;
+    // Boundaries are wake-up sources too: the idle fast-forward must
+    // stop exactly at their cycles.
+    return std::min(next, nextBoundary());
 }
 
 void
@@ -798,285 +793,32 @@ Network::stepSharded(Cycle cycles)
 Cycle
 Network::batchCycles(Cycle horizon) const
 {
-    Cycle k = std::min<Cycle>(horizon - now_, batch_cap_);
-    if (k <= 1)
-        return 1;
+    const Cycle k = std::min<Cycle>(horizon - now_, batch_cap_);
     // Fault epochs need per-cycle purge processing.
-    if (!failures_.empty())
+    if (k <= 1 || faults_->linksDown())
         return 1;
-    // Fault events, reconfigurations and telemetry windows run at the
-    // fixed top of a cycle on the coordinator — the batch must end
-    // exactly at the next such boundary. topOfCycle() already applied
-    // everything due at now_, so these cursors point strictly ahead.
-    if (next_fault_ < fault_events_.size())
-        k = std::min(k, fault_events_[next_fault_].cycle - now_);
-    if (next_reconfig_ < reconfig_due_.size())
-        k = std::min(k, reconfig_due_[next_reconfig_] - now_);
-    if (next_telemetry_at_ != kNeverCycle)
-        k = std::min(k, next_telemetry_at_ - now_);
-    return std::max<Cycle>(k, 1);
-}
-
-void
-Network::applyFaultEvents()
-{
-    while (next_fault_ < fault_events_.size() &&
-           fault_events_[next_fault_].cycle <= now_) {
-        const FaultEvent& event = fault_events_[next_fault_++];
-        if (event.down)
-            applyDownEvent(event.node, event.port);
-        else
-            applyUpEvent(event.node, event.port);
-        last_fault_cycle_ = now_;
-        // Every event opens (or extends) a reconfiguration window.
-        const Cycle due = now_ + cfg_.reconfigLatency;
-        if (reconfig_due_.empty() || reconfig_due_.back() != due)
-            reconfig_due_.push_back(due);
-        for (auto& r : routers_)
-            r.setReconfigPending(true);
-    }
-    while (next_reconfig_ < reconfig_due_.size() &&
-           reconfig_due_[next_reconfig_] <= now_) {
-        ++next_reconfig_;
-        applyReconfiguration();
-    }
-}
-
-void
-Network::applyDownEvent(NodeId node, PortId port)
-{
-    const NodeId peer = topo_.neighbor(node, port);
-    const PortId peer_port = topo_.peerPort(node, port);
-    LAPSES_ASSERT(peer != kInvalidNode);
-    failures_.fail(topo_, node, port);
-    routers_[static_cast<std::size_t>(node)].markPortDead(port);
-    routers_[static_cast<std::size_t>(peer)].markPortDead(peer_port);
-
-    // Collect every message the dying link cuts: flits in flight on
-    // its two wires, flits and worm owners at its two endpoint ports.
-    std::vector<MsgRef> affected;
-    const auto on_link = [&](const WireEvent& ev, WireKind kind) {
-        return ev.kind == kind &&
-               ((ev.node == node && ev.port == port) ||
-                (ev.node == peer && ev.port == peer_port));
-    };
-    for (const Shard& sh : shards_) {
-        sh.calendar.forEach([&](const WireEvent& ev) {
-            if (on_link(ev, WireKind::Flit))
-                affected.push_back(ev.flit.msg);
-        });
-    }
-    routers_[static_cast<std::size_t>(node)].collectPortMessages(
-        port, affected);
-    routers_[static_cast<std::size_t>(peer)].collectPortMessages(
-        peer_port, affected);
-    // Purge in deterministic message-id order, never raw MsgRef
-    // order: refs follow pool allocation order, which differs between
-    // kernels (and with the shard/bank count under the parallel
-    // kernel), while ids are per-NIC sequence numbers. Purge order is
-    // observable when two purged messages share a source NIC — both
-    // requeueFront at the same queue. Equal ids mean equal refs, so
-    // the id sort also makes duplicates adjacent for unique().
-    std::sort(affected.begin(), affected.end(),
-              [this](MsgRef a, MsgRef b) {
-                  return pool_[a].id < pool_[b].id;
-              });
-    affected.erase(std::unique(affected.begin(), affected.end()),
-                   affected.end());
-    for (const MsgRef msg : affected)
-        purgeMessage(msg, /*allow_reinject=*/true);
-
-    // Quarantine the dead channel: in-flight credits are lost with
-    // the link, endpoint credit counters drop to zero (reset to full
-    // at repair — by then both peer input buffers are empty).
-    for (Shard& sh : shards_) {
-        sh.calendar.removeIf([&](const WireEvent& ev) {
-            LAPSES_ASSERT(!on_link(ev, WireKind::Flit));
-            return on_link(ev, WireKind::Credit);
-        });
-    }
-    routers_[static_cast<std::size_t>(node)].quarantineDeadPort(port);
-    routers_[static_cast<std::size_t>(peer)].quarantineDeadPort(
-        peer_port);
-    ++fault_counters_.linkDownEvents;
-}
-
-void
-Network::applyUpEvent(NodeId node, PortId port)
-{
-    const NodeId peer = topo_.neighbor(node, port);
-    const PortId peer_port = topo_.peerPort(node, port);
-    LAPSES_ASSERT(peer != kInvalidNode);
-    failures_.repair(topo_, node, port);
-    // While the link was down nothing could enter either endpoint's
-    // buffers, so a full credit line is exact.
-    routers_[static_cast<std::size_t>(node)].markPortAlive(
-        port, cfg_.bufferDepth);
-    routers_[static_cast<std::size_t>(peer)].markPortAlive(
-        peer_port, cfg_.bufferDepth);
-    ++fault_counters_.linkUpEvents;
-}
-
-void
-Network::applyReconfiguration()
-{
-    // 1. Reprogram the table around the surviving topology (full
-    //    tables only; the schedule validator guarantees the network
-    //    is still connected).
-    if (reprogram_table_ != nullptr) {
-        reprogramFaultAwareTable(*reprogram_table_, topo_, failures_);
-    }
-
-    // 2. Re-route every held header from the fresh tables; heads with
-    //    no surviving candidate are purged (always dropped: under
-    //    Reinject they would retry the same dead route forever).
-    std::vector<std::pair<PortId, VcId>> unroutable;
-    for (NodeId id = 0; id < topo_.numNodes(); ++id) {
-        unroutable.clear();
-        routers_[static_cast<std::size_t>(id)].rerouteHeldHeads(
-            unroutable, fault_counters_.reroutedHeads);
-        for (const auto& [p, v] : unroutable) {
-            const MsgRef msg =
-                routers_[static_cast<std::size_t>(id)]
-                    .heldUnroutableMsg(p, v);
-            if (msg != kInvalidMsgRef)
-                purgeMessage(msg, /*allow_reinject=*/false);
-        }
-    }
-
-    // 3. Close the window once every scheduled reconfiguration ran.
-    if (next_reconfig_ == reconfig_due_.size()) {
-        for (auto& r : routers_)
-            r.setReconfigPending(false);
-    }
-    ++fault_counters_.reconfigurations;
-}
-
-void
-Network::purgeMessage(MsgRef msg, bool allow_reinject)
-{
-    const MessageDescriptor& desc = pool_[msg];
-    const NodeId src = desc.src;
-    const NodeId dest = desc.dest;
-    const Cycle created_at = desc.createdAt;
-    const bool measured = desc.measured;
-
-    std::size_t removed = 0;
-
-    // Router buffers; freed input slots credit the upstream hop
-    // directly (cleanup is instantaneous and bypasses the wires —
-    // identical under both kernels).
-    for (NodeId id = 0; id < topo_.numNodes(); ++id) {
-        Router& router = routers_[static_cast<std::size_t>(id)];
-        removed += router.purgeMessage(
-            msg, [&](PortId in_port, VcId vc) {
-                if (in_port == kLocalPort) {
-                    nics_[static_cast<std::size_t>(id)].acceptCredit(
-                        vc);
-                    activateNic(id);
-                    return;
-                }
-                const NodeId up = topo_.neighbor(id, in_port);
-                LAPSES_ASSERT(up != kInvalidNode);
-                routers_[static_cast<std::size_t>(up)].acceptCredit(
-                    topo_.peerPort(id, in_port), vc);
-                activateRouter(up);
-            });
-    }
-
-    // Flits still on wires. A flit on a (non-ejection) wire consumed
-    // the sender's credit at transmit time and would return it from
-    // the receiver's buffer — restore it straight to the sender. The
-    // sender's port may itself be the dying link: restore anyway,
-    // quarantine zeroes the counter afterwards.
-    for (Shard& sh : shards_) {
-        removed += sh.calendar.removeIf([&](const WireEvent& ev) {
-            if (ev.kind == WireKind::Credit || ev.flit.msg != msg)
-                return false;
-            const auto id = static_cast<std::size_t>(ev.node);
-            if (ev.kind == WireKind::Inject) {
-                // The NIC spent a local-port credit on this flit.
-                nics_[id].acceptCredit(ev.vc);
-            } else if (ev.port != kLocalPort) {
-                routers_[id].acceptCredit(ev.port, ev.vc);
-            }
-            return true;
-        });
-    }
-
-    occupancy_ -= removed;
-    fault_counters_.droppedFlits += removed;
-
-    // Cancel the source NIC's stream (no-op when the message had
-    // fully left the source).
-    nics_[static_cast<std::size_t>(src)].cancelInjection(msg);
-
-    Nic& src_nic = nics_[static_cast<std::size_t>(src)];
-    if (allow_reinject &&
-        cfg_.faultPolicy == FaultPolicy::Reinject &&
-        !src_nic.wantsReinject(desc)) {
-        // The client's reliability layer already timed this
-        // transmission out (or resolved the request); it owns the
-        // retry, so putting the purged copy back on the wire would
-        // race it. Not a drop either — the request is still live in
-        // the client's outstanding table.
-        ++fault_counters_.suppressedReinjects;
-    } else if (allow_reinject &&
-               cfg_.faultPolicy == FaultPolicy::Reinject) {
-        src_nic.requeueFront(dest, created_at, measured, desc.role,
-                             desc.reqSeq, desc.attempt);
-        ++fault_counters_.reinjectedMessages;
-    } else {
-        ++fault_counters_.droppedMessages;
-        if (measured)
-            ++dropped_measured_;
-    }
-    activateNic(src);
-    pool_.release(msg);
+    // Boundaries run at the fixed top of a cycle on the coordinator —
+    // the batch must end exactly at the next one. topOfCycle() already
+    // ran everything due at now_, so it lies strictly ahead.
+    return std::min(k, nextBoundary() - now_);
 }
 
 void
 Network::processPendingUnroutable()
 {
-    bool any = false;
-    for (const Shard& sh : shards_) {
-        if (!sh.pending_unroutable.empty()) {
-            any = true;
-            break;
-        }
-    }
-    if (!any)
-        return;
-    // Merge the shards' reports and sort by (node, port, vc): the
-    // processing order is then independent of which thread collected
-    // which report — and of the kernels' stepping orders.
-    unroutable_scratch_.clear();
-    for (Shard& sh : shards_) {
-        unroutable_scratch_.insert(unroutable_scratch_.end(),
-                                   sh.pending_unroutable.begin(),
-                                   sh.pending_unroutable.end());
-        sh.pending_unroutable.clear();
-    }
-    std::sort(unroutable_scratch_.begin(), unroutable_scratch_.end());
-    for (const auto& [id, p, v] : unroutable_scratch_) {
-        // Re-verify: an earlier purge this cycle may have freed the
-        // VC, or a duplicate report may target an already-purged head.
-        const MsgRef msg =
-            routers_[static_cast<std::size_t>(id)].heldUnroutableMsg(
-                p, v);
-        if (msg != kInvalidMsgRef)
-            purgeMessage(msg, /*allow_reinject=*/false);
-    }
-    unroutable_scratch_.clear();
+    for (Shard& sh : shards_)
+        faults_->addUnroutable(sh.pending_unroutable);
+    faults_->purgeUnroutable();
 }
 
 void
 Network::topOfCycle()
 {
-    if (next_fault_ < fault_events_.size() ||
-        next_reconfig_ < reconfig_due_.size()) {
+    if (nextBoundary() > now_)
+        return;
+    if (faults_->nextCycle() == now_) {
         ScopedPhaseTimer timer(profiling_, profile_.faultSeconds);
-        applyFaultEvents();
+        faults_->apply(now_);
     }
     if (now_ == next_telemetry_at_) {
         // Fixed snapshot point, like fault events: before any wire

@@ -37,6 +37,7 @@
 #ifndef LAPSES_NETWORK_NETWORK_HPP
 #define LAPSES_NETWORK_NETWORK_HPP
 
+#include <algorithm>
 #include <barrier>
 #include <cstdint>
 #include <exception>
@@ -44,16 +45,15 @@
 #include <queue>
 #include <stop_token>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/config.hpp"
+#include "fault/link_faults.hpp"
 #include "network/nic.hpp"
 #include "network/tracer.hpp"
 #include "network/wire_calendar.hpp"
 #include "router/router.hpp"
-#include "tables/full_table.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace lapses
@@ -95,28 +95,6 @@ class Network : public DeliverySink
         std::uint64_t fastForwardedCycles = 0; //!< cycles skipped idle
     };
 
-    /** Resilience counters maintained by the fault-event machinery. */
-    struct FaultCounters
-    {
-        std::uint64_t linkDownEvents = 0;
-        std::uint64_t linkUpEvents = 0;
-        std::uint64_t reconfigurations = 0;
-        /** Messages permanently lost (policy Drop, or unroutable). */
-        std::uint64_t droppedMessages = 0;
-        /** Flits physically removed from buffers and wires by purges
-         *  (dropped and reinjected messages both shed flits). */
-        std::uint64_t droppedFlits = 0;
-        /** Messages requeued at their source (policy Reinject). */
-        std::uint64_t reinjectedMessages = 0;
-        /** Held headers whose candidates changed at reconfiguration. */
-        std::uint64_t reroutedHeads = 0;
-
-        /** Reinjects skipped because the client's reliability layer
-         *  had already timed the purged transmission out and owns the
-         *  retry (closed-loop runs only). */
-        std::uint64_t suppressedReinjects = 0;
-    };
-
     /** Closed-loop reliability counters summed over every NIC's
      *  engines in fixed node order (deterministic across kernels and
      *  shard layouts). All zero for open-loop workloads. */
@@ -148,10 +126,10 @@ class Network : public DeliverySink
     /**
      * Build the network a run's configuration describes: routers and
      * NICs (RouterParams, Nic::Params and WorkloadOptions all come
-     * from `cfg`), wires, the kernel's shards and the validated fault
-     * schedule (buildFaultSchedule). Throws ConfigError on a bad
-     * schedule, too few VCs for the escape discipline, or servers not
-     * below the endpoint count.
+     * from `cfg`), wires, the kernel's shards and the link faults
+     * (LinkFaults). Throws ConfigError on a bad fault schedule, too
+     * few VCs for the escape discipline, or servers not below the
+     * endpoint count.
      *
      * @param algo    the routing the tables were built from: decides
      *                the Duato escape discipline and its escape VCs
@@ -228,22 +206,9 @@ class Network : public DeliverySink
         return shards_[shard].counters;
     }
 
-    /** Resilience counters (all zero on a healthy run). */
-    const FaultCounters& faultCounters() const
-    {
-        return fault_counters_;
-    }
-
-    /** Measured messages permanently dropped by faults; the drain
-     *  phase terminates on delivered + dropped >= created. */
-    std::uint64_t droppedMeasured() const { return dropped_measured_; }
-
-    /** Cycle of the most recent applied fault event (kNeverCycle when
-     *  none fired yet); anchors the latency-recovery curve. */
-    Cycle lastFaultCycle() const { return last_fault_cycle_; }
-
-    /** Links currently down (tests / diagnostics). */
-    const FailureSet& currentFailures() const { return failures_; }
+    /** The run's link faults: resilience counters, measured drops,
+     *  the last fault cycle and the links currently down. */
+    const LinkFaults& faults() const { return *faults_; }
 
     /** Start/stop tagging new messages as measured. */
     void setMeasuring(bool on);
@@ -284,18 +249,6 @@ class Network : public DeliverySink
     /** Every client's outstanding requests, in (client, reqSeq)
      *  order — the watchdog's stall diagnosis table. */
     std::vector<OutstandingRow> outstandingRequests() const;
-
-    /** One NIC's engines (null when the node has none). */
-    const ClientEngine*
-    clientEngine(NodeId id) const
-    {
-        return nics_[static_cast<std::size_t>(id)].clientEngine();
-    }
-    const ServerEngine*
-    serverEngine(NodeId id) const
-    {
-        return nics_[static_cast<std::size_t>(id)].serverEngine();
-    }
 
     /** Flits buffered anywhere in routers or on wires. O(1): the
      *  counter moves only at injection (a flit enters the tracked
@@ -513,10 +466,9 @@ class Network : public DeliverySink
                             std::greater<>>
             nic_wakes;
 
-        /** (node, port, vc) of own heads reported unroutable this
-         *  cycle; merged and sorted by the coordinator afterwards. */
-        std::vector<std::tuple<NodeId, PortId, VcId>>
-            pending_unroutable;
+        /** Own heads reported unroutable this batch; the coordinator
+         *  hands them to the link faults afterwards. */
+        std::vector<HeadSite> pending_unroutable;
 
         /** Cumulative step counts (merged on kernelCounters() read). */
         KernelCounters counters;
@@ -573,10 +525,19 @@ class Network : public DeliverySink
     void activateRouter(NodeId id);
     void activateNic(NodeId id);
 
-    /** Earliest pending wire event or valid NIC wake over all shards;
-     *  kNeverCycle when the network is fully drained with no
-     *  scheduled arrivals. */
+    /** Earliest pending wire event, valid NIC wake or boundary over
+     *  all shards; kNeverCycle when the network is fully drained with
+     *  no scheduled arrivals. */
     Cycle nextEventCycle();
+
+    /** The next fault, reconfiguration or telemetry cycle: the fixed
+     *  top-of-cycle work that ends a batch and stops a fast-forward
+     *  (kNeverCycle when none is left). */
+    Cycle
+    nextBoundary() const
+    {
+        return std::min(faults_->nextCycle(), next_telemetry_at_);
+    }
 
     /** True while any shard holds an active router or NIC. */
     bool anyComponentActive() const;
@@ -617,8 +578,7 @@ class Network : public DeliverySink
 
     /** Largest safe batch for the event kernel ending at or before
      *  `horizon`: capped by the conservative lookahead (batchCap) and
-     *  the next fault/reconfiguration/telemetry boundary, and forced
-     *  to 1 while links are down. */
+     *  the next boundary, and forced to 1 while links are down. */
     Cycle batchCycles(Cycle horizon) const;
 
     /** Shard `s`'s whole batch: per cycle, deliver the events due to
@@ -639,37 +599,15 @@ class Network : public DeliverySink
      *  (cycle, trace key) order. */
     void flushTrace();
 
-    /** The fixed top-of-cycle sequential work (fault events, telemetry
-     *  windows) shared by every kernel and the batch path. */
+    /** The fixed top-of-cycle work (fault events, reconfigurations,
+     *  telemetry windows) shared by every kernel and the batch path:
+     *  it runs before any wire delivery, so every kernel sees the
+     *  same state all cycle. */
     void topOfCycle();
 
-    // --- Fault-event machinery (DESIGN.md "Fault events") -----------
-
-    /** Apply every fault event and reconfiguration due at `now` —
-     *  runs at the very top of step(), before wire delivery, so both
-     *  kernels see identical state all cycle. */
-    void applyFaultEvents();
-
-    void applyDownEvent(NodeId node, PortId port);
-    void applyUpEvent(NodeId node, PortId port);
-
-    /** Reprogram the full table around the current failures and
-     *  re-route / purge held headers. */
-    void applyReconfiguration();
-
-    /**
-     * Remove every flit of `msg` from the network (router FIFOs, flit
-     * and injection wires), restore the freed buffer credits directly
-     * (cleanup bypasses the wires), cancel the source NIC's stream,
-     * and either requeue the message at its source or count it
-     * dropped. `allow_reinject` is false for unroutable heads — they
-     * would loop forever under Reinject.
-     */
-    void purgeMessage(MsgRef msg, bool allow_reinject);
-
-    /** End-of-cycle purge of heads reported unroutable during the
-     *  step loops (deferred so mid-loop state surgery cannot make the
-     *  kernels' stepping orders observable). */
+    /** Hand the shards' unroutable-head reports to the link faults,
+     *  which purge them. Runs after the step loops: a mid-loop purge
+     *  would make the kernels' stepping orders observable. */
     void processPendingUnroutable();
 
     /** Snapshot the window ending at `now` into the attached buffer
@@ -722,24 +660,9 @@ class Network : public DeliverySink
      *  scan-kernel step counts also land here. */
     KernelCounters counters_;
 
-    // Fault-event state. fault_events_ is the validated schedule in
-    // order; next_fault_ and next_reconfig_ are cursors, and the whole
-    // machinery is skipped when both are exhausted (healthy runs pay
-    // one predictable branch per cycle).
-    std::vector<FaultEvent> fault_events_;
-    std::size_t next_fault_ = 0;
-    std::vector<Cycle> reconfig_due_; //!< ascending; deduped on push
-    std::size_t next_reconfig_ = 0;
-    FailureSet failures_;
-    /** The routers' own table when it is a FullTable on a faulted
-     *  run. Null otherwise: dead ports are still masked, but heads
-     *  whose every candidate faces a dead link are dropped. */
-    FullTable* reprogram_table_ = nullptr;
-    /** Merge scratch for the shards' pending-unroutable reports. */
-    std::vector<std::tuple<NodeId, PortId, VcId>> unroutable_scratch_;
-    FaultCounters fault_counters_;
-    std::uint64_t dropped_measured_ = 0;
-    Cycle last_fault_cycle_ = kNeverCycle;
+    /** Link faults (DESIGN.md "Fault events"), bound to the routers,
+     *  NICs, calendars and pool once the shards exist. */
+    std::optional<LinkFaults> faults_;
 
     /** Flits in routers or on flit/injection wires (totalOccupancy). */
     std::size_t occupancy_ = 0;

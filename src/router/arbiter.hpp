@@ -39,8 +39,6 @@ class RoundRobinArbiter
                          0);
     }
 
-    int numRequesters() const { return num_requesters_; }
-
     /** Raise requester i's request line for this arbitration round. */
     void
     request(int i)
@@ -90,7 +88,7 @@ class RoundRobinArbiter
     /** grant() over more than 64 requesters. */
     int grantWide();
 
-    /** First raised wide line in [start, numRequesters), or -1. */
+    /** First raised wide line in [start, num_requesters_), or -1. */
     int scanFrom(int start) const;
 
     std::uint64_t word_ = 0;          //!< request lines, <= 64 requesters

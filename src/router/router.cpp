@@ -388,24 +388,17 @@ Router::serveVcMux(Cycle now, Env& env)
 }
 
 void
-Router::markPortDead(PortId p)
+Router::setPortDead(PortId p, bool dead, int credits)
 {
-    LAPSES_ASSERT(p > 0 && p < num_ports_);
-    dead_port_mask_ |= std::uint64_t{1} << p;
-}
-
-void
-Router::markPortAlive(PortId p, int fresh_credits)
-{
-    LAPSES_ASSERT(portDead(p));
-    dead_port_mask_ &= ~(std::uint64_t{1} << p);
+    LAPSES_ASSERT(p > 0 && p < num_ports_ && portDead(p) != dead);
     for (VcId v = 0; v < params_.vcsPerPort; ++v) {
         const std::size_t o = vcIndex(p, v);
         OutputVc& ovc = out_vcs_[o];
         LAPSES_ASSERT_MSG(out_fifos_.empty(o) && !ovc.busy,
-                          "reviving a dead port with residual state");
-        ovc.credits = fresh_credits;
+                          "link state change on a port holding traffic");
+        ovc.credits = credits;
     }
+    dead_port_mask_ ^= std::uint64_t{1} << p;
 }
 
 void
@@ -478,22 +471,8 @@ Router::purgeMessage(MsgRef msg,
 }
 
 void
-Router::quarantineDeadPort(PortId p)
-{
-    LAPSES_ASSERT(portDead(p));
-    for (VcId v = 0; v < params_.vcsPerPort; ++v) {
-        const std::size_t o = vcIndex(p, v);
-        OutputVc& ovc = out_vcs_[o];
-        LAPSES_ASSERT_MSG(out_fifos_.empty(o) && !ovc.busy,
-                          "dead port still holds traffic after purge");
-        ovc.credits = 0;
-    }
-}
-
-void
-Router::rerouteHeldHeads(
-    std::vector<std::pair<PortId, VcId>>& unroutable,
-    std::uint64_t& rerouted)
+Router::rerouteHeldHeads(std::vector<HeadSite>& unroutable,
+                         std::uint64_t& rerouted)
 {
     forEachOccupiedInput([&](PortId ip, VcId v) {
         InputVc& ivc = in_vcs_[vcIndex(ip, v)];
@@ -509,7 +488,7 @@ Router::rerouteHeldHeads(
             ++rerouted;
         }
         if (!hasLiveCandidate(ivc.route))
-            unroutable.emplace_back(ip, v);
+            unroutable.emplace_back(id_, ip, v);
     });
 }
 

@@ -36,6 +36,7 @@
 #include <bit>
 #include <functional>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -74,6 +75,11 @@ struct RouterParams
      *  1. Ignored for algorithms that are deadlock-free on all VCs. */
     int escapeVcs = 1;
 };
+
+/** An input VC named network-wide, as (node, port, VC): where a head
+ *  was found unroutable. Sorting a list of them fixes the order the
+ *  heads are purged in. */
+using HeadSite = std::tuple<NodeId, PortId, VcId>;
 
 /** One pipelined wormhole router. */
 class Router
@@ -217,14 +223,12 @@ class Router
 
     // --- Dynamic link faults (see DESIGN.md "Fault events") ----------
 
-    /** Mark port p's link dead: headers never select it, the VC mux
-     *  never transmits through it. */
-    void markPortDead(PortId p);
-
-    /** Bring port p's link back up, resetting its output unit (fresh
-     *  credits, no busy VCs; the peer's input buffers were purged when
-     *  the link died, so full credit is exact). */
-    void markPortAlive(PortId p, int fresh_credits);
+    /** Take port p's link down or bring it back up. Its output VCs
+     *  must hold no traffic (a dying link's messages are purged first,
+     *  and nothing enters a dead port); each is left with `credits`.
+     *  Headers never select a dead port, and the VC mux never
+     *  transmits through one. */
+    void setPortDead(PortId p, bool dead, int credits);
 
     bool
     portDead(PortId p) const
@@ -256,19 +260,14 @@ class Router
     purgeMessage(MsgRef msg,
                  const std::function<void(PortId, VcId)>& credit);
 
-    /** Zero the dead port's credits (quarantine) after its traffic was
-     *  purged; FIFOs must already be empty. */
-    void quarantineDeadPort(PortId p);
-
     /**
      * Reconfiguration sweep: refresh the table route of every held
      * (WaitArb) header from the (possibly reprogrammed) table,
      * counting those whose candidates changed into `rerouted`. Heads
      * left without a surviving candidate are appended to `unroutable`.
      */
-    void rerouteHeldHeads(
-        std::vector<std::pair<PortId, VcId>>& unroutable,
-        std::uint64_t& rerouted);
+    void rerouteHeldHeads(std::vector<HeadSite>& unroutable,
+                          std::uint64_t& rerouted);
 
     /** The message of the head on (p, v) if it is still a held header
      *  with no surviving candidate; kInvalidMsgRef otherwise (the

@@ -146,22 +146,20 @@ TEST(FaultInjection, KernelLockstepThroughFaultsAcrossTableKinds)
             ASSERT_EQ(active.network().progressCounter(),
                       active.network().progressCounterSlow())
                 << name << " progress drift at cycle " << t;
-            ASSERT_EQ(
-                scan.network().faultCounters().droppedMessages,
-                active.network().faultCounters().droppedMessages)
+            const LinkFaults& sf = scan.network().faults();
+            const LinkFaults& af = active.network().faults();
+            ASSERT_EQ(sf.counters().droppedMessages,
+                      af.counters().droppedMessages)
                 << name << " dropped diverged at cycle " << t;
-            ASSERT_EQ(
-                scan.network().faultCounters().reinjectedMessages,
-                active.network().faultCounters().reinjectedMessages)
+            ASSERT_EQ(sf.counters().reinjectedMessages,
+                      af.counters().reinjectedMessages)
                 << name << " reinjected diverged at cycle " << t;
         }
         // The events really fired and the repair really landed.
-        EXPECT_EQ(active.network().faultCounters().linkDownEvents, 2u)
-            << name;
-        EXPECT_EQ(active.network().faultCounters().linkUpEvents, 1u)
-            << name;
-        EXPECT_EQ(active.network().currentFailures().count(), 1u)
-            << name;
+        const LinkFaults& af = active.network().faults();
+        EXPECT_EQ(af.counters().linkDownEvents, 2u) << name;
+        EXPECT_EQ(af.counters().linkUpEvents, 1u) << name;
+        EXPECT_EQ(af.failures().count(), 1u) << name;
     }
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/simulation.hpp"
 
 namespace lapses
@@ -56,6 +58,77 @@ TEST(Invariants, CreditsRestoredAtQuiescence)
                     << "router " << n << " port " << int(p) << " vc "
                     << int(v);
                 EXPECT_FALSE(out.vc(v).busy);
+            }
+        }
+    }
+}
+
+TEST(Invariants, CreditsRestoredAtQuiescenceThroughFaults)
+{
+    // The fault path sets credits by hand: a purge credits each freed
+    // slot's upstream hop directly, a dying link's ports drop to zero
+    // and a repair resets them to full. After a faulted run drains,
+    // every live output VC must again hold bufferDepth credits with no
+    // VC allocated, and each dead port must hold none.
+    for (const KernelKind kernel :
+         {KernelKind::Scan, KernelKind::Active, KernelKind::Parallel}) {
+        for (const FaultPolicy policy :
+             {FaultPolicy::Drop, FaultPolicy::Reinject}) {
+            for (const TableKind table :
+                 {TableKind::Full, TableKind::EconomicalStorage}) {
+                for (const RoutingAlgo routing :
+                     {RoutingAlgo::DeterministicXY,
+                      RoutingAlgo::DuatoFullyAdaptive}) {
+                    SimConfig cfg;
+                    cfg.radices = {6, 6};
+                    cfg.vcsPerPort = 2;
+                    cfg.bufferDepth = 4;
+                    cfg.msgLen = 8;
+                    cfg.normalizedLoad = 0.3;
+                    cfg.warmupMessages = 50;
+                    cfg.measureMessages = 800;
+                    cfg.kernel = kernel;
+                    cfg.intraJobs = 3;
+                    cfg.faultPolicy = policy;
+                    cfg.table = table;
+                    cfg.routing = routing;
+                    cfg.faultEvents = {{150, 14, 1, true},
+                                       {180, 20, 2, true},
+                                       {400, 14, 1, false}};
+                    const std::string name = cfg.describe();
+                    Simulation sim(cfg);
+                    (void)sim.run();
+                    drainNetwork(sim);
+
+                    Network& net = sim.network();
+                    ASSERT_EQ(net.totalOccupancy(), 0u) << name;
+                    ASSERT_EQ(net.totalOccupancySlow(), 0u) << name;
+                    ASSERT_EQ(net.faults().counters().linkUpEvents, 1u)
+                        << name;
+                    const FailureSet& dead = net.faults().failures();
+                    ASSERT_EQ(dead.count(), 1u) << name;
+                    const Topology& topo = sim.topology();
+                    for (NodeId n = 0; n < topo.numNodes(); ++n) {
+                        const Router& r = net.router(n);
+                        for (PortId p = 1; p < topo.numPorts(); ++p) {
+                            if (!topo.hasNeighbor(n, p))
+                                continue;
+                            const bool down = dead.isFailed(n, p);
+                            ASSERT_EQ(r.portDead(p), down)
+                                << name << " router " << n << " port "
+                                << int(p);
+                            const OutputUnit& out = r.outputUnit(p);
+                            for (VcId v = 0; v < cfg.vcsPerPort; ++v) {
+                                EXPECT_EQ(out.vc(v).credits,
+                                          down ? 0 : cfg.bufferDepth)
+                                    << name << " router " << n
+                                    << " port " << int(p) << " vc "
+                                    << int(v);
+                                EXPECT_FALSE(out.vc(v).busy) << name;
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -411,8 +411,8 @@ TEST(ShardBoundary, FaultsMidBatchForceBarriersAtExactCycles)
                               must_stop) != barriers.end())
             << "no barrier at cycle " << must_stop;
     }
-    ASSERT_EQ(sharded.net->faultCounters().linkDownEvents, 1u);
-    ASSERT_EQ(sharded.net->faultCounters().linkUpEvents, 1u);
+    ASSERT_EQ(sharded.net->faults().counters().linkDownEvents, 1u);
+    ASSERT_EQ(sharded.net->faults().counters().linkUpEvents, 1u);
     expectSameDeliveryStreams(sharded, oracle, "fault mid-batch");
 }
 

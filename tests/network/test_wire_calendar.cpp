@@ -328,7 +328,7 @@ TEST(WireCalendar, PurgeRestoresTheCreditsOfFlitsOnWires)
         }
         ASSERT_EQ(net.totalOccupancy(), 0u) << "delay " << delay;
         ASSERT_EQ(net.totalOccupancySlow(), 0u) << "delay " << delay;
-        const Network::FaultCounters& faults = net.faultCounters();
+        const LinkFaults::Counters& faults = net.faults().counters();
         ASSERT_EQ(faults.linkUpEvents, faults.linkDownEvents);
         ASSERT_GT(faults.reinjectedMessages, 0u) << "delay " << delay;
         const Topology& topo = net.topology();
