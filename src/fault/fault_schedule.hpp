@@ -5,7 +5,7 @@
  * The paper motivates adaptive routing partly by fault tolerance ("the
  * ability to use alternate paths improves fault-tolerance properties",
  * Section 1). PR 5 makes that dynamic: a FaultSchedule is an ordered
- * list of (cycle, node, port) link down/up events the Network applies
+ * list of (cycle, node, port) link down/up events LinkFaults applies
  * while traffic is in flight — in-flight flits on a dying wire are
  * dropped or reinjected at their source, credits on the dead channel
  * are quarantined, and full tables are reprogrammed around the failure
@@ -138,8 +138,7 @@ class FaultSchedule
      * Sort events into schedule order and replay them against the
      * topology, rejecting invalid transitions and any down event that
      * cuts the network (ConfigError carries the full cut report).
-     * Must be called (and succeed) before the schedule is given to a
-     * Network.
+     * Must be called (and succeed) before the schedule is applied.
      */
     void validate(const Topology& topo);
 

@@ -97,9 +97,9 @@ ConnectivityReport checkConnectivity(const Topology& topo,
 /**
  * Program a full table whose entries hold every next hop lying on a
  * shortest path in the surviving topology (BFS per destination).
- * Entries keep no escape designation: fault-aware tables target
- * deterministic-escape-free operation (turn-model style) or offline
- * analysis; the simulator's deadlock watchdog guards misuse.
+ * Entries keep no escape designation and no turn restriction, so
+ * nothing keeps routing on them deadlock-free, and no guard exists
+ * yet (DESIGN.md "Reconfiguration").
  *
  * @throws ConfigError (with the full cut report) if the failure set
  *         partitions the network.
@@ -111,13 +111,12 @@ FullTable programFaultAwareTable(const Topology& topo,
  * Reprogram an existing full table in place around `failures` — the
  * online-reconfiguration path (the offline programFaultAwareTable is
  * this plus construction). Same entry semantics and the same upfront
- * connectivity check as programFaultAwareTable. Note the entry
- * semantics deliberately include "no escape designation": after the
- * first online reconfiguration a Duato-protocol run continues with
- * every VC adaptive on the re-routed paths — no known cheap escape
- * discipline survives arbitrary link failures — and the deadlock
- * watchdog is the guard, exactly as for statically programmed
- * fault-aware tables (DESIGN.md "Fault events").
+ * connectivity check as programFaultAwareTable. After the first
+ * online reconfiguration a Duato-protocol run continues with every
+ * VC adaptive on the re-routed paths. No guard catches the deadlock
+ * that can follow: one fault can wedge a loaded mesh under every
+ * routing algorithm tried, and the deadlock watchdog does not fire
+ * (DESIGN.md "Reconfiguration").
  */
 void reprogramFaultAwareTable(FullTable& table, const Topology& topo,
                               const FailureSet& failures);
