@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/simulation.hpp"
 
@@ -63,13 +64,12 @@ TEST(Invariants, CreditsRestoredAtQuiescence)
     }
 }
 
-TEST(Invariants, CreditsRestoredAtQuiescenceThroughFaults)
+/** 6x6 runs with (14)->(15) and (20)->(19) down and the first link
+ *  repaired, over every kernel x fault policy x table x routing. */
+std::vector<SimConfig>
+faultedCreditCases()
 {
-    // The fault path sets credits by hand: a purge credits each freed
-    // slot's upstream hop directly, a dying link's ports drop to zero
-    // and a repair resets them to full. After a faulted run drains,
-    // every live output VC must again hold bufferDepth credits with no
-    // VC allocated, and each dead port must hold none.
+    std::vector<SimConfig> cases;
     for (const KernelKind kernel :
          {KernelKind::Scan, KernelKind::Active, KernelKind::Parallel}) {
         for (const FaultPolicy policy :
@@ -95,39 +95,49 @@ TEST(Invariants, CreditsRestoredAtQuiescenceThroughFaults)
                     cfg.faultEvents = {{150, 14, 1, true},
                                        {180, 20, 2, true},
                                        {400, 14, 1, false}};
-                    const std::string name = cfg.describe();
-                    Simulation sim(cfg);
-                    (void)sim.run();
-                    drainNetwork(sim);
+                    cases.push_back(cfg);
+                }
+            }
+        }
+    }
+    return cases;
+}
 
-                    Network& net = sim.network();
-                    ASSERT_EQ(net.totalOccupancy(), 0u) << name;
-                    ASSERT_EQ(net.totalOccupancySlow(), 0u) << name;
-                    ASSERT_EQ(net.faults().counters().linkUpEvents, 1u)
-                        << name;
-                    const FailureSet& dead = net.faults().failures();
-                    ASSERT_EQ(dead.count(), 1u) << name;
-                    const Topology& topo = sim.topology();
-                    for (NodeId n = 0; n < topo.numNodes(); ++n) {
-                        const Router& r = net.router(n);
-                        for (PortId p = 1; p < topo.numPorts(); ++p) {
-                            if (!topo.hasNeighbor(n, p))
-                                continue;
-                            const bool down = dead.isFailed(n, p);
-                            ASSERT_EQ(r.portDead(p), down)
-                                << name << " router " << n << " port "
-                                << int(p);
-                            const OutputUnit& out = r.outputUnit(p);
-                            for (VcId v = 0; v < cfg.vcsPerPort; ++v) {
-                                EXPECT_EQ(out.vc(v).credits,
-                                          down ? 0 : cfg.bufferDepth)
-                                    << name << " router " << n
-                                    << " port " << int(p) << " vc "
-                                    << int(v);
-                                EXPECT_FALSE(out.vc(v).busy) << name;
-                            }
-                        }
-                    }
+TEST(Invariants, CreditsRestoredAtQuiescenceThroughFaults)
+{
+    // The fault path sets credits by hand: a purge credits each freed
+    // slot's upstream hop directly, a dying link's ports drop to zero
+    // and a repair resets them to full. After a faulted run drains,
+    // every live output VC must again hold bufferDepth credits with no
+    // VC allocated, and each dead port must hold none.
+    for (const SimConfig& cfg : faultedCreditCases()) {
+        const std::string name =
+            enumName(cfg.kernel) + ": " + cfg.describe();
+        Simulation sim(cfg);
+        (void)sim.run();
+        drainNetwork(sim);
+
+        Network& net = sim.network();
+        ASSERT_EQ(net.totalOccupancy(), 0u) << name;
+        ASSERT_EQ(net.totalOccupancySlow(), 0u) << name;
+        ASSERT_EQ(net.faults().counters().linkUpEvents, 1u) << name;
+        const FailureSet& dead = net.faults().failures();
+        ASSERT_EQ(dead.count(), 1u) << name;
+        const Topology& topo = sim.topology();
+        for (NodeId n = 0; n < topo.numNodes(); ++n) {
+            const Router& r = net.router(n);
+            for (PortId p = 1; p < topo.numPorts(); ++p) {
+                if (!topo.hasNeighbor(n, p))
+                    continue;
+                const bool down = dead.isFailed(n, p);
+                ASSERT_EQ(r.portDead(p), down)
+                    << name << " router " << n << " port " << int(p);
+                const OutputUnit& out = r.outputUnit(p);
+                for (VcId v = 0; v < cfg.vcsPerPort; ++v) {
+                    EXPECT_EQ(out.vc(v).credits, down ? 0 : cfg.bufferDepth)
+                        << name << " router " << n << " port " << int(p)
+                        << " vc " << int(v);
+                    EXPECT_FALSE(out.vc(v).busy) << name;
                 }
             }
         }
