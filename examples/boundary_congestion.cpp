@@ -91,7 +91,7 @@ measure(TableKind table, double load)
             if (peer == kInvalidNode)
                 continue;
             const double util =
-                static_cast<double>(r.outputUnit(p).useCount()) /
+                static_cast<double>(r.outputUnit(p).useCount) /
                 cycles;
             if (map.clusterOf(n) != map.clusterOf(peer)) {
                 sum_b += util;

@@ -2,10 +2,9 @@
  * @file
  * Fixed-capacity FIFOs kept side by side in one slot array.
  *
- * Every FIFO on the per-flit path belongs to an owner that holds many
- * of them at one capacity: a router's input and output VC buffers, the
- * network's flit, credit and injection wires. A FifoSet stores all of
- * an owner's FIFOs in one contiguous slot array (FIFO f owns slots
+ * A router holds many FIFOs of one capacity per direction: its input
+ * VC buffers and its output FIFOs. A FifoSet stores all of them in one
+ * contiguous slot array (FIFO f owns slots
  * [f * capacity, (f + 1) * capacity)) plus one {head, size} cursor per
  * FIFO. A push or pop is one cursor update and one slot access: no
  * allocation after construction, no per-FIFO heap block to chase, and
@@ -24,17 +23,23 @@
 namespace lapses
 {
 
-/**
- * Access to a run of consecutive FIFOs of a FifoSet, indexed from 0.
- * A span holds raw pointers into the set's heap arrays, so it stays
- * valid when the owning FifoSet moves (a router's per-port units keep
- * spans into the router's sets while the router itself is moved).
- */
+/** Owner of `count` FIFOs of one capacity in one slot array. */
 template <typename T>
-class FifoSpan
+class FifoSet
 {
   public:
-    FifoSpan() = default;
+    FifoSet() = default;
+
+    FifoSet(std::size_t count, std::size_t capacity)
+        : slots_(std::make_unique<T[]>(count * capacity)),
+          cursors_(std::make_unique<Cursor[]>(count)),
+          capacity_(static_cast<std::uint32_t>(capacity)), count_(count)
+    {
+        LAPSES_ASSERT(capacity > 0 && capacity <= UINT32_MAX);
+    }
+
+    /** Number of FIFOs in the set. */
+    std::size_t count() const { return count_; }
 
     /** Slots per FIFO. */
     std::size_t capacity() const { return capacity_; }
@@ -100,7 +105,7 @@ class FifoSpan
     removeIf(std::size_t f, Pred&& pred)
     {
         Cursor& c = cursors_[f];
-        T* fifo = slots_ + f * capacity_;
+        T* fifo = slots_.get() + f * capacity_;
         const std::size_t old_size = c.size;
         std::size_t kept = 0;
         for (std::size_t i = 0; i < old_size; ++i) {
@@ -117,25 +122,12 @@ class FifoSpan
         return old_size - kept;
     }
 
-    /** The FIFOs from `first` on, re-indexed from 0. */
-    FifoSpan
-    subspan(std::size_t first) const
-    {
-        return FifoSpan(slots_ + first * capacity_, cursors_ + first,
-                        capacity_);
-    }
-
-  protected:
+  private:
     struct Cursor
     {
         std::uint32_t head = 0;
         std::uint32_t size = 0;
     };
-
-    FifoSpan(T* slots, Cursor* cursors, std::uint32_t capacity)
-        : slots_(slots), cursors_(cursors), capacity_(capacity)
-    {
-    }
 
     /** Position p < 2 * capacity folded into [0, capacity). */
     std::size_t
@@ -144,36 +136,9 @@ class FifoSpan
         return p >= capacity_ ? p - capacity_ : p;
     }
 
-    T* slots_ = nullptr;
-    Cursor* cursors_ = nullptr;
+    std::unique_ptr<T[]> slots_;
+    std::unique_ptr<Cursor[]> cursors_;
     std::uint32_t capacity_ = 0;
-};
-
-/** Owner of `count` FIFOs of one capacity in one slot array. */
-template <typename T>
-class FifoSet : public FifoSpan<T>
-{
-    using Cursor = typename FifoSpan<T>::Cursor;
-
-  public:
-    FifoSet() = default;
-
-    FifoSet(std::size_t count, std::size_t capacity)
-        : slot_store_(std::make_unique<T[]>(count * capacity)),
-          cursor_store_(std::make_unique<Cursor[]>(count)), count_(count)
-    {
-        LAPSES_ASSERT(capacity > 0 && capacity <= UINT32_MAX);
-        this->slots_ = slot_store_.get();
-        this->cursors_ = cursor_store_.get();
-        this->capacity_ = static_cast<std::uint32_t>(capacity);
-    }
-
-    /** Number of FIFOs in the set. */
-    std::size_t count() const { return count_; }
-
-  private:
-    std::unique_ptr<T[]> slot_store_;
-    std::unique_ptr<Cursor[]> cursor_store_;
     std::size_t count_ = 0;
 };
 

@@ -182,8 +182,7 @@ Network::Network(const SimConfig& cfg, const Topology& topo,
                                          cfg.msgLen);
     const bool lookahead = cfg.model == RouterModel::LaProud;
     const RouterParams router_params{.vcsPerPort = cfg.vcsPerPort,
-                                     .inBufDepth = cfg.bufferDepth,
-                                     .outBufDepth = cfg.bufferDepth,
+                                     .bufferDepth = cfg.bufferDepth,
                                      .lookahead = lookahead,
                                      .escapeVcs = escape_vcs_};
     const Nic::Params nic_params{.numVcs = cfg.vcsPerPort,

@@ -33,24 +33,15 @@ Router::Router(NodeId id, const Topology& topo,
     }
     const int xbar_requesters = num_ports_ * params_.vcsPerPort;
     const auto vc_count = static_cast<std::size_t>(xbar_requesters);
+    const auto depth = static_cast<std::size_t>(params_.bufferDepth);
     in_vcs_.resize(vc_count);
-    // Downstream of every network output is a peer input FIFO of
-    // inBufDepth; the ejection port's NIC sink never backpressures.
-    out_vcs_.assign(vc_count, OutputVc{.credits = params_.inBufDepth});
-    in_fifos_ = FifoSet<Flit>(
-        vc_count, static_cast<std::size_t>(params_.inBufDepth));
-    out_fifos_ = FifoSet<Flit>(
-        vc_count, static_cast<std::size_t>(params_.outBufDepth));
-    inputs_.reserve(static_cast<std::size_t>(num_ports_));
-    outputs_.reserve(static_cast<std::size_t>(num_ports_));
-    for (PortId p = 0; p < num_ports_; ++p) {
-        const std::size_t first = vcIndex(p, 0);
-        inputs_.emplace_back(&in_vcs_[first], in_fifos_.subspan(first),
-                             params_.vcsPerPort);
-        outputs_.emplace_back(&out_vcs_[first], out_fifos_.subspan(first),
-                              params_.vcsPerPort, xbar_requesters,
-                              p == kLocalPort);
-    }
+    // Downstream of every network output is a peer input FIFO of the
+    // same depth.
+    out_vcs_.assign(vc_count, OutputVc{.credits = params_.bufferDepth});
+    in_fifos_ = FifoSet<Flit>(vc_count, depth);
+    out_fifos_ = FifoSet<Flit>(vc_count, depth);
+    outputs_.assign(static_cast<std::size_t>(num_ports_),
+                    OutputUnit(xbar_requesters, params_.vcsPerPort));
     pending_request_.assign(vc_count, kInvalidPort);
     vc_port_.reserve(vc_count);
     for (PortId p = 0; p < num_ports_; ++p)
@@ -101,62 +92,46 @@ Router::advanceHeaderState(std::size_t i, Cycle now)
     ivc.msg = front.msg;
 }
 
-int
-Router::countFreeVcs(const RouteCandidates& route, PortId p) const
+PermittedVcs
+permittedVcs(const RouteCandidates& route, PortId p, int vcs_per_port,
+             int escape_vcs, bool escape_channels)
 {
-    const OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
-    const int full = params_.inBufDepth;
-    if (p == kLocalPort || !escape_channels_ ||
+    // The low vcs_per_port bits; shifting right keeps 64 VCs defined.
+    const std::uint64_t all = ~std::uint64_t{0} >> (64 - vcs_per_port);
+    if (p == kLocalPort || !escape_channels ||
         route.escapePort() == kInvalidPort) {
-        // No escape discipline: every VC is usable on any candidate.
-        int n = 0;
-        for (VcId v = 0; v < params_.vcsPerPort; ++v)
-            n += out.allocatable(v, full) ? 1 : 0;
-        return n;
+        return {.adaptive = all};
     }
-    int n = 0;
-    // Adaptive class on any candidate port.
-    for (VcId v = static_cast<VcId>(params_.escapeVcs);
-         v < params_.vcsPerPort; ++v) {
-        n += out.allocatable(v, full) ? 1 : 0;
-    }
-    // Escape class only toward the escape port, on the VC of the
-    // entry's escape phase.
+    // Adaptive VCs toward any candidate; the escape VC of the entry's
+    // escape phase only toward the escape port.
+    PermittedVcs vcs{.adaptive = all >> escape_vcs << escape_vcs};
     if (p == route.escapePort()) {
-        const VcId ev = static_cast<VcId>(
-            std::min(route.escapeClass(), params_.escapeVcs - 1));
-        n += out.allocatable(ev, full) ? 1 : 0;
+        vcs.escape = std::uint64_t{1}
+                     << std::min(route.escapeClass(), escape_vcs - 1);
     }
-    return n;
+    return vcs;
 }
 
-VcId
-Router::allocateVc(const RouteCandidates& route, PortId p) const
+PermittedVcs
+Router::allocatableVcs(const RouteCandidates& route, PortId p) const
 {
-    const OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
-    const int full = params_.inBufDepth;
-    if (p == kLocalPort || !escape_channels_ ||
-        route.escapePort() == kInvalidPort) {
-        for (VcId v = 0; v < params_.vcsPerPort; ++v) {
-            if (out.allocatable(v, full))
-                return v;
-        }
-        return kInvalidVc;
+    // A new message may allocate a VC no message owns whose downstream
+    // buffer has fully drained (conservative VC reallocation, as in
+    // the T3E), so messages never interleave within a VC buffer. The
+    // ejection port's NIC sink never backpressures.
+    std::uint64_t free = 0;
+    const std::size_t first = vcIndex(p, 0);
+    for (VcId v = 0; v < params_.vcsPerPort; ++v) {
+        const OutputVc& ovc = out_vcs_[first + static_cast<std::size_t>(v)];
+        if (!ovc.busy &&
+            (p == kLocalPort || ovc.credits == params_.bufferDepth))
+            free |= std::uint64_t{1} << v;
     }
-    // Prefer adaptive VCs, keeping the escape network free for blocked
-    // messages.
-    for (VcId v = static_cast<VcId>(params_.escapeVcs);
-         v < params_.vcsPerPort; ++v) {
-        if (out.allocatable(v, full))
-            return v;
-    }
-    if (p == route.escapePort()) {
-        const VcId ev = static_cast<VcId>(
-            std::min(route.escapeClass(), params_.escapeVcs - 1));
-        if (out.allocatable(ev, full))
-            return ev;
-    }
-    return kInvalidVc;
+    PermittedVcs vcs = permittedVcs(route, p, params_.vcsPerPort,
+                                    params_.escapeVcs, escape_channels_);
+    vcs.adaptive &= free;
+    vcs.escape &= free;
+    return vcs;
 }
 
 bool
@@ -191,14 +166,24 @@ Router::gatherRequest(PortId in_port, VcId vc, Cycle now, Env& env)
             if (portDead(p))
                 continue;
             ++live;
-            const int free_vcs = countFreeVcs(ivc.route, p);
+            const PermittedVcs vcs = allocatableVcs(ivc.route, p);
+            const int free_vcs = std::popcount(vcs.adaptive | vcs.escape);
             if (free_vcs == 0)
                 continue;
-            const OutputUnit& out =
-                outputs_[static_cast<std::size_t>(p)];
+            // MAX-CREDIT's and MIN-MUX's inputs, summed over the port.
+            int credits = 0;
+            int active = 0;
+            const std::size_t first = vcIndex(p, 0);
+            for (VcId v = 0; v < params_.vcsPerPort; ++v) {
+                const OutputVc& ovc =
+                    out_vcs_[first + static_cast<std::size_t>(v)];
+                credits += ovc.credits;
+                active += ovc.busy ? 1 : 0;
+            }
+            const OutputUnit& out = outputs_[static_cast<std::size_t>(p)];
             status[static_cast<std::size_t>(avail++)] = PortStatus{
-                p, free_vcs, out.totalCredits(), out.activeVcCount(),
-                out.useCount(), out.lastUseCycle()};
+                p, free_vcs, credits, active, out.useCount,
+                out.lastUseCycle};
         }
         if (live == 0) {
             // Every candidate faces a dead link. Stall while a
@@ -280,12 +265,17 @@ Router::serveCrossbar(Cycle now, Env& env)
         if (ivc.state == RouteState::WaitArb) {
             // Header granted: allocate the output VC now. The grant is
             // exclusive per output port, so the VC seen free during
-            // selection is still free.
-            const VcId ov = allocateVc(ivc.route, op);
-            LAPSES_ASSERT_MSG(ov != kInvalidVc,
+            // selection is still free. Adaptive VCs go first, keeping
+            // the escape network free for blocked messages.
+            const PermittedVcs vcs = allocatableVcs(ivc.route, op);
+            const std::uint64_t pick =
+                vcs.adaptive != 0 ? vcs.adaptive : vcs.escape;
+            LAPSES_ASSERT_MSG(pick != 0,
                               "granted header found no allocatable VC");
-            out.vc(ov).busy = true;
-            out.vc(ov).msg = ivc.msg;
+            const auto ov = static_cast<VcId>(std::countr_zero(pick));
+            OutputVc& ovc = out_vcs_[vcIndex(op, ov)];
+            ovc.busy = true;
+            ovc.msg = ivc.msg;
             ivc.state = RouteState::Active;
             ivc.outPort = op;
             ivc.outVc = ov;
@@ -352,14 +342,15 @@ Router::serveVcMux(Cycle now, Env& env)
         while (vm != 0) {
             const auto v = static_cast<VcId>(std::countr_zero(vm));
             vm &= vm - 1;
-            if (out_fifos_.front(first + static_cast<std::size_t>(v))
-                    .readyAt <= now) {
-                if (out.canTransmit(v)) {
-                    out.muxArb.request(v);
-                    raised = true;
-                } else if (telem_ != nullptr) {
-                    ++telem_->creditStarvedCycles;
-                }
+            const std::size_t o = first + static_cast<std::size_t>(v);
+            if (out_fifos_.front(o).readyAt > now)
+                continue;
+            // The ejection port's NIC sink never backpressures.
+            if (op == kLocalPort || out_vcs_[o].credits > 0) {
+                out.muxArb.request(v);
+                raised = true;
+            } else if (telem_ != nullptr) {
+                ++telem_->creditStarvedCycles;
             }
         }
         if (!raised)
@@ -373,9 +364,10 @@ Router::serveVcMux(Cycle now, Env& env)
         Flit flit = out_fifos_.pop(o);
         clearIfDrained(out_vc_mask_, out_port_mask_, op, v,
                        out_fifos_.empty(o));
-        if (!out.hasInfiniteCredits())
+        if (op != kLocalPort)
             --ovc.credits;
-        out.recordUse(now);
+        ++out.useCount;
+        out.lastUseCycle = now;
         --buffered_flits_; // the flit leaves the router for the wire
         if (telem_ != nullptr)
             ++telem_->flitsOut[static_cast<std::size_t>(op)];

@@ -42,9 +42,10 @@
 
 #include "common/fifo_set.hpp"
 #include "common/types.hpp"
-#include "router/input_unit.hpp"
+#include "router/arbiter.hpp"
+#include "router/flit.hpp"
 #include "router/message_pool.hpp"
-#include "router/output_unit.hpp"
+#include "routing/route_candidates.hpp"
 #include "selection/path_selector.hpp"
 #include "tables/routing_table.hpp"
 #include "topology/mesh.hpp"
@@ -60,11 +61,9 @@ struct RouterParams
     /** Virtual channels per physical channel (Table 2: 4). */
     int vcsPerPort = 4;
 
-    /** Input FIFO depth in flits (Table 2: 20). */
-    int inBufDepth = 20;
-
-    /** Output FIFO depth in flits (Table 2: 20). */
-    int outBufDepth = 20;
+    /** Depth in flits of every input VC buffer and output FIFO
+     *  (Table 2: 20). */
+    int bufferDepth = 20;
 
     /** LA-PROUD (4-stage) when true, PROUD (5-stage) when false. */
     bool lookahead = false;
@@ -75,6 +74,105 @@ struct RouterParams
      *  1. Ignored for algorithms that are deadlock-free on all VCs. */
     int escapeVcs = 1;
 };
+
+/** Routing progress of the message currently owning an input VC:
+ *  Idle -> WaitArb (after decode and, without look-ahead, table
+ *  lookup) -> Active (path selected, output VC allocated) until the
+ *  tail passes. */
+enum class RouteState : std::uint8_t
+{
+    Idle,    //!< no header being routed on this VC
+    WaitArb, //!< header at selection-cum-arbitration stage (retries)
+    Active,  //!< path allocated; body/tail flits use the bypass path
+};
+
+/** Per-virtual-channel input state (its flit FIFO lives in the
+ *  router's input FifoSet at the same index). */
+struct InputVc
+{
+    RouteState state = RouteState::Idle;
+
+    /** Earliest cycle the header may attempt selection/arbitration. */
+    Cycle arbEligibleAt = 0;
+
+    /** The message owning this VC while state != Idle. Lets the fault
+     *  path find a cut worm even when every one of its flits is
+     *  momentarily buffered elsewhere (see Network fault handling). */
+    MsgRef msg = kInvalidMsgRef;
+
+    /** Routing-table candidates for the header (from the look-ahead
+     *  header payload or the local table-lookup stage). */
+    RouteCandidates route;
+
+    /** Allocated crossbar output once Active. */
+    PortId outPort = kInvalidPort;
+    VcId outVc = kInvalidVc;
+};
+
+/** Per-virtual-channel output state (its flit FIFO, ahead of the VC
+ *  multiplexer, lives in the router's output FifoSet at the same
+ *  index). */
+struct OutputVc
+{
+    /** Downstream input-buffer credits for this VC. The ejection
+     *  port's NIC sink never backpressures, so its credits stay at the
+     *  buffer depth. */
+    int credits = 0;
+
+    /** Allocated to an in-flight message (cleared when its tail is
+     *  transmitted). */
+    bool busy = false;
+
+    /** The message owning this VC while busy (fault-path discovery of
+     *  worms cut by a dying link). */
+    MsgRef msg = kInvalidMsgRef;
+};
+
+/** What an output port keeps besides its VCs: the two arbitration
+ *  points and the usage counters the LFU and LRU selectors read. */
+struct OutputUnit
+{
+    OutputUnit(int xbar_requesters, int num_vcs)
+        : xbarArb(xbar_requesters), muxArb(num_vcs)
+    {
+    }
+
+    /** Crossbar output-port arbiter (one grant per cycle). */
+    RoundRobinArbiter xbarArb;
+
+    /** VC multiplexer arbiter (one flit per cycle onto the link). */
+    RoundRobinArbiter muxArb;
+
+    /** Flits ever transmitted through the port (LFU's counter). */
+    std::uint64_t useCount = 0;
+
+    /** Cycle of the most recent transmission (LRU's age input). */
+    Cycle lastUseCycle = 0;
+};
+
+/** The output VCs a header may allocate on one port, as bit masks
+ *  (bit v = VC v). The two masks never overlap. */
+struct PermittedVcs
+{
+    std::uint64_t adaptive = 0; //!< allowed toward any candidate
+    std::uint64_t escape = 0;   //!< Duato's escape VC, at most one bit
+};
+
+/**
+ * The escape-VC rule of Duato's protocol (DESIGN.md "Escape-VC
+ * discipline"): the VCs table entry `route` permits on its candidate
+ * port `p`, whatever their occupancy.
+ *
+ * Without the discipline (escape_channels off, the ejection port, or
+ * an entry with no escape port) every VC is adaptive. Otherwise VCs
+ * [escape_vcs, vcs_per_port) are adaptive, and the VC of the entry's
+ * escape class, clamped to escape_vcs - 1, is permitted only on the
+ * entry's escape port. Needs 1 <= vcs_per_port <= 64 and, with the
+ * discipline on, 1 <= escape_vcs < vcs_per_port.
+ */
+PermittedVcs permittedVcs(const RouteCandidates& route, PortId p,
+                          int vcs_per_port, int escape_vcs,
+                          bool escape_channels);
 
 /** An input VC named network-wide, as (node, port, VC): where a head
  *  was found unroutable. Sorting a list of them fixes the order the
@@ -134,13 +232,15 @@ class Router
     int numPorts() const { return num_ports_; }
     int numVcs() const { return params_.vcsPerPort; }
 
-    /** A flit arrives on in_port / vc from the link. */
+    /** A flit arrives on in_port / vc from the link. Stage 1
+     *  (sync/demux/buffer/decode) buffers it; it becomes actionable one
+     *  cycle later. */
     void
-    acceptFlit(PortId in_port, VcId vc, const Flit& flit, Cycle now)
+    acceptFlit(PortId in_port, VcId vc, Flit flit, Cycle now)
     {
         LAPSES_ASSERT(in_port >= 0 && in_port < num_ports_);
-        inputs_[static_cast<std::size_t>(in_port)].receiveFlit(vc, flit,
-                                                               now);
+        flit.readyAt = now + 1;
+        in_fifos_.push(vcIndex(in_port, vc), flit);
         ++buffered_flits_;
         markOccupied(in_vc_mask_, in_port_mask_, in_port, vc);
     }
@@ -152,7 +252,7 @@ class Router
         LAPSES_ASSERT(out_port >= 0 && out_port < num_ports_);
         OutputVc& ovc = out_vcs_[vcIndex(out_port, vc)];
         ++ovc.credits;
-        LAPSES_ASSERT_MSG(ovc.credits <= params_.inBufDepth,
+        LAPSES_ASSERT_MSG(ovc.credits <= params_.bufferDepth,
                           "credit overflow: more credits than buffer "
                           "slots");
     }
@@ -192,11 +292,33 @@ class Router
      */
     void setTelemetry(RouterTelemetry* telem) { telem_ = telem; }
 
-    const InputUnit& inputUnit(PortId p) const
+    // --- Per-VC state (tests, examples, invariant checks) -------------
+
+    /** Input VC (p, v)'s routing state. */
+    const InputVc& inputVc(PortId p, VcId v) const
     {
-        return inputs_[static_cast<std::size_t>(p)];
+        return in_vcs_[vcIndex(p, v)];
     }
 
+    /** Flits buffered on input VC (p, v). */
+    std::size_t inputFlits(PortId p, VcId v) const
+    {
+        return in_fifos_.size(vcIndex(p, v));
+    }
+
+    /** Output VC (p, v)'s credits and allocation. */
+    const OutputVc& outputVc(PortId p, VcId v) const
+    {
+        return out_vcs_[vcIndex(p, v)];
+    }
+
+    /** Flits waiting in output VC (p, v)'s FIFO for the VC mux. */
+    std::size_t outputFlits(PortId p, VcId v) const
+    {
+        return out_fifos_.size(vcIndex(p, v));
+    }
+
+    /** Output port p's arbiters and use counters. */
     const OutputUnit& outputUnit(PortId p) const
     {
         return outputs_[static_cast<std::size_t>(p)];
@@ -287,12 +409,10 @@ class Router
      *  up. */
     bool hasLiveCandidate(const RouteCandidates& route) const;
 
-    /** VCs this header may allocate on candidate port p. */
-    int countFreeVcs(const RouteCandidates& route, PortId p) const;
-
-    /** Pick the output VC on the selected port (adaptive preferred,
-     *  escape as last resort). */
-    VcId allocateVc(const RouteCandidates& route, PortId p) const;
+    /** The VCs `route` permits on port p (permittedVcs) that are free
+     *  there now. */
+    PermittedVcs allocatableVcs(const RouteCandidates& route,
+                                PortId p) const;
 
     /** Advance headers and raise requests in one pass over the
      *  occupied inputs, then grant winners per output port and move
@@ -373,14 +493,11 @@ class Router
     int num_ports_;
 
     // Per-VC storage, flat in (port, VC) order (vcIndex): VC state
-    // and one slot array of flit FIFOs per direction. The units are
-    // per-port views into these heap arrays, so they stay valid when
-    // the router moves.
+    // and one slot array of flit FIFOs per direction.
     std::vector<InputVc> in_vcs_;
     std::vector<OutputVc> out_vcs_;
     FifoSet<Flit> in_fifos_;
     FifoSet<Flit> out_fifos_;
-    std::vector<InputUnit> inputs_;
     std::vector<OutputUnit> outputs_;
 
     /** Pending crossbar request per input VC this cycle. */

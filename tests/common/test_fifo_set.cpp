@@ -8,7 +8,6 @@
 
 #include <deque>
 #include <utility>
-#include <vector>
 
 #include "common/fifo_set.hpp"
 
@@ -143,20 +142,6 @@ TEST(FifoSet, ClearEmptiesOneFifo)
     EXPECT_EQ(set.front(1), 3);
     set.push(0, 5);
     EXPECT_EQ(set.front(0), 5);
-}
-
-TEST(FifoSet, SpansSurviveMovingTheSet)
-{
-    FifoSet<int> set(4, 2);
-    const FifoSpan<int> tail = set.subspan(2);
-    set.push(3, 42);
-    EXPECT_EQ(tail.front(1), 42);
-    std::vector<FifoSet<int>> owners;
-    owners.push_back(std::move(set));
-    owners.emplace_back(1, 1); // may reallocate the vector
-    owners.front().push(2, 7);
-    EXPECT_EQ(tail.front(0), 7);
-    EXPECT_EQ(tail.size(1), 1u);
 }
 
 TEST(FifoSetDeath, OverflowAborts)

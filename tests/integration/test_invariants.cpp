@@ -53,12 +53,11 @@ TEST(Invariants, CreditsRestoredAtQuiescence)
         for (PortId p = 1; p < topo.numPorts(); ++p) {
             if (!topo.hasNeighbor(n, p))
                 continue;
-            const OutputUnit& out = r.outputUnit(p);
             for (VcId v = 0; v < cfg.vcsPerPort; ++v) {
-                EXPECT_EQ(out.vc(v).credits, cfg.bufferDepth)
+                EXPECT_EQ(r.outputVc(p, v).credits, cfg.bufferDepth)
                     << "router " << n << " port " << int(p) << " vc "
                     << int(v);
-                EXPECT_FALSE(out.vc(v).busy);
+                EXPECT_FALSE(r.outputVc(p, v).busy);
             }
         }
     }
@@ -132,12 +131,12 @@ TEST(Invariants, CreditsRestoredAtQuiescenceThroughFaults)
                 const bool down = dead.isFailed(n, p);
                 ASSERT_EQ(r.portDead(p), down)
                     << name << " router " << n << " port " << int(p);
-                const OutputUnit& out = r.outputUnit(p);
                 for (VcId v = 0; v < cfg.vcsPerPort; ++v) {
-                    EXPECT_EQ(out.vc(v).credits, down ? 0 : cfg.bufferDepth)
+                    EXPECT_EQ(r.outputVc(p, v).credits,
+                              down ? 0 : cfg.bufferDepth)
                         << name << " router " << n << " port " << int(p)
                         << " vc " << int(v);
-                    EXPECT_FALSE(out.vc(v).busy) << name;
+                    EXPECT_FALSE(r.outputVc(p, v).busy) << name;
                 }
             }
         }
@@ -162,10 +161,9 @@ TEST(Invariants, NoRouteStateLeaksAtQuiescence)
     for (NodeId n = 0; n < topo.numNodes(); ++n) {
         const Router& r = net.router(n);
         for (PortId p = 0; p < topo.numPorts(); ++p) {
-            const InputUnit& in = r.inputUnit(p);
             for (VcId v = 0; v < cfg.vcsPerPort; ++v) {
-                EXPECT_EQ(in.vc(v).state, RouteState::Idle);
-                EXPECT_TRUE(in.buffers().empty(v));
+                EXPECT_EQ(r.inputVc(p, v).state, RouteState::Idle);
+                EXPECT_EQ(r.inputFlits(p, v), 0u);
             }
         }
     }
@@ -230,7 +228,7 @@ TEST(Invariants, FlitHopConservationAtQuiescence)
         const Router& r = sim.network().router(n);
         forwards += r.forwardedFlits();
         for (PortId p = 0; p < topo.numPorts(); ++p)
-            transmissions += r.outputUnit(p).useCount();
+            transmissions += r.outputUnit(p).useCount;
     }
     EXPECT_EQ(transmissions, forwards);
     EXPECT_GT(forwards, 0u);

@@ -342,7 +342,7 @@ TEST(WireCalendar, PurgeRestoresTheCreditsOfFlitsOnWires)
                 if (!topo.hasNeighbor(n, p))
                     continue;
                 for (VcId v = 0; v < cfg.vcsPerPort; ++v) {
-                    EXPECT_EQ(net.router(n).outputUnit(p).vc(v).credits,
+                    EXPECT_EQ(net.router(n).outputVc(p, v).credits,
                               cfg.bufferDepth)
                         << "delay " << delay << " router " << n
                         << " port " << int(p) << " vc " << int(v);

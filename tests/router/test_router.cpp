@@ -54,23 +54,44 @@ class RecordingEnv : public Router::Env
     std::vector<OutCredit> credits;
 };
 
+/** Records the port statuses every selection call sees and picks the
+ *  first candidate (STATIC-XY's choice). */
+class RecordingSelector : public PathSelector
+{
+  public:
+    explicit RecordingSelector(std::vector<std::vector<PortStatus>>& seen)
+        : seen_(seen)
+    {
+    }
+
+    PortId
+    select(std::span<const PortStatus> candidates) override
+    {
+        seen_.emplace_back(candidates.begin(), candidates.end());
+        return candidates[0].port;
+    }
+
+  private:
+    std::vector<std::vector<PortStatus>>& seen_;
+};
+
 /** One router of a 2x2 mesh with Duato routing on a full table. */
 class RouterHarness
 {
   public:
-    explicit RouterHarness(bool lookahead, int vcs = 4,
-                           int escape_vcs = 1, int depth = 20)
+    explicit RouterHarness(
+        bool lookahead, int vcs = 4, int escape_vcs = 1, int depth = 20,
+        PathSelectorPtr selector = std::make_unique<StaticXySelector>())
         : topo(makeSquareMesh(2)), algo(topo), table(topo, algo)
     {
         RouterParams params;
         params.vcsPerPort = vcs;
-        params.inBufDepth = depth;
-        params.outBufDepth = depth;
+        params.bufferDepth = depth;
         params.lookahead = lookahead;
         params.escapeVcs = escape_vcs;
         router = std::make_unique<Router>(
             0, topo, params, table, /*escape_channels=*/true,
-            std::make_unique<StaticXySelector>(), pool);
+            std::move(selector), pool);
         la = lookahead;
     }
 
@@ -354,6 +375,217 @@ TEST(RouterPipeline, OccupancyTracksBufferedFlits)
     EXPECT_EQ(h.router->forwardedFlits(), 1u);
 }
 
+TEST(RouterPipeline, VcsStartIdleWithFullCredits)
+{
+    RouterHarness h(/*lookahead=*/false, /*vcs=*/3, /*escape=*/1,
+                    /*depth=*/7);
+    for (PortId p = 0; p < h.router->numPorts(); ++p) {
+        for (VcId v = 0; v < h.router->numVcs(); ++v) {
+            const InputVc& in = h.router->inputVc(p, v);
+            EXPECT_EQ(in.state, RouteState::Idle);
+            EXPECT_EQ(in.outPort, kInvalidPort);
+            EXPECT_EQ(in.outVc, kInvalidVc);
+            EXPECT_EQ(in.msg, kInvalidMsgRef);
+            EXPECT_EQ(h.router->inputFlits(p, v), 0u);
+            // Every output VC starts with the downstream buffer depth
+            // in credits, the ejection port's included.
+            const OutputVc& out = h.router->outputVc(p, v);
+            EXPECT_EQ(out.credits, 7) << int(p) << '/' << int(v);
+            EXPECT_FALSE(out.busy);
+            EXPECT_EQ(out.msg, kInvalidMsgRef);
+            EXPECT_EQ(h.router->outputFlits(p, v), 0u);
+        }
+        EXPECT_EQ(h.router->outputUnit(p).useCount, 0u);
+        EXPECT_EQ(h.router->outputUnit(p).lastUseCycle, 0u);
+    }
+}
+
+TEST(RouterPipeline, InputVcsBufferIndependently)
+{
+    RouterHarness h(/*lookahead=*/false, /*vcs=*/2, /*escape=*/1,
+                    /*depth=*/2);
+    h.router->acceptFlit(1, 0, h.makeFlit(FlitType::Head, 0, 0, 9), 1);
+    h.router->acceptFlit(1, 1, h.makeFlit(FlitType::Head, 0, 0, 9), 1);
+    h.router->acceptFlit(1, 1, h.makeFlit(FlitType::Body, 0, 1, 9), 2);
+    EXPECT_EQ(h.router->inputFlits(1, 0), 1u);
+    EXPECT_EQ(h.router->inputFlits(1, 1), 2u);
+    EXPECT_EQ(h.router->inputFlits(kLocalPort, 0), 0u);
+    EXPECT_EQ(h.router->inputFlits(2, 0), 0u);
+    EXPECT_EQ(h.router->occupancy(), 3u);
+}
+
+TEST(RouterPipeline, VcReallocatedOnlyWhenIdleAndDrained)
+{
+    // Port +X has escape VC 0 and adaptive VC 1; every header here is
+    // bound for node 1, whose only and escape port is +X, and prefers
+    // VC 1. It gets VC 1 only when no message owns it and all its
+    // credits are back (conservative reallocation), else VC 0.
+    RouterHarness h(/*lookahead=*/false, /*vcs=*/2, /*escape=*/1,
+                    /*depth=*/4);
+    const PortId px = MeshShape::port(0, Direction::Plus);
+    Cycle t = 5;
+    const auto send = [&](PortId in_vc, const Flit& f) {
+        h.router->acceptFlit(kLocalPort, in_vc, f, t);
+        h.stepRange(t, t + 9);
+        t += 10;
+    };
+
+    // A's header takes VC 1, and its credit returns while A still
+    // owns the VC.
+    send(0, h.makeFlit(FlitType::Head, 1, 0, 2));
+    const MsgRef a = h.last_msg;
+    h.router->acceptCredit(px, 1);
+    // B finds VC 1 busy despite its full credits.
+    send(1, h.makeFlit(FlitType::HeadTail, 1));
+    // A's tail releases VC 1 but leaves one of its credits downstream.
+    Flit a_tail;
+    a_tail.type = FlitType::Tail;
+    a_tail.msg = a;
+    a_tail.seq = 1;
+    send(0, a_tail);
+    EXPECT_FALSE(h.router->outputVc(px, 1).busy);
+    EXPECT_EQ(h.router->outputVc(px, 1).credits, 3);
+    h.router->acceptCredit(px, 0); // B's
+    // C finds VC 1 idle but not drained.
+    send(1, h.makeFlit(FlitType::HeadTail, 1));
+    h.router->acceptCredit(px, 0); // C's
+    h.router->acceptCredit(px, 1); // A's tail's
+    // D finds VC 1 idle and drained.
+    send(1, h.makeFlit(FlitType::HeadTail, 1));
+
+    ASSERT_EQ(h.env.flits.size(), 5u);
+    const std::vector<VcId> want = {1, 0, 1, 0, 1};
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(h.env.flits[i].port, px) << i;
+        EXPECT_EQ(h.env.flits[i].vc, want[i]) << i;
+    }
+}
+
+TEST(RouterPipeline, EjectionPortIgnoresCredits)
+{
+    // Six flits eject through a port whose VCs hold two credits each:
+    // the NIC sink never returns credits, so a credit-gated ejection
+    // would stop after two.
+    const int depth = 2;
+    RouterHarness h(/*lookahead=*/false, /*vcs=*/2, /*escape=*/1, depth);
+    const std::uint16_t len = 6;
+    std::uint16_t next = 0;
+    for (Cycle c = 3; c < 40; ++c) {
+        if (next < len && h.router->inputFlits(1, 0) < depth) {
+            const FlitType t = next == 0         ? FlitType::Head
+                               : next == len - 1 ? FlitType::Tail
+                                                 : FlitType::Body;
+            h.router->acceptFlit(1, 0, h.makeFlit(t, 0, next, len), c);
+            ++next;
+        }
+        h.stepRange(c, c);
+    }
+    ASSERT_EQ(h.env.flits.size(), std::size_t{len});
+    for (const auto& of : h.env.flits)
+        EXPECT_EQ(of.port, kLocalPort);
+    for (VcId v = 0; v < 2; ++v)
+        EXPECT_EQ(h.router->outputVc(kLocalPort, v).credits, depth);
+    EXPECT_EQ(h.router->outputUnit(kLocalPort).useCount, len);
+}
+
+TEST(RouterPipeline, SelectorSeesPortState)
+{
+    // A streams three flits of a long message out of +X on adaptive
+    // VC 1 (leaving at cycles 9, 10 and 11); then B's header to node
+    // 3 weighs +X against +Y. What the selector sees is the port
+    // state MIN-MUX, MAX-CREDIT, LFU and LRU read.
+    std::vector<std::vector<PortStatus>> seen;
+    RouterHarness h(/*lookahead=*/false, /*vcs=*/4, /*escape=*/1,
+                    /*depth=*/20,
+                    std::make_unique<RecordingSelector>(seen));
+    const PortId px = MeshShape::port(0, Direction::Plus);
+    const PortId py = MeshShape::port(1, Direction::Plus);
+    for (std::uint16_t s = 0; s < 3; ++s) {
+        const FlitType t = s == 0 ? FlitType::Head : FlitType::Body;
+        h.router->acceptFlit(kLocalPort, 0, h.makeFlit(t, 1, s, 100),
+                             5 + s);
+    }
+    h.stepRange(5, 20);
+    ASSERT_EQ(h.env.flits.size(), 3u);
+    EXPECT_EQ(h.router->outputUnit(px).useCount, 3u);
+    EXPECT_EQ(h.router->outputUnit(px).lastUseCycle, 11u);
+    EXPECT_TRUE(seen.empty()); // one candidate: no selection
+
+    h.router->acceptFlit(kLocalPort, 1,
+                         h.makeFlit(FlitType::HeadTail, 3), 21);
+    h.stepRange(21, 30);
+    ASSERT_EQ(seen.size(), 1u);
+    ASSERT_EQ(seen[0].size(), 2u);
+    const PortStatus& x = seen[0][0];
+    const PortStatus& y = seen[0][1];
+    // +X: adaptive VCs 2-3 and escape VC 0 (+X is the escape port).
+    EXPECT_EQ(x.port, px);
+    EXPECT_EQ(x.freeVcs, 3);
+    EXPECT_EQ(x.totalCredits, 4 * 20 - 3);
+    EXPECT_EQ(x.activeVcs, 1);
+    EXPECT_EQ(x.useCount, 3u);
+    EXPECT_EQ(x.lastUseCycle, 11u);
+    // +Y: adaptive VCs 1-3 only.
+    EXPECT_EQ(y.port, py);
+    EXPECT_EQ(y.freeVcs, 3);
+    EXPECT_EQ(y.totalCredits, 4 * 20);
+    EXPECT_EQ(y.activeVcs, 0);
+    EXPECT_EQ(y.useCount, 0u);
+    EXPECT_EQ(y.lastUseCycle, 0u);
+}
+
+TEST(PermittedVcs, EscapeRuleTable)
+{
+    const PortId px = MeshShape::port(0, Direction::Plus);
+    const PortId py = MeshShape::port(1, Direction::Plus);
+    const std::uint64_t all64 = ~std::uint64_t{0};
+    struct Case
+    {
+        const char* name;
+        PortId port;        //!< candidate asked about
+        PortId escapePort;  //!< entry's escape port (kInvalidPort: none)
+        int escapeClass;
+        int vcs;
+        int escapeVcs;
+        bool discipline;    //!< escape_channels
+        std::uint64_t adaptive;
+        std::uint64_t escape;
+    };
+    const Case cases[] = {
+        {"no discipline", px, px, 0, 4, 1, false, 0b1111, 0},
+        {"ejection port", kLocalPort, kLocalPort, 0, 4, 1, true, 0b1111,
+         0},
+        {"no escape port", px, kInvalidPort, 0, 4, 1, true, 0b1111, 0},
+        {"escape port", px, px, 0, 4, 1, true, 0b1110, 0b0001},
+        {"other candidate", py, px, 0, 4, 1, true, 0b1110, 0},
+        {"class 1, 1 escape VC", px, px, 1, 4, 1, true, 0b1110, 0b0001},
+        {"class 0, 2 escape VCs", px, px, 0, 4, 2, true, 0b1100, 0b0001},
+        {"class 1, 2 escape VCs", px, px, 1, 4, 2, true, 0b1100, 0b0010},
+        {"class 1, 2 escape VCs, other candidate", py, px, 1, 4, 2, true,
+         0b1100, 0},
+        {"one VC", px, px, 0, 1, 1, false, 0b1, 0},
+        {"64 VCs, no discipline", px, px, 0, 64, 1, false, all64, 0},
+        {"64 VCs, escape port", px, px, 0, 64, 1, true, all64 << 1, 1},
+        {"64 VCs, 2 escape VCs", px, px, 1, 64, 2, true, all64 << 2, 2},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        RouteCandidates route;
+        if (c.port == kLocalPort) {
+            route.add(kLocalPort);
+        } else {
+            route.add(px);
+            route.add(py);
+        }
+        route.setEscapePort(c.escapePort);
+        route.setEscapeClass(c.escapeClass);
+        const PermittedVcs got =
+            permittedVcs(route, c.port, c.vcs, c.escapeVcs, c.discipline);
+        EXPECT_EQ(got.adaptive, c.adaptive);
+        EXPECT_EQ(got.escape, c.escape);
+    }
+}
+
 TEST(OccupiedLists, ActivateOnReceiveAndClearOnDrain)
 {
     RouterHarness h(/*lookahead=*/false);
@@ -377,7 +609,7 @@ TEST(OccupiedLists, ActivateOnReceiveAndClearOnDrain)
     VcId out_vc = kInvalidVc;
     int backlogged = 0;
     for (VcId v = 0; v < h.router->numVcs(); ++v) {
-        if (!h.router->outputUnit(out).buffers().empty(v)) {
+        if (h.router->outputFlits(out, v) != 0) {
             ++backlogged;
             out_vc = v;
         }
@@ -425,11 +657,10 @@ TEST(OccupiedLists, MatchBufferStateUnderStreaming)
         for (PortId p = 0; p < h.router->numPorts(); ++p) {
             for (VcId v = 0; v < h.router->numVcs(); ++v) {
                 EXPECT_EQ(h.router->inputVcOccupied(p, v),
-                          !h.router->inputUnit(p).buffers().empty(v))
+                          h.router->inputFlits(p, v) != 0)
                     << "in " << int(p) << '/' << int(v);
-                EXPECT_EQ(
-                    h.router->outputVcOccupied(p, v),
-                    !h.router->outputUnit(p).buffers().empty(v))
+                EXPECT_EQ(h.router->outputVcOccupied(p, v),
+                          h.router->outputFlits(p, v) != 0)
                     << "out " << int(p) << '/' << int(v);
             }
         }
