@@ -10,27 +10,17 @@
 namespace lapses
 {
 
-int
-contentionFreeHopCycles(RouterModel m)
-{
-    return m == RouterModel::LaProud ? 5 : 6;
-}
-
-TopologySpec
-SimConfig::resolvedTopology() const
-{
-    TopologySpec spec = topology;
-    if (spec.isMeshKind()) {
-        spec.kind =
-            torus ? TopologyKind::Torus : TopologyKind::Mesh;
-    }
-    return spec;
-}
-
 Topology
 buildTopology(const SimConfig& cfg)
 {
-    return makeTopology(cfg.resolvedTopology(), cfg.radices);
+    return makeTopology(cfg.topology, cfg.radices);
+}
+
+Cycle
+contentionFreeHopCycles(const SimConfig& cfg)
+{
+    const Cycle stages = cfg.model == RouterModel::LaProud ? 4 : 5;
+    return stages + cfg.linkDelay;
 }
 
 int
@@ -123,7 +113,7 @@ SimConfig::describe() const
                 s += 'x';
             s += std::to_string(radices[i]);
         }
-        s += torus ? " torus" : " mesh";
+        s += topology.kind == TopologyKind::Torus ? " torus" : " mesh";
     } else {
         s += topology.str();
     }

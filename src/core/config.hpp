@@ -40,20 +40,15 @@ enumNames(RouterModel)
     });
 }
 
-/** Contention-free per-hop latency in cycles (pipeline stages + unit
- *  link delay): Table 2's 5 for LA-PROUD, 6 for PROUD. Feeds the span
- *  exporter's transfer/queueing split. */
-int contentionFreeHopCycles(RouterModel m);
-
 /** Complete configuration of one simulation point. */
 struct SimConfig
 {
     // --- Topology (Table 2: 256-node 16x16 mesh) ---
-    /** Which port graph the run uses (--topology). Mesh kinds read
-     *  radices/torus below; the other kinds carry their own shape. */
+    /** Which port graph the run uses (--topology, --torus). Mesh and
+     *  torus read radices below; the other kinds carry their own
+     *  shape. */
     TopologySpec topology;
     std::vector<int> radices = {16, 16};
-    bool torus = false;
 
     // --- Router microarchitecture ---
     RouterModel model = RouterModel::LaProud;
@@ -184,10 +179,6 @@ struct SimConfig
      *  changes results — only how often the shards rejoin. */
     Cycle maxBatchCycles = 0;
 
-    /** The resolved topology spec: mesh kinds reflect the torus
-     *  flag, other kinds pass through. */
-    TopologySpec resolvedTopology() const;
-
     /** Throw ConfigError on inconsistent settings. */
     void validate() const;
 
@@ -195,8 +186,13 @@ struct SimConfig
     std::string describe() const;
 };
 
-/** Build the run's port graph from the resolved topology spec. */
+/** Build the run's port graph from the topology spec. */
 Topology buildTopology(const SimConfig& cfg);
+
+/** Contention-free per-hop latency in cycles: pipeline stages plus
+ *  link delay (Table 2's 5 for LA-PROUD and 6 for PROUD at unit link
+ *  delay). Feeds the span exporter's transfer/queueing split. */
+Cycle contentionFreeHopCycles(const SimConfig& cfg);
 
 /** Escape VCs per port (DESIGN.md "Escape-VC discipline"): explicit
  *  cfg.escapeVcs wins; otherwise max(algo.escapeClasses(), 2 for

@@ -39,17 +39,13 @@ std::vector<CampaignRun>
 CampaignGrid::expand(std::size_t index_offset,
                      std::size_t series_offset) const
 {
-    // A run's topology spec is always resolved (mesh kinds say mesh or
-    // torus), swept or not.
-    SimConfig resolved = base;
-    resolved.topology = base.resolvedTopology();
     std::vector<CampaignRun> runs(axes.runCount());
     for (std::size_t local = 0; local < runs.size(); ++local) {
         CampaignRun& run = runs[local];
         run.index = index_offset + local;
         // Load nests innermost, so one series is one load sweep.
         run.series = series_offset + local / axes.loadsPerSeries();
-        run.config = resolved;
+        run.config = base;
         // `local` in mixed radix over the swept axes, the innermost
         // digit varying fastest.
         std::size_t rest = local;

@@ -113,15 +113,6 @@ enumAxis(ConfigField row)
                  }>(enumFlag<Field>(row));
 }
 
-/** Mesh kinds carry the torus flag in the spec as well. */
-void
-useTopology(SimConfig& cfg, const TopologySpec& spec)
-{
-    cfg.topology = spec;
-    if (spec.isMeshKind())
-        cfg.torus = spec.kind == TopologyKind::Torus;
-}
-
 // Help sections, in the order configFlagHelp prints them.
 constexpr const char* kTopology =
     "Topology / router (defaults = paper Table 2):";
@@ -151,17 +142,12 @@ const ConfigField kFields[] = {
          .help = "mesh|torus|fattreeKxN|dragonflyAxHxG|\n"
                  "file:PATH (README \"Topologies\") [mesh]",
          .column = "topology", .quoted = true, .axis = "topology", .nest = 0,
-         .parse = [](SimConfig& c, Args f, Args v) {
-             useTopology(c, parseTopologySpec(f, v));
-         },
-         .format = [](const Run& r) { return topologyName(r.config); },
-         .ops = {.apply = [](const CampaignAxes& a, std::size_t k,
-                             SimConfig& c) {
-             useTopology(c, a.topologies[k]);
-         }}}),
+         .format = [](const Run& r) { return topologyName(r.config); }}),
     {.flag = "--torus", .section = kTopology,
      .help = "wrap links (use --routing torus-adaptive)",
-     .parse = [](SimConfig& c, Args, Args) { c.torus = true; }},
+     .parse = [](SimConfig& c, Args f, Args) {
+         c.topology = parseTopologySpec(f, "torus");
+     }},
     enumAxis<&SimConfig::model, &CampaignAxes::models>(
         {.flag = "--model", .metavar = "M", .section = kTopology,
          .column = "model", .axis = "model", .nest = 1}),

@@ -26,7 +26,7 @@ meshName(const SimConfig& cfg)
             s += 'x';
         s += std::to_string(cfg.radices[i]);
     }
-    if (cfg.torus)
+    if (cfg.topology.kind == TopologyKind::Torus)
         s += " torus";
     return s;
 }
@@ -34,7 +34,7 @@ meshName(const SimConfig& cfg)
 std::string
 topologyName(const SimConfig& cfg)
 {
-    return cfg.resolvedTopology().str();
+    return cfg.topology.str();
 }
 
 namespace

@@ -87,7 +87,7 @@ class FlitTracer
      *        == 0 (>= 1; 1 = every message), bounding output volume on
      *        saturation runs
      * @param min_hop_cycles contention-free per-hop cost used for the
-     *        transfer/queueing split (contentionFreeHopCycles(model))
+     *        transfer/queueing split (contentionFreeHopCycles(cfg))
      *
      * Span assembly observes the event stream only — it reads no
      * network state, consumes no RNG, and messages still in flight

@@ -21,7 +21,7 @@ TEST(Config, DefaultsMatchPaperTable2)
     ASSERT_EQ(cfg.radices.size(), 2u);
     EXPECT_EQ(cfg.radices[0], 16);
     EXPECT_EQ(cfg.radices[1], 16);
-    EXPECT_FALSE(cfg.torus);
+    EXPECT_EQ(cfg.topology.kind, TopologyKind::Mesh);
     // "Message Length: 20 flits"
     EXPECT_EQ(cfg.msgLen, 20);
     // "Inter-arrival time: Exponential distrib."

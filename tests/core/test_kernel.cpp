@@ -248,7 +248,7 @@ TEST(Kernel, WatchdogStillFiresOnRealDeadlock)
     // it does under the scan kernel.
     SimConfig cfg;
     cfg.radices = {4, 4};
-    cfg.torus = true;
+    cfg.topology.kind = TopologyKind::Torus;
     cfg.routing = RoutingAlgo::DeterministicXY;
     cfg.table = TableKind::Full;
     cfg.traffic = TrafficKind::Uniform;

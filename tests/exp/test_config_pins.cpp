@@ -89,7 +89,7 @@ pinnedCampaign()
                   "buffers=8,20; escape=-1,1; load=0.1:0.3:0.1",
                   grids[1]);
     grids[2].base.radices = {3, 5};
-    grids[2].base.torus = true;
+    grids[2].base.topology.kind = TopologyKind::Torus;
     applyGridSpec("faults=0,2; fault-seed=0,7; telemetry-window=0,64;"
                   "workload=open,request-reply; load=0.05,0.15",
                   grids[2]);
@@ -208,10 +208,13 @@ sharedFlagCases()
          [](const SimConfig& c) {
              return c.radices == std::vector<int>{8, 6};
          }},
-        {{"--torus"}, [](const SimConfig& c) { return c.torus; }},
+        {{"--torus"},
+         [](const SimConfig& c) {
+             return c.topology.kind == TopologyKind::Torus;
+         }},
         {{"--topology", "torus"},
          [](const SimConfig& c) {
-             return c.topology.kind == TopologyKind::Torus && c.torus;
+             return c.topology.kind == TopologyKind::Torus;
          }},
         {{"--model", "proud"},
          [](const SimConfig& c) { return c.model == RouterModel::Proud; }},
@@ -349,6 +352,37 @@ TEST(SharedFlags, EachSetsItsFieldThroughTheLapsesSimParser)
         })) << fc.args.front();
         EXPECT_TRUE(fc.sets(cfg)) << fc.args.front();
     }
+}
+
+TEST(SharedFlags, LaterOfTorusAndTopologyWins)
+{
+    // --torus is --topology torus, so against another fabric the later
+    // of the two flags decides.
+    const auto parse = [](std::vector<std::string> args) {
+        std::vector<char*> argv = {const_cast<char*>("test")};
+        for (std::string& a : args)
+            argv.push_back(a.data());
+        const int argc = static_cast<int>(argv.size());
+        SimConfig cfg;
+        for (int i = 1; i < argc; ++i) {
+            EXPECT_TRUE(consumeConfigFlag(argc, argv.data(), i, cfg,
+                                          FlagSet::Sim))
+                << argv[static_cast<std::size_t>(i)];
+        }
+        return cfg;
+    };
+    const SimConfig torus =
+        parse({"--mesh", "4x4", "--topology", "fattree4x3", "--torus"});
+    EXPECT_EQ(torus.topology.kind, TopologyKind::Torus);
+    EXPECT_EQ(topologyName(torus), "torus");
+    EXPECT_EQ(meshName(torus), "4x4 torus");
+    EXPECT_TRUE(buildTopology(torus).isTorus());
+    const SimConfig fattree =
+        parse({"--mesh", "4x4", "--torus", "--topology", "fattree4x3"});
+    EXPECT_EQ(fattree.topology.kind, TopologyKind::FatTree);
+    EXPECT_EQ(topologyName(fattree), "fattree4x3");
+    EXPECT_EQ(meshName(fattree), "fattree4x3");
+    EXPECT_EQ(buildTopology(fattree).mesh(), nullptr);
 }
 
 TEST(SharedFlags, ToolsAcceptExactlyTheSeedFlagSets)

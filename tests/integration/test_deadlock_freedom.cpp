@@ -123,7 +123,7 @@ TEST(DeadlockFreedom, TorusAdaptiveSurvivesOverload)
           TrafficKind::Uniform}) {
         SimConfig cfg;
         cfg.radices = {6, 6};
-        cfg.torus = true;
+        cfg.topology.kind = TopologyKind::Torus;
         cfg.routing = RoutingAlgo::TorusAdaptive;
         cfg.table = TableKind::Full;
         cfg.msgLen = 8;
@@ -143,7 +143,7 @@ TEST(DeadlockFreedom, TorusAdaptiveDelivers)
 {
     SimConfig cfg;
     cfg.radices = {6, 6};
-    cfg.torus = true;
+    cfg.topology.kind = TopologyKind::Torus;
     cfg.routing = RoutingAlgo::TorusAdaptive;
     cfg.table = TableKind::Full;
     cfg.msgLen = 8;
@@ -169,7 +169,7 @@ TEST(DeadlockFreedom, WatchdogCatchesRealDeadlock)
     // is no hang.)
     SimConfig cfg;
     cfg.radices = {4, 4};
-    cfg.torus = true;
+    cfg.topology.kind = TopologyKind::Torus;
     cfg.routing = RoutingAlgo::DeterministicXY;
     cfg.table = TableKind::Full;
     cfg.traffic = TrafficKind::Uniform;

@@ -140,7 +140,7 @@ TEST(EndToEndExtra, TorusWithDeterministicTables)
     // very low load with short messages the run completes; this
     // exercises wrap-link wiring. (Adaptive/ES configs reject tori.)
     SimConfig cfg = baseConfig();
-    cfg.torus = true;
+    cfg.topology.kind = TopologyKind::Torus;
     cfg.routing = RoutingAlgo::DeterministicXY;
     cfg.table = TableKind::Full;
     cfg.normalizedLoad = 0.05;

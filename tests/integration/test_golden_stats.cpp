@@ -79,7 +79,7 @@ goldenCases()
         SimConfig cfg = goldenBase();
         cfg.routing = routing;
         if (routing == RoutingAlgo::TorusAdaptive) {
-            cfg.torus = true;
+            cfg.topology.kind = TopologyKind::Torus;
             cfg.table = TableKind::Full; // economical is mesh-only
         }
         add("routing:" + enumName(routing), cfg);

@@ -116,7 +116,7 @@ diffCases()
         SimConfig cfg = diffBase();
         cfg.routing = routing;
         if (routing == RoutingAlgo::TorusAdaptive) {
-            cfg.torus = true;
+            cfg.topology.kind = TopologyKind::Torus;
             cfg.table = TableKind::Full; // economical is mesh-only
         }
         add("routing:" + enumName(routing), cfg);
@@ -591,9 +591,7 @@ TEST(KernelDifferential, TracedStreamsIdentical)
         for (auto& sim : sims) {
             FlitTracer tracer(1 << 17);
             std::ostringstream os;
-            tracer.enableSpanExport(
-                os, 1,
-                static_cast<Cycle>(contentionFreeHopCycles(base.model)));
+            tracer.enableSpanExport(os, 1, contentionFreeHopCycles(base));
             sim->network().setTracer(&tracer);
             const SimStats stats = sim->run();
             sim->network().setTracer(nullptr);

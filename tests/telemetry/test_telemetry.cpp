@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -256,54 +259,65 @@ TEST(SpanExport, SamplingFilterAndFragments)
 
 TEST(SpanExport, SimulatedSpansMatchManhattanPaths)
 {
-    SimConfig cfg;
-    cfg.radices = {4, 4};
-    cfg.msgLen = 3;
-    cfg.normalizedLoad = 0.02;
-    Simulation sim(cfg);
-    FlitTracer tracer(1 << 18);
-    std::ostringstream os;
-    tracer.enableSpanExport(os, 1,
-                            static_cast<Cycle>(
-                                contentionFreeHopCycles(cfg.model)));
-    sim.network().setTracer(&tracer);
-    sim.stepCycles(4000);
-    ASSERT_GT(tracer.spansExported(), 20u);
+    // At light load some message meets no contention, so the smallest
+    // queueing time is exactly 0 when the per-hop cost counts the link
+    // delay, at unit delay and beyond.
+    for (const Cycle link_delay : {Cycle{1}, Cycle{3}}) {
+        SCOPED_TRACE("link delay " + std::to_string(link_delay));
+        SimConfig cfg;
+        cfg.radices = {4, 4};
+        cfg.msgLen = 3;
+        cfg.normalizedLoad = 0.02;
+        cfg.linkDelay = link_delay;
+        Simulation sim(cfg);
+        FlitTracer tracer(1 << 18);
+        std::ostringstream os;
+        tracer.enableSpanExport(os, 1, contentionFreeHopCycles(cfg));
+        sim.network().setTracer(&tracer);
+        sim.stepCycles(4000);
+        ASSERT_GT(tracer.spansExported(), 20u);
 
-    const Topology topo = makeSquareMesh(4);
-    std::istringstream lines(os.str());
-    std::string line;
-    std::size_t checked = 0;
-    while (std::getline(lines, line)) {
-        unsigned long long msg = 0;
-        int src = 0;
-        int dst = 0;
-        int flits = 0;
-        ASSERT_EQ(std::sscanf(line.c_str(),
-                              "{\"msg\":%llu,\"src\":%d,\"dst\":%d,"
-                              "\"flits\":%d",
-                              &msg, &src, &dst, &flits),
-                  4)
-            << line;
-        EXPECT_EQ(flits, cfg.msgLen) << line;
-        // One hop-arrival record per router on the path.
-        std::size_t hops = 0;
-        for (std::size_t pos = line.find("{\"node\":");
-             pos != std::string::npos;
-             pos = line.find("{\"node\":", pos + 1))
-            ++hops;
-        EXPECT_EQ(static_cast<int>(hops),
-                  topo.distance(static_cast<NodeId>(src),
-                                static_cast<NodeId>(dst)))
-            << line;
-        // Transfer never exceeds the observed network time: the split
-        // is contention-free cost + nonnegative queueing.
-        EXPECT_EQ(line.find("\"queueing_cycles\":-"),
-                  std::string::npos)
-            << line;
-        ++checked;
+        const Topology topo = makeSquareMesh(4);
+        std::istringstream lines(os.str());
+        std::string line;
+        std::size_t checked = 0;
+        long long min_queueing = std::numeric_limits<long long>::max();
+        while (std::getline(lines, line)) {
+            unsigned long long msg = 0;
+            int src = 0;
+            int dst = 0;
+            int flits = 0;
+            ASSERT_EQ(std::sscanf(line.c_str(),
+                                  "{\"msg\":%llu,\"src\":%d,\"dst\":%d,"
+                                  "\"flits\":%d",
+                                  &msg, &src, &dst, &flits),
+                      4)
+                << line;
+            EXPECT_EQ(flits, cfg.msgLen) << line;
+            // One hop-arrival record per router on the path.
+            std::size_t hops = 0;
+            for (std::size_t pos = line.find("{\"node\":");
+                 pos != std::string::npos;
+                 pos = line.find("{\"node\":", pos + 1))
+                ++hops;
+            EXPECT_EQ(static_cast<int>(hops),
+                      topo.distance(static_cast<NodeId>(src),
+                                    static_cast<NodeId>(dst)))
+                << line;
+            // Transfer never exceeds the observed network time: the
+            // split is contention-free cost + nonnegative queueing.
+            const std::string key = "\"queueing_cycles\":";
+            const std::size_t at = line.find(key);
+            ASSERT_NE(at, std::string::npos) << line;
+            const long long queueing =
+                std::strtoll(line.c_str() + at + key.size(), nullptr, 10);
+            EXPECT_GE(queueing, 0) << line;
+            min_queueing = std::min(min_queueing, queueing);
+            ++checked;
+        }
+        EXPECT_EQ(checked, tracer.spansExported());
+        EXPECT_EQ(min_queueing, 0);
     }
-    EXPECT_EQ(checked, tracer.spansExported());
 }
 
 } // namespace

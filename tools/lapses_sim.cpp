@@ -48,7 +48,6 @@ printHelp()
         "                       (CSV when FILE ends in .csv);\n"
         "                       needs --telemetry-window\n"
         "  --trace-out FILE     per-message lifecycle spans, JSONL\n"
-        "  --trace-capacity N   tracer event ring size      [65536]\n"
         "  --trace-sample N     export every Nth message id     [1]\n"
         "  --profile            print per-phase kernel wall-clock\n"
         "                       times after the run\n"
@@ -68,15 +67,12 @@ int
 main(int argc, char** argv)
 {
     SimConfig cfg;
-    cfg.warmupMessages = 1000;
-    cfg.measureMessages = 10000;
     std::vector<double> sweep;
     std::string csv_path;
     bool as_json = false;
     bool quiet = false;
     std::string telemetry_out;
     std::string trace_out;
-    std::uint64_t trace_capacity = 65536;
     std::uint64_t trace_sample = 1;
     bool profile = false;
 
@@ -99,10 +95,6 @@ main(int argc, char** argv)
                 telemetry_out = value();
             } else if (arg == "--trace-out") {
                 trace_out = value();
-            } else if (arg == "--trace-capacity") {
-                trace_capacity = parseCheckedU64(arg, value());
-                if (trace_capacity == 0)
-                    throw ConfigError("--trace-capacity must be >= 1");
             } else if (arg == "--trace-sample") {
                 trace_sample = parseCheckedU64(arg, value());
                 if (trace_sample == 0)
@@ -161,12 +153,9 @@ main(int argc, char** argv)
                 trace_os.open(trace_out);
                 if (!trace_os)
                     throw ConfigError("cannot open " + trace_out);
-                tracer = std::make_unique<FlitTracer>(
-                    static_cast<std::size_t>(trace_capacity));
-                tracer->enableSpanExport(
-                    trace_os, trace_sample,
-                    static_cast<Cycle>(
-                        contentionFreeHopCycles(cfg.model)));
+                tracer = std::make_unique<FlitTracer>();
+                tracer->enableSpanExport(trace_os, trace_sample,
+                                         contentionFreeHopCycles(cfg));
                 sim.network().setTracer(tracer.get());
             }
             if (profile)
