@@ -124,8 +124,9 @@ Router::allocatableVcs(const RouteCandidates& route, PortId p) const
     for (VcId v = 0; v < params_.vcsPerPort; ++v) {
         const OutputVc& ovc = out_vcs_[first + static_cast<std::size_t>(v)];
         if (!ovc.busy &&
-            (p == kLocalPort || ovc.credits == params_.bufferDepth))
+            (p == kLocalPort || ovc.credits == params_.bufferDepth)) {
             free |= std::uint64_t{1} << v;
+        }
     }
     PermittedVcs vcs = permittedVcs(route, p, params_.vcsPerPort,
                                     params_.escapeVcs, escape_channels_);
