@@ -2,7 +2,8 @@
  * @file
  * Router pipeline tests: exact 5-stage (PROUD) vs 4-stage (LA-PROUD)
  * timing, wormhole streaming, credit emission, VC allocation and the
- * Duato escape discipline.
+ * Duato escape discipline; and the input and output units' buffering,
+ * credits and use counters, read through the router's accessors.
  */
 
 #include <gtest/gtest.h>
@@ -375,32 +376,74 @@ TEST(RouterPipeline, OccupancyTracksBufferedFlits)
     EXPECT_EQ(h.router->forwardedFlits(), 1u);
 }
 
-TEST(RouterPipeline, VcsStartIdleWithFullCredits)
+TEST(RouterPipeline, SelectorSeesPortState)
 {
-    RouterHarness h(/*lookahead=*/false, /*vcs=*/3, /*escape=*/1,
-                    /*depth=*/7);
-    for (PortId p = 0; p < h.router->numPorts(); ++p) {
-        for (VcId v = 0; v < h.router->numVcs(); ++v) {
-            const InputVc& in = h.router->inputVc(p, v);
-            EXPECT_EQ(in.state, RouteState::Idle);
-            EXPECT_EQ(in.outPort, kInvalidPort);
-            EXPECT_EQ(in.outVc, kInvalidVc);
-            EXPECT_EQ(in.msg, kInvalidMsgRef);
-            EXPECT_EQ(h.router->inputFlits(p, v), 0u);
-            // Every output VC starts with the downstream buffer depth
-            // in credits, the ejection port's included.
-            const OutputVc& out = h.router->outputVc(p, v);
-            EXPECT_EQ(out.credits, 7) << int(p) << '/' << int(v);
-            EXPECT_FALSE(out.busy);
-            EXPECT_EQ(out.msg, kInvalidMsgRef);
-            EXPECT_EQ(h.router->outputFlits(p, v), 0u);
-        }
-        EXPECT_EQ(h.router->outputUnit(p).useCount, 0u);
-        EXPECT_EQ(h.router->outputUnit(p).lastUseCycle, 0u);
+    // A streams three flits of a long message out of +X on adaptive
+    // VC 1 (leaving at cycles 9, 10 and 11); then B's header to node
+    // 3 weighs +X against +Y. What the selector sees is the port
+    // state MIN-MUX, MAX-CREDIT, LFU and LRU read.
+    std::vector<std::vector<PortStatus>> seen;
+    RouterHarness h(/*lookahead=*/false, /*vcs=*/4, /*escape=*/1,
+                    /*depth=*/20,
+                    std::make_unique<RecordingSelector>(seen));
+    const PortId px = MeshShape::port(0, Direction::Plus);
+    const PortId py = MeshShape::port(1, Direction::Plus);
+    for (std::uint16_t s = 0; s < 3; ++s) {
+        const FlitType t = s == 0 ? FlitType::Head : FlitType::Body;
+        h.router->acceptFlit(kLocalPort, 0, h.makeFlit(t, 1, s, 100),
+                             5 + s);
     }
+    h.stepRange(5, 20);
+    ASSERT_EQ(h.env.flits.size(), 3u);
+    EXPECT_EQ(h.router->outputUnit(px).useCount, 3u);
+    EXPECT_EQ(h.router->outputUnit(px).lastUseCycle, 11u);
+    EXPECT_TRUE(seen.empty()); // one candidate: no selection
+
+    h.router->acceptFlit(kLocalPort, 1,
+                         h.makeFlit(FlitType::HeadTail, 3), 21);
+    h.stepRange(21, 30);
+    ASSERT_EQ(seen.size(), 1u);
+    ASSERT_EQ(seen[0].size(), 2u);
+    const PortStatus& x = seen[0][0];
+    const PortStatus& y = seen[0][1];
+    // +X: adaptive VCs 2-3 and escape VC 0 (+X is the escape port).
+    EXPECT_EQ(x.port, px);
+    EXPECT_EQ(x.freeVcs, 3);
+    EXPECT_EQ(x.totalCredits, 4 * 20 - 3);
+    EXPECT_EQ(x.activeVcs, 1);
+    EXPECT_EQ(x.useCount, 3u);
+    EXPECT_EQ(x.lastUseCycle, 11u);
+    // +Y: adaptive VCs 1-3 only.
+    EXPECT_EQ(y.port, py);
+    EXPECT_EQ(y.freeVcs, 3);
+    EXPECT_EQ(y.totalCredits, 4 * 20);
+    EXPECT_EQ(y.activeVcs, 0);
+    EXPECT_EQ(y.useCount, 0u);
+    EXPECT_EQ(y.lastUseCycle, 0u);
 }
 
-TEST(RouterPipeline, InputVcsBufferIndependently)
+// --- Input and output units, read through the router's per-VC
+// accessors --------------------------------------------------------
+
+TEST(InputUnit, ReceiveStampsStageOneDelay)
+{
+    // A flit buffered at cycle 10 is actionable from cycle 11: its
+    // header stays Idle through cycle 10 and is decoded at cycle 11,
+    // then waits out the lookup stage.
+    RouterHarness h(/*lookahead=*/false);
+    h.router->acceptFlit(kLocalPort, 0,
+                         h.makeFlit(FlitType::HeadTail, 1), 10);
+    EXPECT_EQ(h.router->inputFlits(kLocalPort, 0), 1u);
+    EXPECT_EQ(h.router->occupancy(), 1u);
+    h.stepRange(10, 10);
+    EXPECT_EQ(h.router->inputVc(kLocalPort, 0).state, RouteState::Idle);
+    h.stepRange(11, 11);
+    const InputVc& in = h.router->inputVc(kLocalPort, 0);
+    EXPECT_EQ(in.state, RouteState::WaitArb);
+    EXPECT_EQ(in.arbEligibleAt, 12u);
+}
+
+TEST(InputUnit, VcsAreIndependent)
 {
     RouterHarness h(/*lookahead=*/false, /*vcs=*/2, /*escape=*/1,
                     /*depth=*/2);
@@ -414,7 +457,41 @@ TEST(RouterPipeline, InputVcsBufferIndependently)
     EXPECT_EQ(h.router->occupancy(), 3u);
 }
 
-TEST(RouterPipeline, VcReallocatedOnlyWhenIdleAndDrained)
+TEST(InputUnit, StateStartsIdle)
+{
+    RouterHarness h(/*lookahead=*/false, /*vcs=*/3);
+    for (PortId p = 0; p < h.router->numPorts(); ++p) {
+        for (VcId v = 0; v < h.router->numVcs(); ++v) {
+            const InputVc& in = h.router->inputVc(p, v);
+            EXPECT_EQ(in.state, RouteState::Idle);
+            EXPECT_EQ(in.outPort, kInvalidPort);
+            EXPECT_EQ(in.outVc, kInvalidVc);
+            EXPECT_EQ(in.msg, kInvalidMsgRef);
+            EXPECT_EQ(h.router->inputFlits(p, v), 0u);
+        }
+    }
+}
+
+TEST(OutputUnit, InitialCreditsMatchDepth)
+{
+    // Every output VC starts with the downstream buffer depth in
+    // credits, the ejection port's included.
+    RouterHarness h(/*lookahead=*/false, /*vcs=*/3, /*escape=*/1,
+                    /*depth=*/7);
+    for (PortId p = 0; p < h.router->numPorts(); ++p) {
+        for (VcId v = 0; v < h.router->numVcs(); ++v) {
+            const OutputVc& out = h.router->outputVc(p, v);
+            EXPECT_EQ(out.credits, 7) << int(p) << '/' << int(v);
+            EXPECT_FALSE(out.busy);
+            EXPECT_EQ(out.msg, kInvalidMsgRef);
+            EXPECT_EQ(h.router->outputFlits(p, v), 0u);
+        }
+        EXPECT_EQ(h.router->outputUnit(p).useCount, 0u);
+        EXPECT_EQ(h.router->outputUnit(p).lastUseCycle, 0u);
+    }
+}
+
+TEST(OutputUnit, AllocatableNeedsIdleAndFullCredits)
 {
     // Port +X has escape VC 0 and adaptive VC 1; every header here is
     // bound for node 1, whose only and escape port is +X, and prefers
@@ -461,7 +538,7 @@ TEST(RouterPipeline, VcReallocatedOnlyWhenIdleAndDrained)
     }
 }
 
-TEST(RouterPipeline, EjectionPortIgnoresCredits)
+TEST(OutputUnit, EjectionPortIgnoresCredits)
 {
     // Six flits eject through a port whose VCs hold two credits each:
     // the NIC sink never returns credits, so a credit-gated ejection
@@ -488,50 +565,114 @@ TEST(RouterPipeline, EjectionPortIgnoresCredits)
     EXPECT_EQ(h.router->outputUnit(kLocalPort).useCount, len);
 }
 
-TEST(RouterPipeline, SelectorSeesPortState)
+TEST(OutputUnit, CanTransmitTracksCredits)
 {
-    // A streams three flits of a long message out of +X on adaptive
-    // VC 1 (leaving at cycles 9, 10 and 11); then B's header to node
-    // 3 weighs +X against +Y. What the selector sees is the port
-    // state MIN-MUX, MAX-CREDIT, LFU and LRU read.
+    // A four-flit message leaves +X on adaptive VC 1, which holds two
+    // credits. Each flit sent spends one; with none left the rest wait
+    // in the output FIFO, and each returned credit lets exactly one
+    // more flit leave.
+    const int depth = 2;
+    RouterHarness h(/*lookahead=*/false, /*vcs=*/2, /*escape=*/1, depth);
+    const PortId px = MeshShape::port(0, Direction::Plus);
+    const std::uint16_t len = 4;
+    std::uint16_t next = 0;
+    Cycle c = 5;
+    const auto run = [&](Cycle cycles) {
+        for (const Cycle end = c + cycles; c < end; ++c) {
+            if (next < len &&
+                h.router->inputFlits(kLocalPort, 0) < depth) {
+                const FlitType t = next == 0         ? FlitType::Head
+                                   : next == len - 1 ? FlitType::Tail
+                                                     : FlitType::Body;
+                h.router->acceptFlit(kLocalPort, 0,
+                                     h.makeFlit(t, 1, next, len), c);
+                ++next;
+            }
+            h.stepRange(c, c);
+        }
+    };
+
+    run(20);
+    ASSERT_EQ(h.env.flits.size(), 2u);
+    EXPECT_EQ(h.env.flits[0].vc, 1);
+    EXPECT_EQ(h.router->outputVc(px, 1).credits, 0);
+    EXPECT_EQ(h.router->outputFlits(px, 1), 2u);
+
+    h.router->acceptCredit(px, 1);
+    run(10);
+    ASSERT_EQ(h.env.flits.size(), 3u);
+    EXPECT_EQ(h.router->outputVc(px, 1).credits, 0);
+    EXPECT_EQ(h.router->outputFlits(px, 1), 1u);
+
+    h.router->acceptCredit(px, 1);
+    run(10);
+    ASSERT_EQ(h.env.flits.size(), 4u);
+    EXPECT_EQ(h.env.flits[3].flit.type, FlitType::Tail);
+    EXPECT_EQ(h.router->outputVc(px, 1).credits, 0);
+    EXPECT_EQ(h.router->outputFlits(px, 1), 0u);
+    EXPECT_FALSE(h.router->outputVc(px, 1).busy);
+}
+
+TEST(OutputUnit, ActiveVcCountIsMuxDegree)
+{
+    // The heads of two long messages hold +X's adaptive VCs 1 and 2;
+    // a header to node 3 then weighs +X against +Y, and MIN-MUX's
+    // input counts the VCs allocated on each.
     std::vector<std::vector<PortStatus>> seen;
     RouterHarness h(/*lookahead=*/false, /*vcs=*/4, /*escape=*/1,
                     /*depth=*/20,
                     std::make_unique<RecordingSelector>(seen));
     const PortId px = MeshShape::port(0, Direction::Plus);
     const PortId py = MeshShape::port(1, Direction::Plus);
+    h.router->acceptFlit(kLocalPort, 0,
+                         h.makeFlit(FlitType::Head, 1, 0, 100), 5);
+    h.router->acceptFlit(kLocalPort, 1,
+                         h.makeFlit(FlitType::Head, 1, 0, 100), 5);
+    h.stepRange(5, 20);
+    ASSERT_EQ(h.env.flits.size(), 2u);
+    for (VcId v = 0; v < 4; ++v)
+        EXPECT_EQ(h.router->outputVc(px, v).busy, v == 1 || v == 2) << v;
+
+    h.router->acceptFlit(kLocalPort, 2,
+                         h.makeFlit(FlitType::HeadTail, 3), 21);
+    h.stepRange(21, 30);
+    ASSERT_EQ(seen.size(), 1u);
+    ASSERT_EQ(seen[0].size(), 2u);
+    EXPECT_EQ(seen[0][0].port, px);
+    EXPECT_EQ(seen[0][0].activeVcs, 2);
+    EXPECT_EQ(seen[0][1].port, py);
+    EXPECT_EQ(seen[0][1].activeVcs, 0);
+}
+
+TEST(OutputUnit, RecordUseFeedsLfuAndLru)
+{
+    // Each flit leaving +X counts one use and stamps its cycle (LFU's
+    // and LRU's inputs); the three flits leave at cycles 9, 10 and 11.
+    // No other port is used.
+    RouterHarness h(/*lookahead=*/false);
+    const PortId px = MeshShape::port(0, Direction::Plus);
     for (std::uint16_t s = 0; s < 3; ++s) {
         const FlitType t = s == 0 ? FlitType::Head : FlitType::Body;
         h.router->acceptFlit(kLocalPort, 0, h.makeFlit(t, 1, s, 100),
                              5 + s);
     }
-    h.stepRange(5, 20);
+    for (Cycle c = 5; c <= 20; ++c) {
+        h.stepRange(c, c);
+        const OutputUnit& out = h.router->outputUnit(px);
+        EXPECT_EQ(out.useCount, h.env.flits.size()) << c;
+        EXPECT_EQ(out.lastUseCycle,
+                  h.env.flits.empty() ? 0 : h.env.flits.back().cycle)
+            << c;
+    }
     ASSERT_EQ(h.env.flits.size(), 3u);
-    EXPECT_EQ(h.router->outputUnit(px).useCount, 3u);
+    EXPECT_EQ(h.env.flits.front().cycle, 9u);
     EXPECT_EQ(h.router->outputUnit(px).lastUseCycle, 11u);
-    EXPECT_TRUE(seen.empty()); // one candidate: no selection
-
-    h.router->acceptFlit(kLocalPort, 1,
-                         h.makeFlit(FlitType::HeadTail, 3), 21);
-    h.stepRange(21, 30);
-    ASSERT_EQ(seen.size(), 1u);
-    ASSERT_EQ(seen[0].size(), 2u);
-    const PortStatus& x = seen[0][0];
-    const PortStatus& y = seen[0][1];
-    // +X: adaptive VCs 2-3 and escape VC 0 (+X is the escape port).
-    EXPECT_EQ(x.port, px);
-    EXPECT_EQ(x.freeVcs, 3);
-    EXPECT_EQ(x.totalCredits, 4 * 20 - 3);
-    EXPECT_EQ(x.activeVcs, 1);
-    EXPECT_EQ(x.useCount, 3u);
-    EXPECT_EQ(x.lastUseCycle, 11u);
-    // +Y: adaptive VCs 1-3 only.
-    EXPECT_EQ(y.port, py);
-    EXPECT_EQ(y.freeVcs, 3);
-    EXPECT_EQ(y.totalCredits, 4 * 20);
-    EXPECT_EQ(y.activeVcs, 0);
-    EXPECT_EQ(y.useCount, 0u);
-    EXPECT_EQ(y.lastUseCycle, 0u);
+    for (PortId p = 0; p < h.router->numPorts(); ++p) {
+        if (p == px)
+            continue;
+        EXPECT_EQ(h.router->outputUnit(p).useCount, 0u) << int(p);
+        EXPECT_EQ(h.router->outputUnit(p).lastUseCycle, 0u) << int(p);
+    }
 }
 
 TEST(PermittedVcs, EscapeRuleTable)
